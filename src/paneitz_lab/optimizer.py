@@ -18,14 +18,14 @@ import numpy as np
 from .bubbles import BubbleSpec, bubble_profile
 from .einstein import sharp_constant_oracle
 from .spectral import (
-    GeneralizedSpectrum,
     SphereSetup,
     assemble_mass,
     density_from_sqrt_field,
+    mass_from_values,
+    pencil_eigen,
     round_setup,
-    solve_generalized_eigen,
 )
-from .zonal import ZonalBasis, ZonalField, analyze
+from .zonal import ZonalBasis, analyze
 
 
 class DegenerateGapError(RuntimeError):
@@ -109,40 +109,44 @@ def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
     return c * mass ** (-1.0 / (2 * N))
 
 
-def _solve(c: np.ndarray, setup: SphereSetup, kmax: int) -> GeneralizedSpectrum:
-    qf = ZonalField(setup.basis, c)
-    u = density_from_sqrt_field(qf, setup.coeffs.N, normalize=False)
-    B = assemble_mass(u, setup.basis)
-    return solve_generalized_eigen(setup.A_diag, B, kmax, setup.basis)
+def _solve(
+    c: np.ndarray, setup: SphereSetup, kmax: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node values q of c, then the kernel's eigenvalues and B-normalized
+    coefficient columns for the pencil of u = q^2."""
+    qvals = setup.basis.table.T @ c
+    B = mass_from_values(setup.basis, qvals**2, setup.coeffs.N)
+    lams, V, _ = pencil_eigen(setup.A_diag, B, kmax)
+    return qvals, lams, V
 
 
 def objective(params: DensityParameterization, k: int, setup: SphereSetup) -> float:
     """lambda_bar_k of the normalized density u = q^2."""
     c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
-    return float(_solve(c, setup, k).eigenvalues[k - 1])
+    return float(_solve(c, setup, k)[1][k - 1])
 
 
 def _eig_gradient(
-    c: np.ndarray, spec: GeneralizedSpectrum, j: int, setup: SphereSetup
+    qvals: np.ndarray, w: np.ndarray, lam: float, setup: SphereSetup
 ) -> np.ndarray:
-    """Gradient of lambda_bar_j wrt the q-coefficients at unit-mass u = q^2.
+    """Gradient of lambda_bar_j wrt the q-coefficients at unit-mass u = q^2,
+    from the node values of q and of the B-normalized eigenfield w of lam.
 
     First-order pencil perturbation through delta(u^(N-2)) plus the volume
     factor; for u normalized the two prefactors coincide at N - 2, leaving
 
         grad_m = 2 lambda_j (N-2) sum_j w_j q Z_m (u^(N-1) - u^(N-3) w^2).
+
+    Only w^2 enters, so the sign of the eigenvector does not matter.
     """
     basis = setup.basis
     N = setup.coeffs.N
-    qvals = basis.table.T @ c
     u = qvals**2
-    w = spec.eigenfields[j].values
     # guard u^(N-3) at zeros of u when N < 3 (n > 12)
     if N >= 3:
         core = u ** (N - 1) - u ** (N - 3) * w**2
     else:
         core = u ** (N - 1) - np.where(u > 0, u, 1.0) ** (N - 3) * w**2 * (u > 0)
-    lam = spec.eigenvalues[j]
     return 2 * lam * (N - 2) * (basis.table @ (basis.rule.weights * qvals * core))
 
 
@@ -152,14 +156,13 @@ def gradient(
     """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
     c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
     kmax = min(k + 1, setup.basis.dim)
-    spec = _solve(c, setup, kmax)
-    lam = spec.eigenvalues
+    qvals, lam, V = _solve(c, setup, kmax)
     tol = 1e-6 * abs(lam[k - 1])
     if k > 1 and lam[k - 1] - lam[k - 2] < tol:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
         raise DegenerateGapError("eigenvalue crossing above k")
-    return _eig_gradient(c, spec, k - 1, setup)
+    return _eig_gradient(qvals, setup.basis.table.T @ V[:, k - 1], lam[k - 1], setup)
 
 
 def two_bubble_initializer(
@@ -197,8 +200,8 @@ def _random_start(basis: ZonalBasis, N: float, rng) -> DensityParameterization:
     return DensityParameterization(_renormalize(c, basis, N))
 
 
-def _fixed_point_res(spec: GeneralizedSpectrum, u_vals, N, rule, k) -> float:
-    w = np.abs(spec.eigenfields[k - 1].values)
+def _fixed_point_res(w_vals: np.ndarray, u_vals, N, rule) -> float:
+    w = np.abs(w_vals)
     wn = rule.integrate(w**N) ** (1.0 / N)
     if wn == 0:
         return float("nan")
@@ -220,14 +223,13 @@ def _descend(
     step = 1.0
     t0 = time.perf_counter()
 
-    def surrogate(spectrum: GeneralizedSpectrum, T: float):
+    def surrogate(lam: np.ndarray, T: float):
         """Objective and eigen-weights; smoothed across near-crossings.
 
         Activation widens with the temperature: early iterations smooth
         over gaps up to a few T (the two-bubble near-collision), annealing
         sharpens the surrogate back to the plain eigenvalue.
         """
-        lam = spectrum.eigenvalues
         # the lower crossing is a ridge (lambda_k is locally a max): widen
         # its activation so the descent walks the ridge instead of zigzagging
         tol_lo = max(config.gap_tol, 0.02) * abs(lam[k - 1])
@@ -259,22 +261,23 @@ def _descend(
         p = p / p.sum()
         return float(J), dict(zip(idx, p))
 
-    spec = _solve(c, setup, kmax)
+    qvals, lam, V = _solve(c, setup, kmax)
     for it in range(config.max_iters):
-        lam_k = float(spec.eigenvalues[k - 1])
+        lam_k = float(lam[k - 1])
         T = max(1e-3 * lam_k * 0.98**it, 1e-10 * lam_k)
-        J, weights = surrogate(spec, T)
+        J, weights = surrogate(lam, T)
+        # eigenfield node values, each synthesized once per iteration
+        w_vals = {j: basis.table.T @ V[:, j] for j in {*weights, k - 1}}
         g = np.zeros_like(c)
         for j, p in weights.items():
-            g += p * _eig_gradient(c, spec, j, setup)
+            g += p * _eig_gradient(qvals, w_vals[j], lam[j], setup)
         gnorm = float(np.linalg.norm(g))
-        gap = float(spec.eigenvalues[k] - lam_k) if kmax > k else float("nan")
-        u_vals = (basis.table.T @ c) ** 2
+        gap = float(lam[k] - lam_k) if kmax > k else float("nan")
         trace.objectives.append(J)
         trace.lambda_bars.append(lam_k)
         trace.grad_norms.append(gnorm)
         trace.gaps.append(gap)
-        trace.residuals.append(_fixed_point_res(spec, u_vals, N, rule, k))
+        trace.residuals.append(_fixed_point_res(w_vals[k - 1], qvals**2, N, rule))
         trace.wall_times.append(time.perf_counter() - t0)
         if gnorm <= config.grad_tol * max(abs(J), 1.0):
             trace.status = "gradient-converged"
@@ -287,12 +290,12 @@ def _descend(
         for _ in range(40):
             try:
                 c_try = _renormalize(c - step * d, basis, N)
-                spec_try = _solve(c_try, setup, kmax)
+                solved = _solve(c_try, setup, kmax)
             except (ValueError, ArithmeticError) as exc:
                 trace.annotations.append(f"iter {it}: step rejected ({exc})")
                 step *= 0.5
                 continue
-            J_try, _ = surrogate(spec_try, T)
+            J_try, _ = surrogate(solved[1], T)
             if math.isfinite(J_try) and J_try <= J - 1e-4 * step * gnorm:
                 accepted = True
                 break
@@ -300,10 +303,10 @@ def _descend(
         if not accepted:
             trace.status = "line-search-stalled"
             break
-        c, spec = c_try, spec_try
+        c, (qvals, lam, V) = c_try, solved
     else:
         trace.status = "max-iters"
-    return DensityParameterization(c), float(spec.eigenvalues[k - 1]), trace
+    return DensityParameterization(c), float(lam[k - 1]), trace
 
 
 def minimize(config: OptimizerConfig) -> MinimizeResult:
@@ -345,8 +348,8 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
         analyze(fine.basis, qvals), N, normalize=True
     )
     B = assemble_mass(u_fine, fine.basis)
-    fine_spec = solve_generalized_eigen(fine.A_diag, B, config.k, fine.basis)
-    final = float(fine_spec.eigenvalues[config.k - 1]) * u_fine.lN_mass() ** (4.0 / config.n)
+    fine_lams, _, _ = pencil_eigen(fine.A_diag, B, config.k)
+    final = float(fine_lams[config.k - 1]) * u_fine.lN_mass() ** (4.0 / config.n)
 
     K2_inv_sq = sharp_constant_oracle(config.n)
     round_pair_bound = 2.0 ** (4.0 / config.n) * K2_inv_sq

@@ -9,14 +9,15 @@ on sets of positive measure).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-from .einstein import OperatorCoefficients
-from .zonal import ZonalBasis, ZonalField, analyze
+from .einstein import EinsteinData, OperatorCoefficients
+from .zonal import QuadratureRule, ZonalBasis, ZonalField
 
 
 class DegeneratePencilError(ValueError):
@@ -92,12 +93,18 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
     return (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
 
 
+def mass_from_values(basis: ZonalBasis, values: np.ndarray, N: float) -> np.ndarray:
+    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j) from the node values
+    of u, unvalidated; the one home of the mass formula."""
+    wdens = basis.rule.weights * values ** (N - 2)
+    return (basis.table * wdens) @ basis.table.T
+
+
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
     """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD."""
     if u.basis is not basis and u.basis.n != basis.n:
         raise ValueError("density and basis dimensions disagree")
-    wdens = basis.rule.weights * u.weight_values
-    return (basis.table * wdens) @ basis.table.T
+    return mass_from_values(basis, u.values, u.N)
 
 
 @dataclass
@@ -121,22 +128,39 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def solve_generalized_eigen(
-    A_diag: np.ndarray, B: np.ndarray, k: int, basis: ZonalBasis
-) -> GeneralizedSpectrum:
-    """Smallest k eigenpairs of A v = lambda B v.
+@functools.lru_cache(maxsize=None)
+def _dsyevr_sizes(dim: int) -> tuple[int, int]:
+    """Optimal (lwork, liwork) for dsyevr, as scipy.linalg.eigh queries them.
+
+    dsyevr's blocked reduction depends on the workspace it is given, so
+    these sizes (not the wrapper's minimal defaults) reproduce eigh's bits.
+    """
+    work, iwork, info = dsyevr_lwork(dim, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed (info={info})")
+    return int(work), int(iwork)
+
+
+def pencil_eigen(
+    A_diag: np.ndarray, B: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Smallest k eigenpairs of A v = lambda B v as plain arrays.
+
+    Returns (eigenvalues, V, shift): the ascending eigenvalues, their
+    B-normalized coefficient vectors as the (contiguous) columns of V, with
+    no sign convention, and the regularization added to B (0.0 if none).
 
     A must be positive definite (refused otherwise; that is the S <= 0
     regime).  B may be singular: a fixed relative shift
-    delta = 1e-12 * trace(B)/dim is then added and recorded.  The solve
-    inverts the pencil through A^(-1/2), which keeps near-null directions
-    of B harmless: they correspond to huge Rayleigh quotients and never
-    pollute the bottom of the spectrum.
+    delta = 1e-12 * trace(B)/dim is then added.  The solve inverts the
+    pencil through A^(-1/2), which keeps near-null directions of B
+    harmless: they correspond to huge Rayleigh quotients and never pollute
+    the bottom of the spectrum.
     """
     dim = len(A_diag)
     if k > dim:
         raise DegeneratePencilError(f"requested {k} eigenvalues from a {dim}-dim pencil")
-    if np.any(A_diag <= 0):
+    if (A_diag <= 0).any():
         raise DegeneratePencilError(
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
@@ -147,18 +171,33 @@ def solve_generalized_eigen(
         shift = 1e-12 * np.trace(B) / dim
         B = B + shift * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
-    C = (B * s).T * s
-    w, Y = eigh(C)
+    C = np.asarray_chkfinite((B * s).T * s)
+    lwork, liwork = _dsyevr_sizes(dim)
+    w, Y, _, _, info = dsyevr(C, lower=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info={info})")
     order = np.argsort(w)[::-1][:k]
     mass = w[order]
-    if np.any(mass <= 0):
+    if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    lams = 1.0 / mass
+    # rows of Y.T[order] are contiguous, so the columns of V are too
+    V = (Y.T[order] * s / np.sqrt(mass)[:, None]).T
+    return 1.0 / mass, V, shift
+
+
+def solve_generalized_eigen(
+    A_diag: np.ndarray, B: np.ndarray, k: int, basis: ZonalBasis
+) -> GeneralizedSpectrum:
+    """``pencil_eigen`` with sign-fixed eigenfields and relative residuals
+    ||A v - lambda B v|| / ||A v|| (B including any shift)."""
+    lams, V, shift = pencil_eigen(A_diag, B, k)
+    if shift > 0:
+        B = B + shift * np.eye(len(A_diag))
     fields, residuals = [], []
-    for i, j in enumerate(order):
-        v = _fix_sign(Y[:, j] * s / np.sqrt(mass[i]))
+    for lam, v in zip(lams, V.T):
+        v = _fix_sign(v)
         av = A_diag * v
-        residuals.append(np.linalg.norm(av - lams[i] * (B @ v)) / np.linalg.norm(av))
+        residuals.append(np.linalg.norm(av - lam * (B @ v)) / np.linalg.norm(av))
         fields.append(ZonalField(basis, v))
     return GeneralizedSpectrum(
         eigenvalues=lams,
@@ -216,9 +255,9 @@ def normalized_invariant(
 class SphereSetup:
     """Bundle of the standard objects for one round-sphere discretization."""
 
-    data: "object"
+    data: EinsteinData
     coeffs: OperatorCoefficients
-    rule: "object"
+    rule: QuadratureRule
     basis: ZonalBasis
     A_diag: np.ndarray
 

@@ -205,8 +205,8 @@ def test_criterion_09_two_plane_bound_margin(minimize12):
 
 
 def test_criterion_10_nodal_diagnostics(minimize12):
-    from paneitz_lab.optimizer import _engine, _renormalize, _solve, two_bubble_initializer
-    from paneitz_lab.spectral import density_from_sqrt_field
+    from paneitz_lab.optimizer import _engine, _renormalize, two_bubble_initializer
+    from paneitz_lab.spectral import density_from_sqrt_field, solve_density
     from paneitz_lab.toolkit import fixed_point_residual, nodal_profile
 
     setup = _engine(minimize12.config)
@@ -215,7 +215,7 @@ def test_criterion_10_nodal_diagnostics(minimize12):
     def second_pair(params):
         c = _renormalize(params.coeffs, setup.basis, N)
         u = density_from_sqrt_field(ZonalField(setup.basis, c), N, normalize=False)
-        spec = _solve(c, setup, 2)
+        spec = solve_density(setup, u, 2)
         return u, spec.eigenfields[0], spec.eigenfields[1]
 
     u_t, v_t, w_t = second_pair(minimize12.best)

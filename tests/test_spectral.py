@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from conftest import random_density
 from paneitz_lab.einstein import sharp_constant_oracle, sphere_volume
@@ -14,6 +15,7 @@ from paneitz_lab.spectral import (
     density_from_sqrt_field,
     minimax_over_plane,
     normalized_invariant,
+    pencil_eigen,
     rayleigh,
     round_setup,
     solve_density,
@@ -137,3 +139,63 @@ def test_density_from_sqrt_field_normalizes(setup5):
     u = density_from_sqrt_field(ZonalField(setup5.basis, c), setup5.coeffs.N)
     assert u.lN_mass() == pytest.approx(1.0, abs=1e-10)
     assert u.normalized
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_kernel_matches_dressed_solve(n, setup5, setup12):
+    setup = setup5 if n == 5 else setup12
+    rng = np.random.default_rng(10 + n)
+    for _ in range(4):
+        u = random_density(setup.basis, setup.coeffs.N, rng)
+        B = assemble_mass(u, setup.basis)
+        lams, V, shift = pencil_eigen(setup.A_diag, B, 3)
+        spec = solve_generalized_eigen(setup.A_diag, B, 3, setup.basis)
+        assert np.array_equal(lams, spec.eigenvalues)
+        assert shift == spec.shift
+        for v, f in zip(V.T, spec.eigenfields):
+            assert np.array_equal(v, f.coeffs) or np.array_equal(-v, f.coeffs)
+
+
+def test_kernel_shift_path(setup5):
+    # u vanishes on all but 8 nodes, so B has rank 8 < dim and is shifted
+    vals = np.where(setup5.rule.nodes > setup5.rule.nodes[-9], 1.0, 0.0)
+    u = ConformalDensity(setup5.basis, vals, setup5.coeffs.N)
+    B = assemble_mass(u, setup5.basis)
+    lams, V, shift = pencil_eigen(setup5.A_diag, B, 2)
+    assert shift == pytest.approx(1e-12 * np.trace(B) / setup5.basis.dim)
+    spec = solve_generalized_eigen(setup5.A_diag, B, 2, setup5.basis)
+    assert spec.shift == shift
+    assert np.array_equal(lams, spec.eigenvalues)
+    assert np.all(spec.residuals <= 1e-8)
+    gram = V.T @ (B + shift * np.eye(setup5.basis.dim)) @ V
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-8
+
+
+def test_kernel_refusals(setup5):
+    u = constant_density(setup5.basis, setup5.coeffs.N)
+    B = assemble_mass(u, setup5.basis)
+    dim = setup5.basis.dim
+    with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
+        pencil_eigen(setup5.A_diag, B, dim + 1)
+    with pytest.raises(DegeneratePencilError, match="not positive definite"):
+        pencil_eigen(np.where(np.arange(dim) == 3, 0.0, setup5.A_diag), B, 1)
+    with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
+        pencil_eigen(setup5.A_diag, np.zeros((dim, dim)), 1)
+
+
+@pytest.mark.parametrize("dim", [17, 49, 401])
+def test_kernel_reproduces_scipy_eigh(dim):
+    # the kernel calls dsyevr with eigh's workspace sizes; with the
+    # wrapper's minimal defaults the blocked reduction differs from dim 49 on
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((dim, dim))
+    B = M @ M.T / dim + 0.1 * np.eye(dim)
+    A_diag = (np.arange(dim) + 1.5) * (np.arange(dim) + 3.0)
+    k = 3
+    lams, V, shift = pencil_eigen(A_diag, B, k)
+    s = 1.0 / np.sqrt(A_diag)
+    w, Y = eigh((B * s).T * s)
+    order = np.argsort(w)[::-1][:k]
+    assert shift == 0.0
+    assert np.array_equal(lams, 1.0 / w[order])
+    assert np.array_equal(V, Y[:, order] * s[:, None] / np.sqrt(w[order]))

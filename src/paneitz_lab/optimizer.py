@@ -103,7 +103,7 @@ def _engine(config: OptimizerConfig) -> SphereSetup:
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
     qvals = basis.table.T @ c
-    mass = basis.rule.integrate(qvals ** (2 * N))
+    mass = basis.rule.integrate(np.abs(qvals) ** (2 * N))
     if mass <= 0 or not math.isfinite(mass):
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
     return c * mass ** (-1.0 / (2 * N))

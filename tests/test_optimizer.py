@@ -114,3 +114,16 @@ def test_minimize_determinism():
 def test_degenerate_parameterization_rejected():
     with pytest.raises(ValueError):
         DensityParameterization(np.zeros(17))
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_renormalize_and_k1_minimum_in_every_dimension(n):
+    # 2N = 4n/(n-4) is rarely an even integer: the mass must integrate |q|^(2N)
+    setup = _engine(OptimizerConfig(n=n, k=1))
+    N = setup.coeffs.N
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(setup.basis.dim) * 0.5 ** np.arange(setup.basis.dim)
+    qvals = setup.basis.table.T @ _renormalize(c, setup.basis, N)
+    assert setup.rule.integrate((qvals**2) ** N) == pytest.approx(1.0, abs=1e-12)
+    res = minimize(OptimizerConfig(n=n, k=1, restarts=2, max_iters=20))
+    assert res.final_objective == pytest.approx(sharp_constant_oracle(n), rel=1e-8)

@@ -30,22 +30,54 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+def _recurrence(n: int, m: int) -> tuple[float, np.ndarray]:
+    """Coefficients of the orthonormal three-term recurrence for the weight
+    (1-x^2)^((n-2)/2) on [-1, 1]: its integral b0 and sqrt(beta_k),
+    k = 1..m, the off-diagonal of the Jacobi matrix."""
+    mu = (n - 2) / 2
+    k = np.arange(1, m + 1)
+    beta = k * (k + 2 * mu) / ((2 * k + 2 * mu + 1) * (2 * k + 2 * mu - 1))
+    b0 = math.sqrt(math.pi) * math.gamma(mu + 1) / math.gamma(mu + 1.5)
+    return b0, np.sqrt(beta)
+
+
+def _rows(x: np.ndarray, b0: float, sqrt_beta: np.ndarray):
+    """Yield p_0(x), ..., p_m(x), m = len(sqrt_beta): the polynomials
+    orthonormal for the x-weight, by their three-term recurrence."""
+    prev = np.full_like(x, 1.0 / math.sqrt(b0))
+    yield prev
+    if len(sqrt_beta) == 0:
+        return
+    cur = x * prev / sqrt_beta[0]
+    yield cur
+    for j in range(1, len(sqrt_beta)):
+        prev, cur = cur, (x * cur - sqrt_beta[j - 1] * prev) / sqrt_beta[j]
+        yield cur
+
+
 def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     """Gauss rule with q nodes, exact for x-polynomials of degree <= 2q-1.
 
-    Nodes and weights come from the symmetric tridiagonal (Golub-Welsch)
-    eigenproblem of the three-term recurrence for the weight
-    (1-x^2)^((n-2)/2).
+    The nodes are the eigenvalues of the Jacobi matrix of the weight
+    (1-x^2)^((n-2)/2) (LAPACK dsterf; no eigenvectors are formed).  The weights are the
+    Christoffel numbers Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2, summed in one
+    pass of the recurrence.  Unlike the Golub-Welsch weights (squared
+    eigenvector components, accurate only relative to the largest weight)
+    they keep their relative accuracy at the poles, where they are tiny
+    for large n.
     """
     if q < 2:
         raise ValueError("need at least 2 quadrature nodes")
     n = data.n
-    mu = (n - 2) / 2
-    k = np.arange(1, q)
-    beta = k * (k + 2 * mu) / ((2 * k + 2 * mu + 1) * (2 * k + 2 * mu - 1))
-    b0 = math.sqrt(math.pi) * math.gamma(mu + 1) / math.gamma(mu + 1.5)
-    x, V = eigh_tridiagonal(np.zeros(q), np.sqrt(beta))
-    w = b0 * V[0] ** 2 * euclidean_sphere_area(n)
+    b0, sqrt_beta = _recurrence(n, q - 1)
+    x = eigh_tridiagonal(np.zeros(q), sqrt_beta, eigvals_only=True)
+    # the exact nodes are antisymmetric; averaging the two computed halves
+    # makes them so, and the weights exactly symmetric
+    x = (x - x[::-1]) / 2
+    christoffel = np.zeros(q)
+    for p in _rows(x, b0, sqrt_beta):
+        christoffel += p * p
+    w = euclidean_sphere_area(n) / christoffel
     return QuadratureRule(n=n, nodes=x, weights=w, theta=np.arccos(x))
 
 
@@ -78,21 +110,11 @@ def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
     q = len(rule.nodes)
     if L >= q:
         raise ValueError(f"basis degree L={L} must be < node count q={q} (aliasing)")
-    n = rule.n
-    mu = (n - 2) / 2
-    k = np.arange(1, L + 2)
-    beta = k * (k + 2 * mu) / ((2 * k + 2 * mu + 1) * (2 * k + 2 * mu - 1))
-    b0 = math.sqrt(math.pi) * math.gamma(mu + 1) / math.gamma(mu + 1.5)
-    x = rule.nodes
-    P = np.zeros((L + 1, q))
-    P[0] = 1.0 / math.sqrt(b0)
-    if L >= 1:
-        P[1] = x * P[0] / math.sqrt(beta[0])
-    for j in range(1, L):
-        P[j + 1] = (x * P[j] - math.sqrt(beta[j - 1]) * P[j - 1]) / math.sqrt(beta[j])
+    b0, sqrt_beta = _recurrence(rule.n, L)
+    P = np.array(list(_rows(rule.nodes, b0, sqrt_beta)))
     # rows are orthonormal for the x-weight; rescale to the full measure
-    table = P / math.sqrt(euclidean_sphere_area(n))
-    return ZonalBasis(n=n, L=L, rule=rule, table=table)
+    table = P / math.sqrt(euclidean_sphere_area(rule.n))
+    return ZonalBasis(n=rule.n, L=L, rule=rule, table=table)
 
 
 @dataclass

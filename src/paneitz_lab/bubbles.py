@@ -21,7 +21,13 @@ from .einstein import (
     round_sphere,
     sharp_constant_oracle,
 )
-from .spectral import ConformalDensity, assemble_mass, minimax_over_plane, round_setup
+from .spectral import (
+    ConformalDensity,
+    assemble_mass,
+    assemble_stiffness,
+    minimax_over_plane,
+    round_setup,
+)
 from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze, constant_field
 
 
@@ -94,7 +100,7 @@ def functional_Y(v: ZonalField, coeffs: OperatorCoefficients) -> float:
     the L^N norm by quadrature.
     """
     basis = v.basis
-    A_diag = (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
+    A_diag = assemble_stiffness(coeffs, basis)
     num = float(np.dot(A_diag, v.coeffs**2))
     den = basis.rule.integrate(np.abs(v.values) ** coeffs.N) ** (2.0 / coeffs.N)
     if den == 0:

@@ -20,12 +20,13 @@ from .einstein import sharp_constant_oracle
 from .spectral import (
     SphereSetup,
     assemble_mass,
+    assemble_stiffness,
     density_from_sqrt_field,
     mass_from_values,
     pencil_eigen,
     round_setup,
 )
-from .zonal import ZonalBasis, analyze
+from .zonal import ZonalBasis, analyze, build_basis
 
 
 class DegenerateGapError(RuntimeError):
@@ -340,15 +341,16 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
         if val < best_val:
             best, best_val = dens, val
 
-    # final evaluation on the finer basis: q is exact at the nodes, only the
-    # eigenproblem subspace grows
-    fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)
+    # final evaluation on the finer basis over the same rule: q is exact at
+    # the nodes, only the eigenproblem subspace grows
+    fine_basis = build_basis(setup.rule, config.L_final)
     qvals = setup.basis.table.T @ best.coeffs
     u_fine = density_from_sqrt_field(
-        analyze(fine.basis, qvals), N, normalize=True
+        analyze(fine_basis, qvals), N, normalize=True
     )
-    B = assemble_mass(u_fine, fine.basis)
-    fine_lams, _, _ = pencil_eigen(fine.A_diag, B, config.k)
+    B = assemble_mass(u_fine, fine_basis)
+    fine_A = assemble_stiffness(setup.coeffs, fine_basis)
+    fine_lams, _, _ = pencil_eigen(fine_A, B, config.k)
     final = float(fine_lams[config.k - 1]) * u_fine.lN_mass() ** (4.0 / config.n)
 
     K2_inv_sq = sharp_constant_oracle(config.n)

@@ -23,6 +23,7 @@ from .einstein import (
 from .spectral import (
     ConformalDensity,
     assemble_mass,
+    assemble_stiffness,
     round_setup,
     solve_generalized_eigen,
 )
@@ -117,7 +118,7 @@ def refined_inequality_ratio(
     K2_inv_sq = sharp_constant_oracle(n)
     rule = basis.rule
     lhs = rule.integrate(u.weight_values * v.values**2)
-    A_diag = (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
+    A_diag = assemble_stiffness(coeffs, basis)
     energy = float(np.dot(A_diag, v.coeffs**2))
     rhs = 2.0 ** (-4.0 / n) / K2_inv_sq * energy * u.lN_mass() ** (2.0 / coeffs.N)
     report = make_report("refined-inequality-as-printed", lhs, rhs)

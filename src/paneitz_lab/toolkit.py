@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .einstein import OperatorCoefficients
-from .spectral import ConformalDensity, assemble_mass
+from .spectral import ConformalDensity, assemble_mass, assemble_stiffness
 from .zonal import ZonalBasis, ZonalField, analyze
 
 
@@ -56,7 +56,7 @@ def positivity_lift(
     if mass <= 0:
         raise ValueError("lifted field has zero weighted mass")
     k = 1.0 / np.sqrt(mass)
-    A_diag = (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
+    A_diag = assemble_stiffness(coeffs, basis)
     energy = float(np.dot(A_diag, (k * f.coeffs) ** 2))
     return PositivityResult(f=f, k=k, energy=energy, gap=energy - lambda_1)
 

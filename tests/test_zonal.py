@@ -2,8 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import roots_gegenbauer
 
-from paneitz_lab.einstein import round_sphere, sphere_volume
+from paneitz_lab.einstein import (
+    euclidean_sphere_area,
+    round_sphere,
+    sharp_constant_oracle,
+    sphere_volume,
+)
+from paneitz_lab.spectral import (
+    constant_density,
+    normalized_invariant,
+    round_setup,
+    solve_density,
+)
 from paneitz_lab.zonal import (
     ZonalField,
     analyze,
@@ -40,6 +53,82 @@ def test_wallis_moments(rule5):
     for n in (6, 8, 12):
         rule = build_quadrature(round_sphere(n), 30)
         assert rule.weights.sum() == pytest.approx(sphere_volume(n), rel=1e-12)
+
+
+def _gegenbauer_weights(n, q):
+    """scipy's Gauss-Gegenbauer weights for (1-x^2)^((n-2)/2), scaled by
+    Vol(S^(n-1)) like the package's rule."""
+    _, w = roots_gegenbauer(q, (n - 1) / 2)
+    return w * euclidean_sphere_area(n)
+
+
+@pytest.mark.parametrize("n", [*range(5, 25), 30])
+def test_weights_match_gegenbauer_in_every_dimension(n):
+    for q in (200, 800):
+        rule = build_quadrature(round_sphere(n), q)
+        assert np.max(np.abs(rule.weights / _gegenbauer_weights(n, q) - 1)) <= 1e-8
+        assert abs(rule.weights.sum() / sphere_volume(n) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 12, 20, 30])
+def test_weights_match_gegenbauer_at_q1600(n):
+    # scipy's own weights are off by ~1e-8 here (n = 8, against mpmath)
+    rule = build_quadrature(round_sphere(n), 1600)
+    assert np.max(np.abs(rule.weights / _gegenbauer_weights(n, 1600) - 1)) <= 5e-8
+    assert abs(rule.weights.sum() / sphere_volume(n) - 1) <= 1e-12
+
+
+def _mp_gauss_gegenbauer(mp, q, lam, x0):
+    """Node and weight of the q-point Gauss rule for (1-x^2)^(lam-1/2)
+    nearest x0, in high precision: Newton on C_q^lam through the classical
+    Gegenbauer recurrence, then the closed-form weight
+    pi 2^(2-2lam) Gamma(q+2lam) / (q! Gamma(lam)^2 (1-x^2) C_q'(x)^2)."""
+
+    def gegenbauer(k, a, x):
+        c0, c1 = mp.mpf(1), 2 * a * x
+        for j in range(2, k + 1):
+            c0, c1 = c1, (2 * (j + a - 1) * x * c1 - (j + 2 * a - 2) * c0) / j
+        return c1
+
+    x = mp.mpf(x0)
+    for _ in range(2):
+        x -= gegenbauer(q, lam, x) / (2 * lam * gegenbauer(q - 1, lam + 1, x))
+    d = 2 * lam * gegenbauer(q - 1, lam + 1, x)
+    w = (
+        mp.pi * mp.power(2, 2 - 2 * lam) * mp.gamma(q + 2 * lam)
+        / (mp.factorial(q) * mp.gamma(lam) ** 2 * (1 - x * x) * d * d)
+    )
+    return x, w
+
+
+@pytest.mark.parametrize("n", [8, 30])
+def test_polar_weight_against_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    q = 1600
+    rule = build_quadrature(round_sphere(n), q)
+    with mp.workdps(30):
+        x, w = _mp_gauss_gegenbauer(mp, q, mp.mpf(n - 1) / 2, rule.nodes[0])
+        w *= euclidean_sphere_area(n)
+        assert abs(float(x) - rule.nodes[0]) <= 1e-15
+        assert abs(float(w / rule.weights[0]) - 1) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(5, 40), q=st.integers(2, 64))
+def test_rule_is_symmetric(n, q):
+    rule = build_quadrature(round_sphere(n), q)
+    assert np.all(rule.weights > 0)
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.max(np.abs(rule.weights / rule.weights[::-1] - 1)) <= 1e-13
+
+
+def test_lambda1_of_constant_is_sharp_at_n30_fine():
+    # the Golub-Welsch weights gave lambda_bar_1 / K2^(-2) - 1 = -0.999 here
+    setup = round_setup(30, q=1600, L=400)
+    u = constant_density(setup.basis, setup.coeffs.N)
+    lam1 = normalized_invariant(solve_density(setup, u, 1), u, 1)
+    assert lam1 == pytest.approx(sharp_constant_oracle(30), rel=1e-8)
 
 
 def test_quadrature_guard():

@@ -59,12 +59,12 @@ def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     """Gauss rule with q nodes, exact for x-polynomials of degree <= 2q-1.
 
     The nodes are the eigenvalues of the Jacobi matrix of the weight
-    (1-x^2)^((n-2)/2) (LAPACK dsterf; no eigenvectors are formed).  The weights are the
-    Christoffel numbers Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2, summed in one
-    pass of the recurrence.  Unlike the Golub-Welsch weights (squared
-    eigenvector components, accurate only relative to the largest weight)
-    they keep their relative accuracy at the poles, where they are tiny
-    for large n.
+    (1-x^2)^((n-2)/2) (LAPACK dsterf; no eigenvectors are formed).  The
+    weights are the Christoffel numbers Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2,
+    summed in one pass of the recurrence that ``build_basis`` runs.  Unlike
+    Golub-Welsch weights (squared eigenvector components, accurate only
+    relative to the largest weight) they keep their relative accuracy at
+    the poles, where they are tiny for large n.
     """
     if q < 2:
         raise ValueError("need at least 2 quadrature nodes")

@@ -9,12 +9,9 @@ on sets of positive measure).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .einstein import EinsteinData, OperatorCoefficients
 from .zonal import QuadratureRule, ZonalBasis, ZonalField
@@ -128,19 +125,6 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-@functools.lru_cache(maxsize=None)
-def _dsyevr_sizes(dim: int) -> tuple[int, int]:
-    """Optimal (lwork, liwork) for dsyevr, as scipy.linalg.eigh queries them.
-
-    dsyevr's blocked reduction depends on the workspace it is given, so
-    these sizes (not the wrapper's minimal defaults) reproduce eigh's bits.
-    """
-    work, iwork, info = dsyevr_lwork(dim, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr workspace query failed (info={info})")
-    return int(work), int(iwork)
-
-
 def pencil_eigen(
     A_diag: np.ndarray, B: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -172,16 +156,13 @@ def pencil_eigen(
         B = B + shift * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
     C = np.asarray_chkfinite((B * s).T * s)
-    lwork, liwork = _dsyevr_sizes(dim)
-    w, Y, _, _, info = dsyevr(C, lower=1, lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed (info={info})")
-    order = np.argsort(w)[::-1][:k]
-    mass = w[order]
+    w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
+    mass = w[::-1][:k]
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    # rows of Y.T[order] are contiguous, so the columns of V are too
-    V = (Y.T[order] * s / np.sqrt(mass)[:, None]).T
+    # the product is a fresh C-ordered k x dim array, so the columns of V
+    # are contiguous
+    V = (Y.T[::-1][:k] * s / np.sqrt(mass)[:, None]).T
     return 1.0 / mass, V, shift
 
 
@@ -240,7 +221,9 @@ def minimax_over_plane(
     )
     if np.linalg.det(M) <= 0 or M[0, 0] <= 0:
         raise DegeneratePencilError("plane is degenerate for the mass form")
-    return float(eigh(E, M, eigvals_only=True)[-1])
+    # M = R R^T turns the pencil into the symmetric R^(-1) E R^(-T)
+    Rinv = np.linalg.inv(np.linalg.cholesky(M))
+    return float(np.linalg.eigvalsh(Rinv @ E @ Rinv.T)[-1])
 
 
 def normalized_invariant(

@@ -8,11 +8,11 @@ Laplace-Beltrami eigenfunctions with exact eigenvalues l(l+n-1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .einstein import EinsteinData, euclidean_sphere_area
 
@@ -37,7 +37,14 @@ def _recurrence(n: int, m: int) -> tuple[float, np.ndarray]:
     mu = (n - 2) / 2
     k = np.arange(1, m + 1)
     beta = k * (k + 2 * mu) / ((2 * k + 2 * mu + 1) * (2 * k + 2 * mu - 1))
-    b0 = math.sqrt(math.pi) * math.gamma(mu + 1) / math.gamma(mu + 1.5)
+    # b0 = sqrt(pi) Gamma(n/2) / Gamma((n+1)/2), from exact integers: both
+    # Gamma factors overflow for n >= 343, and their log-gamma difference
+    # loses up to 2e-13 relative to cancellation
+    h = n // 2
+    if n % 2:
+        b0 = math.pi * (math.comb(2 * h, h) / 4**h)
+    else:
+        b0 = 4**h / (h * math.comb(2 * h, h))
     return b0, np.sqrt(beta)
 
 
@@ -58,27 +65,54 @@ def _rows(x: np.ndarray, b0: float, sqrt_beta: np.ndarray):
 def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     """Gauss rule with q nodes, exact for x-polynomials of degree <= 2q-1.
 
-    The nodes are the eigenvalues of the Jacobi matrix of the weight
-    (1-x^2)^((n-2)/2) (LAPACK dsterf; no eigenvectors are formed).  The
-    weights are the Christoffel numbers Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2,
-    summed in one pass of the recurrence that ``build_basis`` runs.  Unlike
-    Golub-Welsch weights (squared eigenvector components, accurate only
-    relative to the largest weight) they keep their relative accuracy at
-    the poles, where they are tiny for large n.
+    The nodes are the eigenvalues of the Jacobi matrix J of the weight
+    (1-x^2)^((n-2)/2).  J has a zero diagonal, so J^2 splits into its even-
+    and odd-index blocks, and the odd block, of order q//2, has the squared
+    positive nodes as its eigenvalues (Golub & Welsch 1969); no eigenvectors
+    are formed.  The weights are the Christoffel numbers
+    Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2, summed in one pass of the recurrence
+    that ``build_basis`` runs.  Unlike Golub-Welsch weights (squared
+    eigenvector components, accurate only relative to the largest weight)
+    they keep their relative accuracy at the poles, where they are tiny for
+    large n.  Both are computed on the nonnegative half and mirrored, so the
+    nodes are exactly antisymmetric (x = 0 is a node when q is odd) and the
+    weights exactly symmetric.
+
+    Rules are memoized per process on (n, q) and shared, so their arrays
+    are read-only.  Raises ValueError when a weight underflows to zero, as
+    at (n, q) = (200, 1600) or (340, 200).
     """
     if q < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    n = data.n
+    return _gauss_rule(data.n, q)
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_rule(n: int, q: int) -> QuadratureRule:
     b0, sqrt_beta = _recurrence(n, q - 1)
-    x = eigh_tridiagonal(np.zeros(q), sqrt_beta, eigvals_only=True)
-    # the exact nodes are antisymmetric; averaging the two computed halves
-    # makes them so, and the weights exactly symmetric
-    x = (x - x[::-1]) / 2
-    christoffel = np.zeros(q)
-    for p in _rows(x, b0, sqrt_beta):
-        christoffel += p * p
-    w = euclidean_sphere_area(n) / christoffel
-    return QuadratureRule(n=n, nodes=x, weights=w, theta=np.arccos(x))
+    m = q // 2
+    s = np.append(sqrt_beta, 0.0)  # s[i] = J[i, i+1], zero past the end
+    T = np.zeros((m, m))  # odd-index block of J^2; eigvalsh reads its lower half
+    T.flat[:: m + 1] = s[0 : 2 * m : 2] ** 2 + s[1 : 2 * m : 2] ** 2
+    T.flat[m :: m + 1] = s[1 : 2 * m - 1 : 2] * s[2 : 2 * m : 2]
+    positive = np.sqrt(np.linalg.eigvalsh(T))
+    half = np.concatenate(([0.0], positive)) if q % 2 else positive
+    christoffel = np.zeros(len(half))
+    with np.errstate(over="ignore"):  # an infinite sum gives a zero weight
+        for p in _rows(half, b0, sqrt_beta):
+            christoffel += p * p
+    w_half = euclidean_sphere_area(n) / christoffel
+    if not (w_half > 0).all():
+        raise ValueError(
+            f"Gauss weights underflow to zero at n={n}, q={q}; "
+            "the dimension is too large for double precision"
+        )
+    x = np.concatenate((-positive[::-1], half))
+    w = np.concatenate((w_half[::-1][:m], w_half))
+    theta = np.arccos(x)
+    for a in (x, w, theta):
+        a.flags.writeable = False
+    return QuadratureRule(n=n, nodes=x, weights=w, theta=theta)
 
 
 @dataclass(frozen=True)

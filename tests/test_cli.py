@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paneitz_lab
 from paneitz_lab.cli import ExperimentConfig, config_from_args, dispatch, main
 
 
@@ -97,3 +102,40 @@ def test_main_entry(out_root):
 def test_unknown_density_rejected(out_root):
     with pytest.raises(SystemExit):
         dispatch(ExperimentConfig(command="spectrum", n=5, density="fancy"))
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package."""
+    src = str(Path(paneitz_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_leaves_scipy_out():
+    done = _fresh_python("import paneitz_lab.cli, sys; assert 'scipy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle: with it blocked, every subcommand works
+    code = """
+import sys
+sys.modules["scipy"] = None
+from paneitz_lab.cli import main
+for argv in (
+    ["coeffs"],
+    ["spectrum", "--k", "3", "--density", "two-bubble"],
+    ["bubble-sweep"],
+    ["lemma3-bound"],
+    ["audit"],
+    ["minimize", "--k", "2", "--restarts", "1", "--iterations", "5"],
+    ["report"],
+):
+    assert main([*argv, "--n", "12", "--out", sys.argv[1]]) == 0, argv
+"""
+    done = _fresh_python(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*/record.json"))) == 6

@@ -19,6 +19,7 @@ from paneitz_lab.spectral import (
 )
 from paneitz_lab.zonal import (
     ZonalField,
+    _recurrence,
     analyze,
     build_basis,
     build_quadrature,
@@ -55,18 +56,20 @@ def test_wallis_moments(rule5):
         assert rule.weights.sum() == pytest.approx(sphere_volume(n), rel=1e-12)
 
 
-def _gegenbauer_weights(n, q):
-    """scipy's Gauss-Gegenbauer weights for (1-x^2)^((n-2)/2), scaled by
-    Vol(S^(n-1)) like the package's rule."""
-    _, w = roots_gegenbauer(q, (n - 1) / 2)
-    return w * euclidean_sphere_area(n)
+def _gegenbauer_rule(n, q):
+    """scipy's Gauss-Gegenbauer nodes and weights for (1-x^2)^((n-2)/2),
+    the weights scaled by Vol(S^(n-1)) like the package's rule."""
+    x, w = roots_gegenbauer(q, (n - 1) / 2)
+    return x, w * euclidean_sphere_area(n)
 
 
 @pytest.mark.parametrize("n", [*range(5, 25), 30])
 def test_weights_match_gegenbauer_in_every_dimension(n):
     for q in (200, 800):
         rule = build_quadrature(round_sphere(n), q)
-        assert np.max(np.abs(rule.weights / _gegenbauer_weights(n, q) - 1)) <= 1e-8
+        x, w = _gegenbauer_rule(n, q)
+        assert np.max(np.abs(rule.nodes - x)) <= 5e-13
+        assert np.max(np.abs(rule.weights / w - 1)) <= 1e-8
         assert abs(rule.weights.sum() / sphere_volume(n) - 1) <= 1e-12
 
 
@@ -74,7 +77,9 @@ def test_weights_match_gegenbauer_in_every_dimension(n):
 def test_weights_match_gegenbauer_at_q1600(n):
     # scipy's own weights are off by ~1e-8 here (n = 8, against mpmath)
     rule = build_quadrature(round_sphere(n), 1600)
-    assert np.max(np.abs(rule.weights / _gegenbauer_weights(n, 1600) - 1)) <= 5e-8
+    x, w = _gegenbauer_rule(n, 1600)
+    assert np.max(np.abs(rule.nodes - x)) <= 5e-13
+    assert np.max(np.abs(rule.weights / w - 1)) <= 5e-8
     assert abs(rule.weights.sum() / sphere_volume(n) - 1) <= 1e-12
 
 
@@ -120,7 +125,33 @@ def test_rule_is_symmetric(n, q):
     assert np.all(rule.weights > 0)
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.array_equal(rule.nodes, -rule.nodes[::-1])
-    assert np.max(np.abs(rule.weights / rule.weights[::-1] - 1)) <= 1e-13
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert (0.0 in rule.nodes) == (q % 2 == 1)
+
+
+def test_rule_is_memoized_and_read_only():
+    rule = build_quadrature(round_sphere(7), 30)
+    assert build_quadrature(round_sphere(7), 30) is rule
+    assert build_quadrature(round_sphere(7), 31) is not rule
+    for a in (rule.nodes, rule.weights, rule.theta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_recurrence_b0_matches_gamma_form():
+    # the gamma form overflows from n = 343 on
+    for n in range(5, 341):
+        b0, _ = _recurrence(n, 0)
+        gamma_form = math.sqrt(math.pi) * math.gamma(n / 2) / math.gamma((n + 1) / 2)
+        assert b0 == pytest.approx(gamma_form, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, q", [(200, 1600), (340, 200), (300, 1600)])
+def test_weight_underflow_refused(n, q):
+    # at (300, 1600) the Christoffel sum itself overflows
+    with pytest.raises(ValueError, match=f"n={n}, q={q}"):
+        build_quadrature(round_sphere(n), q)
 
 
 def test_lambda1_of_constant_is_sharp_at_n30_fine():

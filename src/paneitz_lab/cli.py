@@ -2,12 +2,12 @@
 
 Each invocation resolves to one ExperimentConfig (flat key=value file plus
 command-line overrides), runs one subcommand, and persists a RunRecord as
-runs/<config-hash>/record.json plus CSV tables.  record.json is a pure
-function of the config — timestamps and wall-clock data go to a sibling
-meta.json so identical configs produce byte-identical records.
+runs/<config-hash>/record.json plus CSV tables.  COMMAND_KEYS names the keys
+each subcommand reads besides n and seed; they alone make its flags, its
+config hash and the config in its record.  record.json is a pure function of
+the config — timestamps and wall-clock data go to a sibling meta.json so
+identical configs produce byte-identical records.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
@@ -27,10 +27,11 @@ SCHEMA = 1
 
 @dataclass
 class ExperimentConfig:
+    """Every key a subcommand can read, with its type and default."""
+
     command: str
     n: int = 5
-    round: bool = True
-    S: float = 0.0            # used only when round is false
+    S: float | None = None    # scalar curvature; None is the round sphere
     L: int = 48
     q: int = 200
     k: int = 2
@@ -38,16 +39,19 @@ class ExperimentConfig:
     restarts: int = 8
     iterations: int = 500
     seed: int = 0
-    eps_grid: tuple = (0.05, 0.075, 0.1, 0.15, 0.2)
+    eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)
     density: str = "const"    # const | two-bubble
     mu1: float = 0.0          # 0 means "use the oracle"
-    out: str = "runs"
+    out: str = "runs"         # output root; in neither the hash nor the record
+
+    def settings(self) -> dict:
+        """command, n, seed and the keys this command reads, sorted."""
+        keys = ("command", "n", "seed", *COMMAND_KEYS[self.command])
+        return {key: getattr(self, key) for key in sorted(keys)}
 
     def canonical(self) -> str:
         items = []
-        for key, value in sorted(asdict(self).items()):
-            if key == "out":
-                continue  # output location must not change the payload hash
+        for key, value in self.settings().items():
             if isinstance(value, tuple):
                 value = ",".join(f"{v:.17g}" for v in value)
             items.append(f"{key}={value}")
@@ -56,6 +60,20 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+
+
+# keys each subcommand reads besides n and seed; every subcommand also takes
+# --out, which changes neither the hash nor the record
+COMMAND_KEYS = {
+    "coeffs": ("S",),
+    "spectrum": ("q", "L", "k", "density"),
+    "minimize": ("q", "L", "k", "L_opt", "restarts", "iterations"),
+    "bubble-sweep": ("q", "eps_grid"),
+    "lemma3-bound": ("q", "L", "eps_grid", "mu1"),
+    "audit": ("q", "L"),
+    "report": (),
+}
+_COMMON_KEYS = ("n", "seed", "out")
 
 
 @dataclass
@@ -102,18 +120,12 @@ def _out_root(config: ExperimentConfig) -> Path:
 # subcommand payloads
 
 
-def _einstein_data(config: ExperimentConfig):
-    from .einstein import EinsteinData, round_sphere
-
-    if config.round:
-        return round_sphere(config.n)
-    return EinsteinData(n=config.n, S=config.S)
-
-
 def _run_coeffs(config: ExperimentConfig):
-    from .einstein import derive_coefficients, q_curvature_einstein, sharp_constant_report
+    """Closed-form operator coefficients and the sharp-constant report."""
+    from .einstein import EinsteinData, derive_coefficients, q_curvature_einstein
+    from .einstein import round_sphere, sharp_constant_report
 
-    data = _einstein_data(config)
+    data = round_sphere(config.n) if config.S is None else EinsteinData(n=config.n, S=config.S)
     coeffs = derive_coefficients(data)
     report = sharp_constant_report(data)
     payload = {
@@ -161,6 +173,7 @@ def _density_for(config: ExperimentConfig, setup):
 
 
 def _run_spectrum(config: ExperimentConfig):
+    """Generalized eigenvalues for a named density."""
     from .spectral import normalized_invariant, round_setup, solve_density
 
     setup = round_setup(config.n, q=config.q, L=config.L)
@@ -189,6 +202,7 @@ def _run_spectrum(config: ExperimentConfig):
 
 
 def _run_minimize(config: ExperimentConfig):
+    """Descend the normalized eigenvalue invariant."""
     from .optimizer import OptimizerConfig, minimize
 
     res = minimize(
@@ -249,6 +263,7 @@ def _run_minimize(config: ExperimentConfig):
 
 
 def _run_bubble_sweep(config: ExperimentConfig):
+    """Fit the small-eps expansion of the sharp quotient."""
     from .bubbles import epsilon_sweep
     from .einstein import sharp_constant_oracle
 
@@ -275,6 +290,7 @@ def _run_bubble_sweep(config: ExperimentConfig):
 
 
 def _run_lemma3_bound(config: ExperimentConfig):
+    """Two-plane upper bound from the two-component test density."""
     from .bubbles import lemma3_bound
     from .einstein import sharp_constant_oracle
 
@@ -302,6 +318,7 @@ def _run_lemma3_bound(config: ExperimentConfig):
 
 
 def _run_audit(config: ExperimentConfig):
+    """Evaluate the Sobolev-type inequalities on trial data."""
     from .bubbles import elementary_inequality_check
     from .sobolev import (
         build_radial_grid,
@@ -355,38 +372,22 @@ def _run_audit(config: ExperimentConfig):
     return payload, tables, summary
 
 
-RUNNERS = {
-    "coeffs": _run_coeffs,
-    "spectrum": _run_spectrum,
-    "minimize": _run_minimize,
-    "bubble-sweep": _run_bubble_sweep,
-    "lemma3-bound": _run_lemma3_bound,
-    "audit": _run_audit,
-}
-
-
 def dispatch(config: ExperimentConfig) -> RunRecord:
     """Execute one subcommand and persist its RunRecord."""
+    runner = RUNNERS[config.command]
     if config.command == "report":
-        return _run_report(config)
-    payload, tables, summary = RUNNERS[config.command](config)
+        return runner(config)
+    payload, tables, summary = runner(config)
     record = RunRecord(
         config_hash=config.config_hash,
         version=ARTIFACT_VERSION,
         payload=_jsonify(payload),
         seed=config.seed,
-        config=_jsonify(asdict(config)),
+        config=_jsonify(config.settings()),
     )
     run_dir = _out_root(config) / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "schema": SCHEMA,
-        "config_hash": record.config_hash,
-        "version": record.version,
-        "seed": record.seed,
-        "config": record.config,
-        "payload": record.payload,
-    }
+    doc = {"schema": SCHEMA, **asdict(record)}
     (run_dir / "record.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
@@ -449,11 +450,38 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload=doc, seed=config.seed)
 
 
+RUNNERS = {
+    "coeffs": _run_coeffs,
+    "spectrum": _run_spectrum,
+    "minimize": _run_minimize,
+    "bubble-sweep": _run_bubble_sweep,
+    "lemma3-bound": _run_lemma3_bound,
+    "audit": _run_audit,
+    "report": _run_report,
+}
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 
 
+def _parse(key: str, text: str):
+    """The value of one key from its text, typed by its ExperimentConfig field."""
+    import typing
+
+    hint = ExperimentConfig.__annotations__[key]
+    base = (typing.get_args(hint) or (hint,))[0]  # float | None, tuple[float, ...] -> float
+    try:
+        if typing.get_origin(hint) is tuple:
+            return tuple(base(v) for v in text.split(","))
+        return base(text)
+    except ValueError:
+        raise SystemExit(f"invalid value for {key}: {text!r}") from None
+
+
 def _load_config_file(path: str) -> dict:
+    """key -> text; a key that no subcommand reads is refused."""
+    declared = set(_COMMON_KEYS).union(*COMMAND_KEYS.values())
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -462,25 +490,10 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise SystemExit(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key not in declared:
+            raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
-
-
-_INT_KEYS = {"n", "L", "q", "k", "L_opt", "restarts", "iterations", "seed"}
-_FLOAT_KEYS = {"S", "mu1"}
-_BOOL_KEYS = {"round"}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes")
-    if key == "eps_grid":
-        return tuple(float(v) for v in value.split(","))
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,56 +503,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--round", action="store_true", default=None)
-        p.add_argument("--S", type=float)
-        p.add_argument("--L", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-
-    for name, desc in [
-        ("coeffs", "closed-form operator coefficients and the sharp-constant report"),
-        ("spectrum", "generalized eigenvalues for a named density"),
-        ("minimize", "descend the normalized eigenvalue invariant"),
-        ("bubble-sweep", "fit the small-eps expansion of the sharp quotient"),
-        ("lemma3-bound", "two-plane upper bound from the two-component test density"),
-        ("audit", "evaluate the Sobolev-type inequalities on trial data"),
-        ("report", "consolidate persisted runs"),
-    ]:
-        p = sub.add_parser(name, help=desc)
-        common(p)
-        if name in ("spectrum", "minimize"):
-            p.add_argument("--k", type=int)
-        if name == "spectrum":
-            p.add_argument("--density", choices=["const", "two-bubble"])
-        if name == "minimize":
-            p.add_argument("--L-opt", dest="L_opt", type=int)
-            p.add_argument("--restarts", type=int)
-            p.add_argument("--iterations", type=int)
-        if name in ("bubble-sweep", "lemma3-bound"):
-            p.add_argument("--eps-grid", dest="eps_grid", type=str)
-        if name == "lemma3-bound":
-            p.add_argument("--mu1", type=float)
+    for name, keys in COMMAND_KEYS.items():
+        p = sub.add_parser(name, help=RUNNERS[name].__doc__)
+        for key in (*_COMMON_KEYS, *keys):
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 
 def config_from_args(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            values[key] = _coerce(key, value)
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        values[key] = _coerce(key, value) if isinstance(value, str) and key == "eps_grid" else value
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise SystemExit(f"invalid configuration: {exc}")
+    """Config file values overridden by flags; keys the command does not
+    read are dropped, so one file can serve several commands."""
+    args = vars(build_parser().parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
+    values = _load_config_file(path) if path else {}
+    values.update((key, text) for key, text in args.items() if text is not None)
+    read = {*_COMMON_KEYS, *COMMAND_KEYS[command]}
+    return ExperimentConfig(
+        command, **{key: _parse(key, text) for key, text in values.items() if key in read}
+    )
 
 
 def main(argv=None) -> int:

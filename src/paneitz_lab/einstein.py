@@ -12,13 +12,19 @@ from dataclasses import dataclass, field
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the round unit n-sphere, 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
-    return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+    """Volume of the round unit n-sphere, 2 pi^((n+1)/2) / Gamma((n+1)/2).
+
+    Gamma((n+1)/2) overflows for n >= 343; such n are refused.
+    """
+    try:
+        return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+    except OverflowError:
+        raise ValueError(f"dimension n = {n} is too large: Gamma((n+1)/2) overflows") from None
 
 
 def euclidean_sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n, i.e. Vol(S^(n-1))."""
-    return 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    return sphere_volume(n - 1)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .spectral import (
     pencil_eigen,
     round_setup,
 )
+from .toolkit import _fixed_point_residual
 from .zonal import ZonalBasis, analyze, build_basis
 
 
@@ -201,14 +202,6 @@ def _random_start(basis: ZonalBasis, N: float, rng) -> DensityParameterization:
     return DensityParameterization(_renormalize(c, basis, N))
 
 
-def _fixed_point_res(w_vals: np.ndarray, u_vals, N, rule) -> float:
-    w = np.abs(w_vals)
-    wn = rule.integrate(w**N) ** (1.0 / N)
-    if wn == 0:
-        return float("nan")
-    return float(rule.integrate(np.abs(w / wn - u_vals) ** N) ** (1.0 / N))
-
-
 def _descend(
     start: DensityParameterization,
     label: str,
@@ -218,7 +211,6 @@ def _descend(
     basis, coeffs = setup.basis, setup.coeffs
     N, k = coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
-    rule = basis.rule
     trace = RunTrace(start_label=label)
     c = _renormalize(start.coeffs.copy(), basis, N)
     step = 1.0
@@ -278,7 +270,7 @@ def _descend(
         trace.lambda_bars.append(lam_k)
         trace.grad_norms.append(gnorm)
         trace.gaps.append(gap)
-        trace.residuals.append(_fixed_point_res(w_vals[k - 1], qvals**2, N, rule))
+        trace.residuals.append(_fixed_point_residual(basis.rule, w_vals[k - 1], qvals**2, N))
         trace.wall_times.append(time.perf_counter() - t0)
         if gnorm <= config.grad_tol * max(abs(J), 1.0):
             trace.status = "gradient-converged"

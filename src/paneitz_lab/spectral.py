@@ -142,7 +142,7 @@ def pencil_eigen(
     the bottom of the spectrum.
     """
     dim = len(A_diag)
-    if k > dim:
+    if not 1 <= k <= dim:
         raise DegeneratePencilError(f"requested {k} eigenvalues from a {dim}-dim pencil")
     if (A_diag <= 0).any():
         raise DegeneratePencilError(

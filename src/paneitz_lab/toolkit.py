@@ -13,7 +13,7 @@ import numpy as np
 
 from .einstein import OperatorCoefficients
 from .spectral import ConformalDensity, assemble_mass, assemble_stiffness
-from .zonal import ZonalBasis, ZonalField, analyze
+from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze
 
 
 @dataclass
@@ -159,18 +159,23 @@ def nodal_profile(
     )
 
 
+def _fixed_point_residual(
+    rule: QuadratureRule, w_vals: np.ndarray, u_vals: np.ndarray, N: float
+) -> float:
+    """L^N distance between |w|/||w||_N and u, from node values; u must
+    already have unit L^N mass."""
+    wabs = np.abs(w_vals)
+    wnorm = rule.integrate(wabs**N) ** (1.0 / N)
+    if wnorm == 0:
+        raise ValueError("field is identically zero")
+    return float(rule.integrate(np.abs(wabs / wnorm - u_vals) ** N) ** (1.0 / N))
+
+
 def fixed_point_residual(w: ZonalField, u: ConformalDensity) -> float:
     """L^N distance between |w|/||w||_N and the normalized density.
 
     Zero exactly when u coincides with the modulus of the second
     eigenfield at the nodes, the attainment signature.
     """
-    rule = w.basis.rule
-    N = u.N
-    wabs = np.abs(w.values)
-    wnorm = rule.integrate(wabs**N) ** (1.0 / N)
-    if wnorm == 0:
-        raise ValueError("field is identically zero")
-    un = u.values * u.lN_mass() ** (-1.0 / N)
-    diff = wabs / wnorm - un
-    return float(rule.integrate(np.abs(diff) ** N) ** (1.0 / N))
+    un = u.values * u.lN_mass() ** (-1.0 / u.N)
+    return _fixed_point_residual(w.basis.rule, w.values, un, u.N)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import paneitz_lab
-from paneitz_lab.cli import ExperimentConfig, config_from_args, dispatch, main
+from paneitz_lab.cli import (
+    COMMAND_KEYS,
+    RUNNERS,
+    ExperimentConfig,
+    build_parser,
+    config_from_args,
+    dispatch,
+    main,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +106,70 @@ def test_report_empty(out_root, capsys):
 
 
 def test_main_entry(out_root):
-    assert main(["coeffs", "--n", "5", "--round"]) == 0
+    assert main(["coeffs", "--n", "5"]) == 0
+
+
+def test_each_subparser_takes_only_its_keys():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == list(COMMAND_KEYS) == list(RUNNERS)
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    for name, sub in action.choices.items():
+        options = {a.dest for a in sub._actions} - {"help"}
+        assert options == {"n", "seed", "out", *COMMAND_KEYS[name]}, name
+        assert options <= fields
+        assert set(ExperimentConfig(command=name).settings()) == {
+            "command", "n", "seed", *COMMAND_KEYS[name]
+        }
+
+
+def test_key_read_only_by_another_command_leaves_hash_unchanged(tmp_path):
+    cfg_file = tmp_path / "shared.cfg"
+    cfg_file.write_text("k = 7\nrestarts = 3\nS = 30\nq = 120\n")
+    shared = config_from_args(["--config", str(cfg_file), "bubble-sweep", "--n", "12"])
+    plain = config_from_args(["bubble-sweep", "--n", "12", "--q", "120"])
+    assert shared == plain
+    assert shared.config_hash == plain.config_hash
+    # a key the command reads does move the hash
+    assert plain.config_hash != config_from_args(["bubble-sweep", "--n", "12"]).config_hash
+
+
+def test_coeffs_off_the_round_sphere(out_root):
+    assert main(["coeffs", "--n", "5", "--S", "30"]) == 0
+    (record,) = out_root.glob("*/record.json")
+    doc = json.loads(record.read_text())
+    assert doc["payload"]["alpha"] == pytest.approx(8.25)
+    assert doc["payload"]["S"] == 30.0
+    assert doc["config"] == {"command": "coeffs", "n": 5, "seed": 0, "S": 30.0}
+
+
+def test_round_is_refused(tmp_path, capsys):
+    cfg_file = tmp_path / "round.cfg"
+    cfg_file.write_text("round = true\n")
+    with pytest.raises(SystemExit, match="unknown key 'round'"):
+        config_from_args(["--config", str(cfg_file), "coeffs"])
+    with pytest.raises(SystemExit):
+        config_from_args(["coeffs", "--round"])
+    assert "--round" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, argv, message",
+    [
+        ("n = abc\n", ["coeffs"], "invalid value for n: 'abc'"),
+        ("", ["bubble-sweep", "--eps-grid", "0.1,abc"], "invalid value for eps_grid: '0.1,abc'"),
+        ("", ["spectrum", "--n", "5", "--k", "0"], "error: requested 0 eigenvalues"),
+        ("", ["spectrum", "--n", "5", "--k", "-1"], "error: requested -1 eigenvalues"),
+        ("", ["coeffs", "--n", "343"], "error: dimension n = 343 is too large"),
+        ("command = coeffs\n", ["coeffs"], "unknown key 'command'"),
+    ],
+)
+def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(cfg)
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["--config", str(cfg_file), *argv])
+    assert not list(out_root.glob("*/record.json"))
 
 
 def test_unknown_density_rejected(out_root):

@@ -20,6 +20,14 @@ def test_volume_closed_forms():
     assert sphere_volume(6) == pytest.approx(16 * math.pi**3 / 15, rel=1e-14)
 
 
+def test_large_dimension_refused_by_name():
+    # Gamma((n+1)/2) overflows from n = 343 on; below that the volume is exact
+    assert sphere_volume(342) == 2.0 * math.pi**171.5 / math.gamma(171.5)
+    assert round_sphere(342).vol > 0
+    with pytest.raises(ValueError, match="n = 343"):
+        round_sphere(343)
+
+
 def test_known_coefficients_n5():
     c = derive_coefficients(EinsteinData(n=5, S=20.0))
     assert c.alpha == pytest.approx(5.5)

@@ -177,6 +177,8 @@ def test_kernel_refusals(setup5):
     dim = setup5.basis.dim
     with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
         pencil_eigen(setup5.A_diag, B, dim + 1)
+    with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
+        pencil_eigen(setup5.A_diag, B, 0)
     with pytest.raises(DegeneratePencilError, match="not positive definite"):
         pencil_eigen(np.where(np.arange(dim) == 3, 0.0, setup5.A_diag), B, 1)
     with pytest.raises(DegeneratePencilError, match="mass form vanishes"):

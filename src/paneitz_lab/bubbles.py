@@ -17,6 +17,7 @@ import numpy as np
 
 from .einstein import (
     OperatorCoefficients,
+    _critical_exponent,
     derive_coefficients,
     round_sphere,
     sharp_constant_oracle,
@@ -102,7 +103,7 @@ def functional_Y(v: ZonalField, coeffs: OperatorCoefficients) -> float:
     basis = v.basis
     A_diag = assemble_stiffness(coeffs, basis)
     num = float(np.dot(A_diag, v.coeffs**2))
-    den = basis.rule.integrate(np.abs(v.values) ** coeffs.N) ** (2.0 / coeffs.N)
+    den = basis.rule.lN_mass(v.values, coeffs.N) ** (2.0 / coeffs.N)
     if den == 0:
         raise ValueError("field is zero in L^N norm")
     return num / den
@@ -121,7 +122,7 @@ def profile_quotient(
     phi, dphi, d2phi = bubble_profile(rule.theta, spec, n)
     lap = sphere_laplacian_values(rule.theta, dphi, d2phi, n)
     num = rule.integrate(lap**2 + coeffs.alpha * dphi**2 + coeffs.alpha_bar * phi**2)
-    den = rule.integrate(phi**coeffs.N) ** (2.0 / coeffs.N)
+    den = rule.lN_mass(phi, coeffs.N) ** (2.0 / coeffs.N)
     return num / den
 
 
@@ -152,22 +153,9 @@ def bubble_field(spec: BubbleSpec, basis: ZonalBasis) -> BubbleField:
         )
     phi_vals, _, _ = bubble_profile(rule.theta, spec, basis.n)
     phi = analyze(basis, phi_vals)
-    n = basis.n
-    N = 2 * n / (n - 4)
-    c_eps = rule.integrate(phi_vals**N) ** (-1.0 / N)
+    N = _critical_exponent(basis.n)
+    c_eps = rule.lN_mass(phi_vals, N) ** (-1.0 / N)
     return BubbleField(spec=spec, phi=phi, v=phi * c_eps, c_eps=c_eps)
-
-
-def norm_scaling_slope(
-    eps_grid, basis: ZonalBasis, delta: float = 0.5
-) -> float:
-    """Regression slope of log c_eps against log eps; ~ (n-4)/2 for small eps."""
-    logs = [
-        math.log(bubble_field(BubbleSpec(eps=e, delta=delta), basis).c_eps)
-        for e in eps_grid
-    ]
-    slope = np.polyfit(np.log(np.asarray(eps_grid, dtype=float)), logs, 1)[0]
-    return float(slope)
 
 
 DEFAULT_EPS_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)

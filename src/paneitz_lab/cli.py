@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -40,9 +41,18 @@ class ExperimentConfig:
     iterations: int = 500
     seed: int = 0
     eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)
-    density: str = "const"    # const | two-bubble
+    density: typing.Literal["const", "two-bubble"] = "const"
     mu1: float = 0.0          # 0 means "use the oracle"
     out: str = "runs"         # output root; in neither the hash nor the record
+
+    def __post_init__(self):
+        # checked and typed here, for flags and the Python API alike: a bad
+        # density reaches no runner, and S = 30 is the run and record of S = 30.0
+        if self.density not in typing.get_args(ExperimentConfig.__annotations__["density"]):
+            raise SystemExit(f"invalid value for density: {self.density!r}")
+        self.S = None if self.S is None else float(self.S)
+        self.mu1 = float(self.mu1)
+        self.eps_grid = tuple(map(float, self.eps_grid))
 
     def settings(self) -> dict:
         """command, n, seed and the keys this command reads, sorted."""
@@ -50,9 +60,12 @@ class ExperimentConfig:
         return {key: getattr(self, key) for key in sorted(keys)}
 
     def canonical(self) -> str:
+        """key=value lines, every float as %.17g."""
         items = []
         for key, value in self.settings().items():
-            if isinstance(value, tuple):
+            if isinstance(value, float):
+                value = f"{value:.17g}"
+            elif isinstance(value, tuple):
                 value = ",".join(f"{v:.17g}" for v in value)
             items.append(f"{key}={value}")
         return "\n".join(items)
@@ -93,16 +106,12 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # numpy scalar -> the Python float, int or bool
+        return obj.item()
     return obj
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -128,6 +137,8 @@ def _run_coeffs(config: ExperimentConfig):
     data = round_sphere(config.n) if config.S is None else EinsteinData(n=config.n, S=config.S)
     coeffs = derive_coefficients(data)
     report = sharp_constant_report(data)
+    sharp_constant = asdict(report)
+    del sharp_constant["n"]
     payload = {
         "n": data.n,
         "S": data.S,
@@ -138,17 +149,12 @@ def _run_coeffs(config: ExperimentConfig):
         "N": coeffs.N,
         "K2_inv_sq": coeffs.K2_inv_sq,
         "Q": q_curvature_einstein(data),
-        "sharp_constant": {
-            "oracle": report.oracle,
-            "paper_formula": report.paper_formula,
-            "sphere_volume_formula": report.sphere_volume_formula,
-            "ratios": report.ratios,
-        },
+        "sharp_constant": sharp_constant,
     }
     tables = {
         "coeffs": (
             ["quantity", "value"],
-            [[k, float(v)] for k, v in payload.items() if isinstance(v, float)],
+            [[k, v] for k, v in payload.items() if isinstance(v, float)],
         )
     }
     summary = (
@@ -166,10 +172,8 @@ def _density_for(config: ExperimentConfig, setup):
 
     if config.density == "const":
         return constant_density(setup.basis, setup.coeffs.N)
-    if config.density == "two-bubble":
-        p = two_bubble_initializer(0.1, 0.5, setup.basis)
-        return density_from_sqrt_field(ZonalField(setup.basis, p.coeffs), setup.coeffs.N)
-    raise SystemExit(f"unknown density '{config.density}' (const | two-bubble)")
+    p = two_bubble_initializer(0.1, 0.5, setup.basis)
+    return density_from_sqrt_field(ZonalField(setup.basis, p.coeffs), setup.coeffs.N)
 
 
 def _run_spectrum(config: ExperimentConfig):
@@ -183,26 +187,21 @@ def _run_spectrum(config: ExperimentConfig):
     payload = {
         "n": config.n,
         "density": config.density,
-        "eigenvalues": list(spec.eigenvalues),
+        "eigenvalues": spec.eigenvalues,
         "normalized_invariants": lam_bar,
-        "residuals": list(spec.residuals),
+        "residuals": spec.residuals,
         "shift": spec.shift,
     }
-    tables = {
-        "spectrum": (
-            ["k", "lambda", "lambda_bar", "residual"],
-            [
-                [j + 1, float(spec.eigenvalues[j]), float(lam_bar[j]), float(spec.residuals[j])]
-                for j in range(len(spec))
-            ],
-        )
-    }
+    rows = list(zip(range(1, len(spec) + 1), spec.eigenvalues, lam_bar, spec.residuals))
+    tables = {"spectrum": (["k", "lambda", "lambda_bar", "residual"], rows)}
     summary = "lambda_bar = " + ", ".join(f"{v:.6g}" for v in lam_bar)
     return payload, tables, summary
 
 
 def _run_minimize(config: ExperimentConfig):
     """Descend the normalized eigenvalue invariant."""
+    from itertools import zip_longest
+
     from .optimizer import OptimizerConfig, minimize
 
     res = minimize(
@@ -217,25 +216,19 @@ def _run_minimize(config: ExperimentConfig):
             L_final=config.L,
         )
     )
-    rows = []
-    for ridx, tr in enumerate(res.traces):
-        for it in range(len(tr.objectives)):
-            rows.append(
-                [
-                    ridx,
-                    tr.start_label,
-                    it,
-                    float(tr.objectives[it]),
-                    float(tr.lambda_bars[it]),
-                    float(tr.grad_norms[it]) if it < len(tr.grad_norms) else "",
-                    float(tr.gaps[it]) if it < len(tr.gaps) else "",
-                    float(tr.residuals[it]) if it < len(tr.residuals) else "",
-                ]
+    rows = [
+        [ridx, tr.start_label, it, *cols]
+        for ridx, tr in enumerate(res.traces)
+        for it, cols in enumerate(
+            zip_longest(
+                tr.objectives, tr.lambda_bars, tr.grad_norms, tr.gaps, tr.residuals, fillvalue=""
             )
+        )
+    ]
     payload = {
         "n": config.n,
         "k": config.k,
-        "best_coeffs": list(res.best.coeffs),
+        "best_coeffs": res.best.coeffs,
         "best_objective": res.best_objective,
         "final_objective": res.final_objective,
         "diagnostics": res.diagnostics,
@@ -269,19 +262,8 @@ def _run_bubble_sweep(config: ExperimentConfig):
 
     rep = epsilon_sweep(config.eps_grid, config.n, q=config.q)
     oracle = sharp_constant_oracle(config.n)
-    payload = {
-        "n": config.n,
-        "eps": list(rep.eps),
-        "Y": list(rep.Y),
-        "A": rep.A,
-        "C": rep.C,
-        "residual": rep.residual,
-        "oracle": oracle,
-        "A_rel_error": rep.A / oracle - 1.0,
-    }
-    tables = {
-        "sweep": (["eps", "Y"], [[float(e), float(y)] for e, y in zip(rep.eps, rep.Y)])
-    }
+    payload = {**asdict(rep), "oracle": oracle, "A_rel_error": rep.A / oracle - 1.0}
+    tables = {"sweep": (["eps", "Y"], list(zip(rep.eps, rep.Y)))}
     summary = (
         f"fit A={rep.A:.8g} (oracle {oracle:.8g}, rel err {payload['A_rel_error']:.3g}), "
         f"C={rep.C:.6g}, residual {rep.residual:.3g}"
@@ -296,23 +278,8 @@ def _run_lemma3_bound(config: ExperimentConfig):
 
     mu1 = config.mu1 if config.mu1 > 0 else sharp_constant_oracle(config.n)
     rep = lemma3_bound(config.n, mu1, config.eps_grid, q=config.q, L=config.L)
-    payload = {
-        "n": config.n,
-        "mu1": mu1,
-        "eps": list(rep.eps),
-        "bounds": list(rep.bounds),
-        "best_eps": rep.best_eps,
-        "best_bound": rep.best_bound,
-        "rhs": rep.rhs,
-        "ratio": rep.ratio,
-        "hypothesis_ok": rep.hypothesis_ok,
-    }
-    tables = {
-        "bounds": (
-            ["eps", "bound"],
-            [[float(e), float(b)] for e, b in zip(rep.eps, rep.bounds)],
-        )
-    }
+    payload = {"mu1": mu1, **asdict(rep)}
+    tables = {"bounds": (["eps", "bound"], list(zip(rep.eps, rep.bounds)))}
     summary = f"best bound {rep.best_bound:.8g} vs target {rep.rhs:.8g} (ratio {rep.ratio:.6g})"
     return payload, tables, summary
 
@@ -349,25 +316,11 @@ def _run_audit(config: ExperimentConfig):
     }
     payload = {
         "n": config.n,
-        "reports": [
-            {
-                "name": r.name,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "ratio": r.ratio,
-                "verdict": r.verdict,
-                "details": r.details,
-            }
-            for r in reports
-        ],
+        "reports": [asdict(r) for r in reports],
         "elementary_inequality_violations": violations,
     }
-    tables = {
-        "audits": (
-            ["name", "lhs", "rhs", "ratio", "verdict"],
-            [[r.name, float(r.lhs), float(r.rhs), float(r.ratio), r.verdict] for r in reports],
-        )
-    }
+    header = ["name", "lhs", "rhs", "ratio", "verdict"]
+    tables = {"audits": (header, [[getattr(r, key) for key in header] for r in reports])}
     summary = "; ".join(f"{r.name}: {r.verdict} (ratio {r.ratio:.6g})" for r in reports[:3])
     return payload, tables, summary
 
@@ -467,9 +420,9 @@ RUNNERS = {
 
 def _parse(key: str, text: str):
     """The value of one key from its text, typed by its ExperimentConfig field."""
-    import typing
-
     hint = ExperimentConfig.__annotations__[key]
+    if typing.get_origin(hint) is typing.Literal:
+        return text  # checked against its values by ExperimentConfig
     base = (typing.get_args(hint) or (hint,))[0]  # float | None, tuple[float, ...] -> float
     try:
         if typing.get_origin(hint) is tuple:

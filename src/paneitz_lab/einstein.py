@@ -97,10 +97,15 @@ def derive_coefficients(data: EinsteinData) -> OperatorCoefficients:
         alpha_bar=alpha_bar,
         a=a,
         b=b,
-        N=2 * n / (n - 4),
+        N=_critical_exponent(n),
         K2_inv_sq=sharp_constant_oracle(n),
         coercive=S > 0,
     )
+
+
+def _critical_exponent(n: int) -> float:
+    """N = 2n/(n-4), the critical Sobolev exponent of the operator."""
+    return 2 * n / (n - 4)
 
 
 def q_curvature_einstein(data: EinsteinData) -> float:
@@ -117,16 +122,6 @@ def sharp_constant_oracle(n: int) -> float:
     on the round unit sphere, alpha_bar_round * Vol(S^n)^(4/n)."""
     alpha_bar_round = n * (n + 2) * (n - 2) * (n - 4) / 16.0
     return alpha_bar_round * sphere_volume(n) ** (4.0 / n)
-
-
-def gamma_ratio_candidate(n: int) -> float:
-    """pi^2 n (n-4)(n^2-4) * [Gamma(n/2)/Gamma(n)]^(4/n).
-
-    Algebraically equal to the oracle via the Legendre duplication formula;
-    kept as an independent cross-check expression.
-    """
-    log_ratio = math.lgamma(n / 2) - math.lgamma(n)
-    return math.pi**2 * n * (n - 4) * (n * n - 4) * math.exp(4.0 / n * log_ratio)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubbles import BubbleSpec, bubble_profile
-from .einstein import sharp_constant_oracle
+from .einstein import _critical_exponent, sharp_constant_oracle
 from .spectral import (
     SphereSetup,
     assemble_mass,
@@ -105,7 +105,7 @@ def _engine(config: OptimizerConfig) -> SphereSetup:
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
     qvals = basis.table.T @ c
-    mass = basis.rule.integrate(np.abs(qvals) ** (2 * N))
+    mass = basis.rule.lN_mass(qvals, 2 * N)
     if mass <= 0 or not math.isfinite(mass):
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
     return c * mass ** (-1.0 / (2 * N))
@@ -185,7 +185,7 @@ def two_bubble_initializer(
     phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, delta=delta, center="south"), n)
     qvals = math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s)
     c = analyze(basis, qvals).coeffs
-    N = 2 * n / (n - 4)
+    N = _critical_exponent(n)
     return DensityParameterization(_renormalize(c, basis, N))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .einstein import (
     OperatorCoefficients,
+    _critical_exponent,
     euclidean_sphere_area,
     sharp_constant_oracle,
 )
@@ -24,7 +25,6 @@ from .spectral import (
     ConformalDensity,
     assemble_mass,
     assemble_stiffness,
-    round_setup,
     solve_generalized_eigen,
 )
 from .zonal import ZonalField
@@ -74,12 +74,12 @@ def lemma1_audit(
     if eps < 0 or A_eps < 0:
         raise ValueError("eps and A_eps must be nonnegative")
     K2_sq = 1.0 / sharp_constant_oracle(n)
-    N = 2 * n / (n - 4)
+    N = _critical_exponent(n)
     rows = []
     minimal_A = -math.inf
     for f in fields:
         rule = f.basis.rule
-        lN_sq = rule.integrate(np.abs(f.values) ** N) ** (2.0 / N)
+        lN_sq = rule.lN_mass(f.values, N) ** (2.0 / N)
         lap_sq = float(np.dot(f.basis.eigs**2, f.coeffs**2))
         l2_sq = float(np.dot(f.coeffs, f.coeffs))
         minimal_A = max(minimal_A, (lN_sq - (K2_sq + eps) * lap_sq) / l2_sq)
@@ -234,7 +234,7 @@ def euclidean_corollary_check(
     mass fraction of the u^N integrand must stay below 1e-8.
     """
     n = grid.n
-    N = 2 * n / (n - 4)
+    N = _critical_exponent(n)
     uN = u.f(grid.r) ** N
     frac = grid.tail_fraction(uN)
     if frac > 1e-8:
@@ -259,37 +259,3 @@ def euclidean_corollary_check(
         tail_fraction=frac,
     )
 
-
-# ---------------------------------------------------------------------------
-# first-invariant relation
-
-
-def mu_relation_audit(n: int, restarts: int = 3, max_iters: int = 120) -> InequalityReport:
-    """Estimate mu_1 by descent and mu by direct quotient minimization.
-
-    On the round sphere both coincide with K2^(-2), so the product
-    mu_1 * K2^2 sits exactly on the boundary of the hypothesis
-    "mu_1 K2^2 < 1"; the audit reports that, plus the unconditional
-    direction mu_1 <= mu.
-    """
-    from .bubbles import BubbleSpec, DEFAULT_EPS_GRID, bubble_field, functional_Y
-    from .optimizer import OptimizerConfig, minimize
-    from .zonal import constant_field
-
-    res = minimize(OptimizerConfig(n=n, k=1, restarts=restarts, max_iters=max_iters))
-    mu1_hat = res.final_objective
-    setup = round_setup(n)
-    trial_Y = [functional_Y(constant_field(setup.basis), setup.coeffs)]
-    for e in DEFAULT_EPS_GRID:
-        bf = bubble_field(BubbleSpec(eps=e), setup.basis)
-        trial_Y.append(functional_Y(bf.v, setup.coeffs))
-    mu_hat = min(trial_Y)
-    K2_sq = 1.0 / sharp_constant_oracle(n)
-    report = make_report("mu1-vs-mu", mu1_hat * K2_sq, 1.0)
-    report.details.update(
-        mu1_hat=mu1_hat,
-        mu_hat=mu_hat,
-        gap=abs(mu_hat - mu1_hat),
-        ordering_ok=bool(mu1_hat <= mu_hat * (1 + 1e-8)),
-    )
-    return report

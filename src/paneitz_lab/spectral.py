@@ -23,17 +23,12 @@ class DegeneratePencilError(ValueError):
 
 @dataclass
 class ConformalDensity:
-    """Nonnegative zonal density u, normally with unit L^N mass.
-
-    ``sqrt_field`` is the optional parameterizing field q with u = q^2 at
-    the nodes; densities built directly from node values leave it None.
-    """
+    """Nonnegative zonal density u, normally with unit L^N mass."""
 
     basis: ZonalBasis
     values: np.ndarray          # u at the quadrature nodes, >= 0
     N: float
     normalized: bool = False
-    sqrt_field: ZonalField | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -51,7 +46,7 @@ class ConformalDensity:
 
     def lN_mass(self) -> float:
         """Integral of u^N."""
-        return self.basis.rule.integrate(self.values**self.N)
+        return self.basis.rule.lN_mass(self.values, self.N)
 
     def normalize(self) -> "ConformalDensity":
         scale = self.lN_mass() ** (-1.0 / self.N)
@@ -60,15 +55,12 @@ class ConformalDensity:
             values=self.values * scale,
             N=self.N,
             normalized=True,
-            sqrt_field=None
-            if self.sqrt_field is None
-            else self.sqrt_field * float(np.sqrt(scale)),
         )
 
 
 def density_from_sqrt_field(qfield: ZonalField, N: float, normalize: bool = True) -> ConformalDensity:
     """Density u = q^2: nonnegative by construction, zeros permitted."""
-    u = ConformalDensity(basis=qfield.basis, values=qfield.values**2, N=N, sqrt_field=qfield)
+    u = ConformalDensity(basis=qfield.basis, values=qfield.values**2, N=N)
     return u.normalize() if normalize else u
 
 
@@ -101,6 +93,10 @@ def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
     """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD."""
     if u.basis is not basis and u.basis.n != basis.n:
         raise ValueError("density and basis dimensions disagree")
+    if u.values.shape != basis.rule.nodes.shape:
+        raise ValueError(
+            f"density lives on {len(u.values)} nodes, basis on {len(basis.rule.nodes)}"
+        )
     return mass_from_values(basis, u.values, u.N)
 
 

@@ -165,10 +165,10 @@ def _fixed_point_residual(
     """L^N distance between |w|/||w||_N and u, from node values; u must
     already have unit L^N mass."""
     wabs = np.abs(w_vals)
-    wnorm = rule.integrate(wabs**N) ** (1.0 / N)
+    wnorm = rule.lN_mass(wabs, N) ** (1.0 / N)
     if wnorm == 0:
         raise ValueError("field is identically zero")
-    return float(rule.integrate(np.abs(wabs / wnorm - u_vals) ** N) ** (1.0 / N))
+    return float(rule.lN_mass(wabs / wnorm - u_vals, N) ** (1.0 / N))
 
 
 def fixed_point_residual(w: ZonalField, u: ConformalDensity) -> float:

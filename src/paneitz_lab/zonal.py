@@ -29,6 +29,10 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
+    def lN_mass(self, values: np.ndarray, N: float) -> float:
+        """Integral of |f|^N from the node values of f."""
+        return self.integrate(np.abs(values) ** N)
+
 
 def _recurrence(n: int, m: int) -> tuple[float, np.ndarray]:
     """Coefficients of the orthonormal three-term recurrence for the weight
@@ -199,11 +203,6 @@ def analyze(basis: ZonalBasis, values: np.ndarray) -> ZonalField:
     if values.shape != basis.rule.nodes.shape:
         raise ValueError("value vector length does not match the quadrature rule")
     return ZonalField(basis, basis.table @ (basis.rule.weights * values))
-
-
-def laplacian(field: ZonalField) -> ZonalField:
-    """Laplace-Beltrami action, exact in coefficient space."""
-    return ZonalField(field.basis, field.basis.eigs * field.coeffs)
 
 
 def constant_field(basis: ZonalBasis, value: float = 1.0) -> ZonalField:

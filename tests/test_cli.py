@@ -162,6 +162,7 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["spectrum", "--n", "5", "--k", "-1"], "error: requested -1 eigenvalues"),
         ("", ["coeffs", "--n", "343"], "error: dimension n = 343 is too large"),
         ("command = coeffs\n", ["coeffs"], "unknown key 'command'"),
+        ("", ["spectrum", "--n", "5", "--density", "fancy"], "invalid value for density: 'fancy'"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -175,6 +176,55 @@ def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
 def test_unknown_density_rejected(out_root):
     with pytest.raises(SystemExit):
         dispatch(ExperimentConfig(command="spectrum", n=5, density="fancy"))
+
+
+@pytest.mark.parametrize(
+    "typed, argv",
+    [
+        (dict(command="coeffs", n=5, S=30), ["coeffs", "--n", "5", "--S", "30"]),
+        (dict(command="coeffs", n=5, S=30.0), ["coeffs", "--n", "5", "--S", "30.0"]),
+        (dict(command="lemma3-bound", n=12, mu1=0), ["lemma3-bound", "--n", "12", "--mu1", "0"]),
+        (dict(command="lemma3-bound", n=12), ["lemma3-bound", "--n", "12", "--mu1", "0.0"]),
+    ],
+)
+def test_float_keys_hash_by_value(typed, argv):
+    # an int and a float of the same value are one run with one record, from
+    # the API or the CLI
+    assert ExperimentConfig(**typed).config_hash == config_from_args(argv).config_hash
+    # the record's config too: 30 and 30.0 compare equal, their JSON does not
+    assert repr(ExperimentConfig(**typed).settings()) == repr(config_from_args(argv).settings())
+
+
+# the payload keys of every record-writing command; a new field on a report
+# dataclass changes the records and must change this table too
+PAYLOAD_KEYS = {
+    "coeffs": {"n", "S", "alpha", "alpha_bar", "a", "b", "N", "K2_inv_sq", "Q", "sharp_constant"},
+    "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals", "shift"},
+    "minimize": {
+        "n", "k", "best_coeffs", "best_objective", "final_objective", "diagnostics", "restarts"
+    },
+    "bubble-sweep": {"n", "eps", "Y", "A", "C", "residual", "oracle", "A_rel_error"},
+    "lemma3-bound": {
+        "n", "mu1", "eps", "bounds", "best_eps", "best_bound", "rhs", "ratio", "hypothesis_ok"
+    },
+    "audit": {"n", "reports", "elementary_inequality_violations"},
+}
+
+
+@pytest.mark.parametrize("command", list(PAYLOAD_KEYS))
+def test_record_payload_keys(out_root, command):
+    extra = {"iterations": 0, "restarts": 2} if command == "minimize" else {}
+    record = dispatch(ExperimentConfig(command=command, n=12, **extra))
+    doc = json.loads((out_root / record.config_hash / "record.json").read_text())
+    assert set(doc) == {"schema", "config_hash", "version", "payload", "seed", "config"}
+    assert set(doc["payload"]) == PAYLOAD_KEYS[command]
+    if command == "coeffs":
+        assert set(doc["payload"]["sharp_constant"]) == {
+            "oracle", "paper_formula", "sphere_volume_formula", "ratios"
+        }
+    if command == "audit":
+        for report in doc["payload"]["reports"]:
+            assert set(report) == {"name", "lhs", "rhs", "ratio", "verdict", "details"}
 
 
 def _fresh_python(code, *args):

@@ -11,7 +11,6 @@ from paneitz_lab.sobolev import (
     flat_laplacian,
     lemma1_audit,
     make_report,
-    mu_relation_audit,
     refined_inequality_ratio,
     standard_bubble,
 )
@@ -108,11 +107,3 @@ def test_refined_constant_counterexample():
         assert rep.ratio == pytest.approx(2 ** (4 / n), abs=1e-10)
         assert rep.verdict == "violated"
         assert rep.details["lam2_form_holds"]
-
-
-def test_mu_relation_boundary_on_sphere():
-    rep = mu_relation_audit(12, restarts=2, max_iters=60)
-    assert rep.ratio == pytest.approx(1.0, abs=1e-6)
-    assert rep.verdict in ("boundary", "holds", "violated")
-    assert rep.details["ordering_ok"]
-    assert rep.details["gap"] <= 1e-6 * rep.details["mu_hat"]

@@ -131,6 +131,10 @@ def test_error_paths(setup5):
         ConformalDensity(setup5.basis, np.zeros_like(setup5.rule.nodes), setup5.coeffs.N)
     with pytest.raises(ValueError):
         ConformalDensity(setup5.basis, -np.ones_like(setup5.rule.nodes), setup5.coeffs.N)
+    # same dimension, another node count: refused by name, not by a numpy broadcast
+    coarse = round_setup(5, q=100, L=8)
+    with pytest.raises(ValueError, match="density lives on 100 nodes, basis on 200"):
+        assemble_mass(constant_density(coarse.basis, coarse.coeffs.N), setup5.basis)
 
 
 def test_density_from_sqrt_field_normalizes(setup5):

@@ -238,6 +238,8 @@ def _run_minimize(config: ExperimentConfig):
                 "status": tr.status,
                 "iterations": len(tr.objectives),
                 "terminal_lambda_bar": tr.lambda_bars[-1] if tr.lambda_bars else None,
+                "pencil_solves": tr.pencil_solves,
+                "rejected_trials": tr.rejected_trials,
             }
             for tr in res.traces
         ],
@@ -288,6 +290,7 @@ def _run_audit(config: ExperimentConfig):
     """Evaluate the Sobolev-type inequalities on trial data."""
     from .bubbles import elementary_inequality_check
     from .sobolev import (
+        bubble_radius,
         build_radial_grid,
         euclidean_corollary_check,
         lemma1_audit,
@@ -307,7 +310,7 @@ def _run_audit(config: ExperimentConfig):
         c = rng.standard_normal(setup.basis.dim) * 0.5 ** np.arange(setup.basis.dim)
         trial.append(ZonalField(setup.basis, c))
     reports += lemma1_audit(0.1, 2.0, trial, config.n)
-    grid = build_radial_grid(config.n)
+    grid = build_radial_grid(config.n, R=bubble_radius(config.n))
     bubble = standard_bubble(config.n)
     reports.append(euclidean_corollary_check(grid, bubble, bubble))
     violations = {

@@ -87,6 +87,8 @@ class RunTrace:
     wall_times: list[float] = field(default_factory=list)
     status: str = "running"
     annotations: list[str] = field(default_factory=list)
+    pencil_solves: int = 0      # pencil eigensolves, the start's included
+    rejected_trials: int = 0    # line-search trials that failed Armijo or raised
 
 
 @dataclass
@@ -213,7 +215,7 @@ def _descend(
     kmax = min(k + 1, basis.dim)
     trace = RunTrace(start_label=label)
     c = _renormalize(start.coeffs.copy(), basis, N)
-    step = 1.0
+    step, grow = 0.25, False
     t0 = time.perf_counter()
 
     def surrogate(lam: np.ndarray, T: float):
@@ -255,6 +257,7 @@ def _descend(
         return float(J), dict(zip(idx, p))
 
     qvals, lam, V = _solve(c, setup, kmax)
+    trace.pencil_solves += 1
     for it in range(config.max_iters):
         lam_k = float(lam[k - 1])
         T = max(1e-3 * lam_k * 0.98**it, 1e-10 * lam_k)
@@ -276,26 +279,32 @@ def _descend(
             trace.status = "gradient-converged"
             break
         # Armijo backtracking along the normalized direction; the step is a
-        # displacement in coefficient space, comparable across iterations
+        # displacement in coefficient space, comparable across iterations.
+        # Each iteration starts from the last accepted step, doubled (up to
+        # 0.25) only if that step was accepted at once and gained at least
+        # half its linear prediction (Nocedal & Wright, 2nd ed., sec. 3.5)
         d = g / gnorm
         accepted = False
-        step = min(step * 2.0, 0.25)
-        for _ in range(40):
+        if grow:
+            step = min(step * 2.0, 0.25)
+        for trial in range(40):
             try:
                 c_try = _renormalize(c - step * d, basis, N)
+                trace.pencil_solves += 1
                 solved = _solve(c_try, setup, kmax)
             except (ValueError, ArithmeticError) as exc:
                 trace.annotations.append(f"iter {it}: step rejected ({exc})")
-                step *= 0.5
-                continue
-            J_try, _ = surrogate(solved[1], T)
-            if math.isfinite(J_try) and J_try <= J - 1e-4 * step * gnorm:
-                accepted = True
-                break
+            else:
+                J_try, _ = surrogate(solved[1], T)
+                if math.isfinite(J_try) and J_try <= J - 1e-4 * step * gnorm:
+                    accepted = True
+                    break
+            trace.rejected_trials += 1
             step *= 0.5
         if not accepted:
             trace.status = "line-search-stalled"
             break
+        grow = trial == 0 and J - J_try >= 0.5 * step * gnorm
         c, (qvals, lam, V) = c_try, solved
     else:
         trace.status = "max-iters"
@@ -323,7 +332,7 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
     for label, start in starts:
         if config.max_iters == 0:
             val = objective(start, config.k, setup)
-            trace = RunTrace(start_label=label, status="no-iterations")
+            trace = RunTrace(start_label=label, status="no-iterations", pencil_solves=1)
             trace.objectives.append(val)
             trace.lambda_bars.append(val)
             dens = start

@@ -217,6 +217,18 @@ def standard_bubble(n: int) -> RadialProfile:
     return RadialProfile(f=f, df=df, d2f=d2f)
 
 
+def bubble_radius(n: int) -> float:
+    """Core radius for the standard bubble on R^n: at least 50, and far enough
+    that u^N = (1 + r^2)^(-n) keeps at most 1e-9 of its mass beyond it, a
+    decade under the tail fraction euclidean_corollary_check refuses.
+
+    The tail int_R^inf r^(n-1) (1 + r^2)^(-n) dr is below R^(-n)/n and the
+    total is B(n/2, n/2)/2.  Only n = 5 needs more than 50 (R = 88.5).
+    """
+    log_beta = 2 * math.lgamma(n / 2) - math.lgamma(n)
+    return max(50.0, math.exp((math.log(2 / n) - log_beta - math.log(1e-9)) / n))
+
+
 def flat_laplacian(profile: RadialProfile, r: np.ndarray, n: int) -> np.ndarray:
     """-v'' - (n-1) v'/r for a radial profile on R^n."""
     return -(profile.d2f(r) + (n - 1) / r * profile.df(r))

@@ -225,6 +225,20 @@ def test_record_payload_keys(out_root, command):
     if command == "audit":
         for report in doc["payload"]["reports"]:
             assert set(report) == {"name", "lhs", "rhs", "ratio", "verdict", "details"}
+    if command == "minimize":
+        for restart in doc["payload"]["restarts"]:
+            assert set(restart) == {
+                "label", "status", "iterations", "terminal_lambda_bar",
+                "pencil_solves", "rejected_trials",
+            }
+            assert (restart["pencil_solves"], restart["rejected_trials"]) == (1, 0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_audit_runs_in_low_dimensions(out_root, n):
+    # the Euclidean check's core radius follows n: R = 50 leaves too much
+    # of the n = 5 bubble's mass in the tail
+    assert main(["audit", "--n", str(n)]) == 0
 
 
 def _fresh_python(code, *args):

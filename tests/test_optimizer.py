@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
     DensityParameterization,
@@ -99,6 +100,28 @@ def test_minimize_k2_trace_and_ordering():
     assert res.diagnostics["round_pair_bound"] == pytest.approx(
         2 ** (1 / 3) * sharp_constant_oracle(12)
     )
+
+
+def test_step_grows_only_after_an_easy_acceptance(monkeypatch):
+    # an iteration whose first trial is accepted costs one solve; the bound
+    # leaves room for a quarter of the iterations to backtrack once
+    solves = 0
+    solve = optimizer._solve
+
+    def counting(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(optimizer, "_solve", counting)
+    cfg = OptimizerConfig(n=12, k=2, restarts=3, max_iters=200, seed=0)
+    res = minimize(cfg)
+    iterations = sum(len(tr.objectives) for tr in res.traces)
+    assert solves <= 1.25 * iterations + cfg.restarts
+    # the record's counters are the solves made
+    assert solves == sum(tr.pencil_solves for tr in res.traces)
+    for tr in res.traces:
+        assert tr.pencil_solves <= 1 + len(tr.objectives) + tr.rejected_trials
 
 
 def test_minimize_determinism():

@@ -6,6 +6,7 @@ import pytest
 from paneitz_lab.einstein import euclidean_sphere_area, sharp_constant_oracle, sphere_volume
 from paneitz_lab.sobolev import (
     RadialProfile,
+    bubble_radius,
     build_radial_grid,
     euclidean_corollary_check,
     flat_laplacian,
@@ -53,6 +54,15 @@ def test_standard_bubble_is_sharp_extremal():
         )
         assert rep.ratio == pytest.approx(2 ** (4 / n), rel=1e-10)
         assert rep.verdict == "violated"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 12, 20, 40])
+def test_bubble_radius_keeps_the_tail_small(n):
+    R = bubble_radius(n)
+    assert R == 50.0 if n >= 6 else R > 50.0
+    rep = euclidean_corollary_check(build_radial_grid(n, R=R), standard_bubble(n), standard_bubble(n))
+    assert rep.details["tail_fraction"] <= 1e-9
+    assert rep.ratio == pytest.approx(2 ** (4 / n), rel=1e-10)
 
 
 def test_euclidean_decay_guard():

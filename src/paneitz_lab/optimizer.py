@@ -27,7 +27,7 @@ from .spectral import (
     round_setup,
 )
 from .toolkit import _fixed_point_residual
-from .zonal import ZonalBasis, analyze, build_basis
+from .zonal import ZonalBasis, _float_power, analyze, build_basis
 
 
 class DegenerateGapError(RuntimeError):
@@ -44,10 +44,6 @@ class DensityParameterization:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if not np.any(self.coeffs != 0):
             raise ValueError("all-zero parameterization is a degenerate density")
-
-    @property
-    def L_opt(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass
@@ -72,6 +68,10 @@ class OptimizerConfig:
             raise ValueError("k must be >= 1")
         if self.L_opt < 2 or self.L_opt > self.L_final:
             raise ValueError("need 2 <= L_opt <= L_final")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters (--iterations) must be >= 0, got {self.max_iters}")
 
 
 @dataclass
@@ -106,19 +106,22 @@ def _engine(config: OptimizerConfig) -> SphereSetup:
 
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
-    qvals = basis.table.T @ c
-    mass = basis.rule.lN_mass(qvals, 2 * N)
-    if mass <= 0 or not math.isfinite(mass):
+    """c scaled so that u = q^2 has unit L^N mass; leading axes of c are a
+    stack of coefficient rows, each scaled on its own."""
+    qvals = np.matmul(basis.table.T, c[..., None])[..., 0]
+    mass = np.asarray(basis.rule.lN_mass(qvals, 2 * N))
+    if (mass <= 0).any() or not np.isfinite(mass).all():
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
-    return c * mass ** (-1.0 / (2 * N))
+    return c * _float_power(mass, -1.0 / (2 * N))[..., None]
 
 
-def _solve(
+def _solve_rows(
     c: np.ndarray, setup: SphereSetup, kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node values q of c, then the kernel's eigenvalues and B-normalized
-    coefficient columns for the pencil of u = q^2."""
-    qvals = setup.basis.table.T @ c
+    coefficient columns for the pencil of u = q^2; leading axes of c are a
+    stack of rows, solved in one call."""
+    qvals = np.matmul(setup.basis.table.T, c[..., None])[..., 0]
     B = mass_from_values(setup.basis, qvals**2, setup.coeffs.N)
     lams, V, _ = pencil_eigen(setup.A_diag, B, kmax)
     return qvals, lams, V
@@ -127,11 +130,11 @@ def _solve(
 def objective(params: DensityParameterization, k: int, setup: SphereSetup) -> float:
     """lambda_bar_k of the normalized density u = q^2."""
     c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
-    return float(_solve(c, setup, k)[1][k - 1])
+    return float(_solve_rows(c, setup, k)[1][k - 1])
 
 
 def _eig_gradient(
-    qvals: np.ndarray, w: np.ndarray, lam: float, setup: SphereSetup
+    qvals: np.ndarray, w: np.ndarray, lam: np.ndarray, setup: SphereSetup
 ) -> np.ndarray:
     """Gradient of lambda_bar_j wrt the q-coefficients at unit-mass u = q^2,
     from the node values of q and of the B-normalized eigenfield w of lam.
@@ -141,7 +144,8 @@ def _eig_gradient(
 
         grad_m = 2 lambda_j (N-2) sum_j w_j q Z_m (u^(N-1) - u^(N-3) w^2).
 
-    Only w^2 enters, so the sign of the eigenvector does not matter.
+    Only w^2 enters, so the sign of the eigenvector does not matter.  The
+    arguments broadcast: leading axes give a stack of gradients.
     """
     basis = setup.basis
     N = setup.coeffs.N
@@ -151,7 +155,14 @@ def _eig_gradient(
         core = u ** (N - 1) - u ** (N - 3) * w**2
     else:
         core = u ** (N - 1) - np.where(u > 0, u, 1.0) ** (N - 3) * w**2 * (u > 0)
-    return 2 * lam * (N - 2) * (basis.table @ (basis.rule.weights * qvals * core))
+    synth = np.matmul(basis.table, (basis.rule.weights * qvals * core)[..., None])[..., 0]
+    return np.asarray(2 * lam * (N - 2))[..., None] * synth
+
+
+def _node_values(basis: ZonalBasis, V: np.ndarray) -> np.ndarray:
+    """Node values of each coefficient column of V (..., dim, m), as rows
+    (..., m, q); one matrix-vector product per column."""
+    return np.matmul(basis.table.T, V.swapaxes(-1, -2)[..., None])[..., 0]
 
 
 def gradient(
@@ -160,13 +171,13 @@ def gradient(
     """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
     c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
     kmax = min(k + 1, setup.basis.dim)
-    qvals, lam, V = _solve(c, setup, kmax)
+    qvals, lam, V = _solve_rows(c, setup, kmax)
     tol = 1e-6 * abs(lam[k - 1])
     if k > 1 and lam[k - 1] - lam[k - 2] < tol:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
         raise DegenerateGapError("eigenvalue crossing above k")
-    return _eig_gradient(qvals, setup.basis.table.T @ V[:, k - 1], lam[k - 1], setup)
+    return _eig_gradient(qvals, _node_values(setup.basis, V)[k - 1], lam[k - 1], setup)
 
 
 def two_bubble_initializer(
@@ -204,143 +215,228 @@ def _random_start(basis: ZonalBasis, N: float, rng) -> DensityParameterization:
     return DensityParameterization(_renormalize(c, basis, N))
 
 
-def _descend(
-    start: DensityParameterization,
-    label: str,
-    config: OptimizerConfig,
-    setup: SphereSetup,
-) -> tuple[DensityParameterization, float, RunTrace]:
-    basis, coeffs = setup.basis, setup.coeffs
-    N, k = coeffs.N, config.k
-    kmax = min(k + 1, basis.dim)
-    trace = RunTrace(start_label=label)
-    c = _renormalize(start.coeffs.copy(), basis, N)
-    step, grow = 0.25, False
-    t0 = time.perf_counter()
+def _surrogate(spectra: list[list[float]], T: list[float], k: int, gap_tol: float):
+    """Objectives of a stack of spectra (lists of eigenvalues), smoothed
+    across near-crossings.
 
-    def surrogate(lam: np.ndarray, T: float):
-        """Objective and eigen-weights; smoothed across near-crossings.
-
-        Activation widens with the temperature: early iterations smooth
-        over gaps up to a few T (the two-bubble near-collision), annealing
-        sharpens the surrogate back to the plain eigenvalue.
-        """
+    Activation widens with the temperature: early iterations smooth
+    over gaps up to a few T (the two-bubble near-collision), annealing
+    sharpens the surrogate back to the plain eigenvalue.  Returns the
+    objectives, and for each smoothed row its eigenvalue indices and
+    their weights; every other row weighs lambda_k alone.
+    """
+    J, soft = [], {}
+    for r, (spec, t) in enumerate(zip(spectra, T)):
+        lk = spec[k - 1]
         # the lower crossing is a ridge (lambda_k is locally a max): widen
         # its activation so the descent walks the ridge instead of zigzagging
-        tol_lo = max(config.gap_tol, 0.02) * abs(lam[k - 1])
-        tol_hi = max(config.gap_tol * abs(lam[k - 1]), 5.0 * T)
-        lo = k > 1 and lam[k - 1] - lam[k - 2] < tol_lo
-        hi = kmax > k and lam[k] - lam[k - 1] < tol_hi
+        lo = k > 1 and lk - spec[k - 2] < max(gap_tol, 0.02) * abs(lk)
+        hi = len(spec) > k and spec[k] - lk < max(gap_tol * abs(lk), 5.0 * t)
         if not lo and not hi:
-            return float(lam[k - 1]), {k - 1: 1.0}
-        idx = [k - 1]
-        if lo:
-            idx.insert(0, k - 2)
-        if hi:
-            idx.append(k)
-        vals = lam[idx]
+            J.append(lk)
+            continue
+        idx = [k - 2] * lo + [k - 1] + [k] * hi
+        vals = [spec[j] for j in idx]
         if lo:
             # top of the colliding cluster: soft-max, never colder than the
             # gap itself so both branches keep real weight on the ridge
-            T_eff = max(T, vals.max() - vals.min())
-            z = vals / T_eff
-            zmax = z.max()
-            J = T_eff * (zmax + math.log(np.sum(np.exp(z - zmax))))
-            p = np.exp(z - zmax)
+            t = max(t, max(vals) - min(vals))
+            z = [v / t for v in vals]
         else:
             # isolated below, colliding above: soft-min
-            z = -vals / T
-            zmax = z.max()
-            J = -T * (zmax + math.log(np.sum(np.exp(z - zmax))))
-            p = np.exp(z - zmax)
-        p = p / p.sum()
-        return float(J), dict(zip(idx, p))
+            z, t = [-v / t for v in vals], -t
+        zmax = max(z)
+        p = np.exp([v - zmax for v in z])
+        total = p.sum()
+        J.append(t * (zmax + math.log(total)))
+        soft[r] = idx, p / total
+    return J, soft
 
-    qvals, lam, V = _solve(c, setup, kmax)
-    trace.pencil_solves += 1
+
+def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
+    """Renormalize and solve a stack of trial rows in one call.
+
+    If the stack is refused, every row is redone alone through the same
+    kernel, so a degenerate row costs the others nothing.  Returns the
+    renormalized rows, their node values, eigenvalues (NaN for a refused
+    row) and eigenvector columns, then for each refused row the error and
+    whether its pencil was solved (its renormalization passed).
+    """
+    basis, N = setup.basis, setup.coeffs.N
+    try:
+        c = _renormalize(c, basis, N)
+        return (c, *_solve_rows(c, setup, kmax), {})
+    except (ValueError, ArithmeticError):
+        pass
+    out = [np.zeros_like(c), np.zeros((len(c), len(basis.rule.nodes))),
+           np.full((len(c), kmax), np.nan), np.zeros((len(c), basis.dim, kmax))]
+    refused = {}
+    for i in range(len(c)):
+        solved = False
+        try:
+            row = _renormalize(c[i : i + 1], basis, N)
+            solved = True
+            for arr, value in zip(out, (row, *_solve_rows(row, setup, kmax))):
+                arr[i] = value[0]
+        except (ValueError, ArithmeticError) as exc:
+            refused[i] = exc, solved
+    return (*out, refused)
+
+
+def _lockstep_descent(
+    starts: list[tuple[str, DensityParameterization]], config: OptimizerConfig, setup: SphereSetup
+) -> tuple[np.ndarray, list[float], list[RunTrace]]:
+    """Descend every start together, as rows of stacked arrays.
+
+    Each restart keeps its own temperature, surrogate, Armijo step, grow
+    flag, 40-trial cap and status; each iteration and each line-search
+    trial round solves all of its still-pending rows in one stacked call.
+    A row that stops leaves the stack.  Returns the final coefficient rows,
+    their lambda_bar_k and the traces.
+    """
+    basis, N, k = setup.basis, setup.coeffs.N, config.k
+    kmax = min(k + 1, basis.dim)
+    traces = [RunTrace(start_label=label, pencil_solves=1) for label, _ in starts]
+    c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
+    qvals, lam, V = _solve_rows(c, setup, kmax)
+    final_c, final_lam = np.empty_like(c), np.empty(len(c))  # filled by stop()
+    # row r of the stack is restart live[r], with its Armijo step and grow flag
+    live, step, grow = list(range(len(c))), [0.25] * len(c), [False] * len(c)
+
+    def stop(rows: list[int], status: str) -> list[int]:
+        """Take the given rows out of the stack with their final state."""
+        nonlocal live, step, grow, c, qvals, lam, V
+        for r in rows:
+            traces[live[r]].status = status
+            final_c[live[r]], final_lam[live[r]] = c[r], lam[r, k - 1]
+        keep = [r for r in range(len(live)) if r not in rows]
+        live, step, grow = ([x[r] for r in keep] for x in (live, step, grow))
+        c, qvals, lam, V = c[keep], qvals[keep], lam[keep], V[keep]
+        return keep
+
+    t0 = time.perf_counter()
     for it in range(config.max_iters):
-        lam_k = float(lam[k - 1])
-        T = max(1e-3 * lam_k * 0.98**it, 1e-10 * lam_k)
-        J, weights = surrogate(lam, T)
-        # eigenfield node values, each synthesized once per iteration
-        w_vals = {j: basis.table.T @ V[:, j] for j in {*weights, k - 1}}
-        g = np.zeros_like(c)
-        for j, p in weights.items():
-            g += p * _eig_gradient(qvals, w_vals[j], lam[j], setup)
-        gnorm = float(np.linalg.norm(g))
-        gap = float(lam[k] - lam_k) if kmax > k else float("nan")
-        trace.objectives.append(J)
-        trace.lambda_bars.append(lam_k)
-        trace.grad_norms.append(gnorm)
-        trace.gaps.append(gap)
-        trace.residuals.append(_fixed_point_residual(basis.rule, w_vals[k - 1], qvals**2, N))
-        trace.wall_times.append(time.perf_counter() - t0)
-        if gnorm <= config.grad_tol * max(abs(J), 1.0):
-            trace.status = "gradient-converged"
+        if not live:
             break
+        lam_k = lam[:, k - 1].tolist()
+        T = [max(1e-3 * lk * 0.98**it, 1e-10 * lk) for lk in lam_k]
+        J, soft = _surrogate(lam.tolist(), T, k, config.gap_tol)
+        # eigenfield node values; the gradient sums those of the eigenvalues
+        # each row's surrogate weighs, in their order, with its weights
+        w_vals = _node_values(basis, V)
+        grads = _eig_gradient(qvals[:, None], w_vals, lam, setup)
+        weights = np.zeros((len(live), kmax))
+        weights[:, k - 1] = 1.0
+        used = weights > 0
+        for r, (idx, p) in soft.items():
+            weights[r, idx], used[r, idx] = p, True
+        g = np.zeros_like(c)
+        for j in range(kmax):
+            m = used[:, j]
+            if m.any():
+                g[m] += weights[m, j, None] * grads[m, j]
+        gnorm_rows = np.sqrt(np.vecdot(g, g))
+        gnorm = gnorm_rows.tolist()
+        gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(live)
+        residuals = _fixed_point_residual(basis.rule, w_vals[:, k - 1], qvals**2, N).tolist()
+        wall = time.perf_counter() - t0
+        converged = []
+        for r, i in enumerate(live):
+            trace = traces[i]
+            trace.objectives.append(J[r])
+            trace.lambda_bars.append(lam_k[r])
+            trace.grad_norms.append(gnorm[r])
+            trace.gaps.append(gaps[r])
+            trace.residuals.append(residuals[r])
+            trace.wall_times.append(wall)
+            if gnorm[r] <= config.grad_tol * max(abs(J[r]), 1.0):
+                converged.append(r)
         # Armijo backtracking along the normalized direction; the step is a
         # displacement in coefficient space, comparable across iterations.
         # Each iteration starts from the last accepted step, doubled (up to
         # 0.25) only if that step was accepted at once and gained at least
         # half its linear prediction (Nocedal & Wright, 2nd ed., sec. 3.5)
-        d = g / gnorm
-        accepted = False
-        if grow:
-            step = min(step * 2.0, 0.25)
+        if converged:
+            keep = stop(converged, "gradient-converged")
+            J, T, gnorm = ([x[r] for r in keep] for x in (J, T, gnorm))
+            g, gnorm_rows = g[keep], gnorm_rows[keep]
+        d = g / gnorm_rows[:, None]
+        step = [min(s * 2.0, 0.25) if up else s for s, up in zip(step, grow)]
+        pending = list(range(len(live)))
         for trial in range(40):
-            try:
-                c_try = _renormalize(c - step * d, basis, N)
-                trace.pencil_solves += 1
-                solved = _solve(c_try, setup, kmax)
-            except (ValueError, ArithmeticError) as exc:
-                trace.annotations.append(f"iter {it}: step rejected ({exc})")
-            else:
-                J_try, _ = surrogate(solved[1], T)
-                if math.isfinite(J_try) and J_try <= J - 1e-4 * step * gnorm:
-                    accepted = True
-                    break
-            trace.rejected_trials += 1
-            step *= 0.5
-        if not accepted:
-            trace.status = "line-search-stalled"
-            break
-        grow = trial == 0 and J - J_try >= 0.5 * step * gnorm
-        c, (qvals, lam, V) = c_try, solved
-    else:
-        trace.status = "max-iters"
-    return DensityParameterization(c), float(lam[k - 1]), trace
+            if not pending:
+                break
+            # every live row takes the first trial; gather only the rest
+            at = slice(None) if trial == 0 else pending
+            c_new, q_new, lam_new, V_new, refused = _solve_trials(
+                c[at] - np.array([step[r] for r in pending])[:, None] * d[at], setup, kmax
+            )
+            J_try, _ = _surrogate(lam_new.tolist(), [T[r] for r in pending], k, config.gap_tol)
+            won, lost = [], []
+            for p, r in enumerate(pending):
+                trace = traces[live[r]]
+                exc, solved = refused.get(p, (None, True))
+                trace.pencil_solves += solved
+                if exc is not None:
+                    trace.annotations.append(f"iter {it}: step rejected ({exc})")
+                elif math.isfinite(J_try[p]) and J_try[p] <= J[r] - 1e-4 * step[r] * gnorm[r]:
+                    grow[r] = trial == 0 and J[r] - J_try[p] >= 0.5 * step[r] * gnorm[r]
+                    won.append(p)
+                    continue
+                trace.rejected_trials += 1
+                step[r] *= 0.5
+                lost.append(r)
+            if len(won) == len(live):
+                c, qvals, lam, V = c_new, q_new, lam_new, V_new
+            elif won:
+                rows = [pending[p] for p in won]
+                c[rows], qvals[rows] = c_new[won], q_new[won]
+                lam[rows], V[rows] = lam_new[won], V_new[won]
+            pending = lost
+        if pending:
+            stop(pending, "line-search-stalled")
+    stop(list(range(len(live))), "max-iters")
+    return final_c, final_lam.tolist(), traces
+
+
+def _starts(
+    config: OptimizerConfig, setup: SphereSetup
+) -> list[tuple[str, DensityParameterization]]:
+    """The first config.restarts of: the antipodal two-bubble configuration,
+    the constant, then seeded random coefficient draws."""
+    N = setup.coeffs.N
+    rng = np.random.default_rng(config.seed)
+    starts = [
+        ("two-bubble", two_bubble_initializer(config.init_eps, config.init_split, setup.basis)),
+        ("constant", _constant_start(setup.basis, N)),
+    ][: config.restarts]
+    for i in range(config.restarts - len(starts)):
+        starts.append((f"random-{i}", _random_start(setup.basis, N, rng)))
+    return starts
 
 
 def minimize(config: OptimizerConfig) -> MinimizeResult:
     """Multi-start descent; returns the best density with full traces.
 
-    Starts: the antipodal two-bubble configuration, the constant, and
-    seeded random coefficient draws.  The winner is re-evaluated on the
-    finer L_final basis (a variational improvement, never an increase).
+    The starts (see _starts) descend in lockstep.  The winner is
+    re-evaluated on the finer L_final basis (a variational improvement,
+    never an increase).
     """
     setup = _engine(config)
     N = setup.coeffs.N
-    rng = np.random.default_rng(config.seed)
-    starts: list[tuple[str, DensityParameterization]] = [
-        ("two-bubble", two_bubble_initializer(config.init_eps, config.init_split, setup.basis)),
-        ("constant", _constant_start(setup.basis, N)),
-    ]
-    for i in range(max(config.restarts - len(starts), 0)):
-        starts.append((f"random-{i}", _random_start(setup.basis, N, rng)))
-
-    traces, best, best_val = [], None, math.inf
-    for label, start in starts:
-        if config.max_iters == 0:
-            val = objective(start, config.k, setup)
-            trace = RunTrace(start_label=label, status="no-iterations", pencil_solves=1)
+    starts = _starts(config, setup)
+    rows, values, traces = _lockstep_descent(starts, config, setup)
+    if config.max_iters == 0:
+        # the starts themselves, each solved once
+        rows = [start.coeffs for _, start in starts]
+        for trace, val in zip(traces, values):
+            trace.status = "no-iterations"
             trace.objectives.append(val)
             trace.lambda_bars.append(val)
-            dens = start
-        else:
-            dens, val, trace = _descend(start, label, config, setup)
-        traces.append(trace)
+    best, best_val = None, math.inf
+    for row, val in zip(rows, values):
         if val < best_val:
-            best, best_val = dens, val
+            best, best_val = DensityParameterization(row), val
 
     # final evaluation on the finer basis over the same rule: q is exact at
     # the nodes, only the eigenproblem subspace grows

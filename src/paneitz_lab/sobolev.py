@@ -49,6 +49,10 @@ def _verdict(ratio: float) -> str:
 
 
 def make_report(name: str, lhs: float, rhs: float, **details) -> InequalityReport:
+    """Both sides and their verdict; a non-finite side is refused, since no
+    verdict can be read from it."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"{name}: non-finite side (lhs {lhs}, rhs {rhs})")
     ratio = lhs / rhs if rhs != 0 else math.inf
     return InequalityReport(
         name=name, lhs=lhs, rhs=rhs, ratio=ratio, verdict=_verdict(ratio), details=details
@@ -169,25 +173,37 @@ class EuclideanRadialGrid:
 
 
 def build_radial_grid(n: int, R: float = 50.0, q: int = 400) -> EuclideanRadialGrid:
-    """q-node core on (0, R) and a q/2-node tail panel."""
+    """q-node core on (0, R) and a q/2-node tail panel, less the nodes where
+    the measure r^(n-1) overflows double precision.
+
+    That happens at the outermost tail nodes (r near 1e6) from n = 52 on, and
+    inside the core from n = 183 on.  The profiles the grid is for decay at
+    least like r^(-n-1), so at those nodes they have underflowed to 0 and
+    their products with the weight lie far below any sum's last bit, while
+    inf * 0 would turn every sum into NaN.  No node is dropped for n <= 51.
+    """
     if R <= 0 or q < 4:
         raise ValueError("need R > 0 and q >= 4")
     area = euclidean_sphere_area(n)
     x, w = np.polynomial.legendre.leggauss(q)
     r_core = 0.5 * R * (x + 1.0)
-    w_core = 0.5 * R * w * area * r_core ** (n - 1)
     s, ws = np.polynomial.legendre.leggauss(q // 2)
     s = 0.5 * (s + 1.0)
     ws = 0.5 * ws
     r_tail = R / s
-    w_tail = ws * area * r_tail ** (n - 1) * R / s**2
+    with np.errstate(over="ignore"):
+        w_core = 0.5 * R * w * area * r_core ** (n - 1)
+        w_tail = ws * area * r_tail ** (n - 1) * R / s**2
     order = np.argsort(r_tail)
+    r = np.concatenate([r_core, r_tail[order]])
+    weights = np.concatenate([w_core, w_tail[order]])
+    finite = np.isfinite(weights)
     return EuclideanRadialGrid(
         n=n,
         R=R,
-        r=np.concatenate([r_core, r_tail[order]]),
-        weights=np.concatenate([w_core, w_tail[order]]),
-        core_count=q,
+        r=r[finite],
+        weights=weights[finite],
+        core_count=int(finite[:q].sum()),
     )
 
 
@@ -253,7 +269,14 @@ def euclidean_corollary_check(
         raise ValueError(
             f"profile tail mass fraction {frac:.2e} beyond R={grid.R}; increase R"
         )
-    u_scale = grid.integrate(uN) ** (-1.0 / N)
+    mass = grid.integrate(uN)
+    if not mass >= np.finfo(float).tiny:
+        # from n = 327 on, the standard bubble's mass is subnormal
+        raise ValueError(
+            f"euclidean-corollary: the L^N mass of u, {mass:.3g}, is below the "
+            f"normal double range at n = {n}"
+        )
+    u_scale = mass ** (-1.0 / N)
     lap = flat_laplacian(v, grid.r, n)
     lhs = grid.integrate((u_scale * u.f(grid.r)) ** (N - 2) * v.f(grid.r) ** 2)
     K2_sq = 1.0 / sharp_constant_oracle(n)

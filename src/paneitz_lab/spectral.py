@@ -84,9 +84,10 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 
 def mass_from_values(basis: ZonalBasis, values: np.ndarray, N: float) -> np.ndarray:
     """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j) from the node values
-    of u, unvalidated; the one home of the mass formula."""
+    of u, unvalidated; the one home of the mass formula.  Leading axes of
+    values are a stack of densities, and give a stack of mass forms."""
     wdens = basis.rule.weights * values ** (N - 2)
-    return (basis.table * wdens) @ basis.table.T
+    return (basis.table * wdens[..., None, :]) @ basis.table.T
 
 
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
@@ -123,12 +124,12 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 def pencil_eigen(
     A_diag: np.ndarray, B: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Smallest k eigenpairs of A v = lambda B v as plain arrays.
 
     Returns (eigenvalues, V, shift): the ascending eigenvalues, their
-    B-normalized coefficient vectors as the (contiguous) columns of V, with
-    no sign convention, and the regularization added to B (0.0 if none).
+    B-normalized coefficient vectors as the columns of V, with no sign
+    convention, and the regularization added to B (0.0 if none).
 
     A must be positive definite (refused otherwise; that is the S <= 0
     regime).  B may be singular: a fixed relative shift
@@ -136,6 +137,10 @@ def pencil_eigen(
     pencil through A^(-1/2), which keeps near-null directions of B
     harmless: they correspond to huge Rayleigh quotients and never pollute
     the bottom of the spectrum.
+
+    Leading axes of B are a stack of pencils sharing A, solved in one call;
+    every row gets the bits of its own two-dimensional call, the shift is
+    probed and applied row by row, and any refusal refuses the whole stack.
     """
     dim = len(A_diag)
     if not 1 <= k <= dim:
@@ -144,21 +149,29 @@ def pencil_eigen(
         raise DegeneratePencilError(
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
-    shift = 0.0
+    shift = 0.0 if B.ndim == 2 else np.zeros(B.shape[:-2])
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
-        shift = 1e-12 * np.trace(B) / dim
-        B = B + shift * np.eye(dim)
+        if B.ndim == 2:
+            shift = 1e-12 * np.trace(B) / dim
+            B = B + shift * np.eye(dim)
+        else:
+            B = B.copy()
+            for i in np.ndindex(shift.shape):
+                try:
+                    np.linalg.cholesky(B[i])
+                except np.linalg.LinAlgError:
+                    shift[i] = 1e-12 * np.trace(B[i]) / dim
+                    B[i] = B[i] + shift[i] * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
-    C = np.asarray_chkfinite((B * s).T * s)
+    C = np.asarray_chkfinite((B * s).swapaxes(-1, -2) * s)
     w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
-    mass = w[::-1][:k]
+    mass = w[..., ::-1][..., :k]
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    # the product is a fresh C-ordered k x dim array, so the columns of V
-    # are contiguous
-    V = (Y.T[::-1][:k] * s / np.sqrt(mass)[:, None]).T
+    top = Y.swapaxes(-1, -2)[..., ::-1, :][..., :k, :]
+    V = (top * s / np.sqrt(mass)[..., None]).swapaxes(-1, -2)
     return 1.0 / mass, V, shift
 
 

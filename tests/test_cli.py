@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -163,6 +164,12 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["coeffs", "--n", "343"], "error: dimension n = 343 is too large"),
         ("command = coeffs\n", ["coeffs"], "unknown key 'command'"),
         ("", ["spectrum", "--n", "5", "--density", "fancy"], "invalid value for density: 'fancy'"),
+        ("", ["minimize", "--n", "5", "--restarts", "0"], "error: restarts must be >= 1, got 0"),
+        (
+            "",
+            ["minimize", "--n", "5", "--iterations", "-3"],
+            "error: max_iters (--iterations) must be >= 0, got -3",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -239,6 +246,16 @@ def test_audit_runs_in_low_dimensions(out_root, n):
     # the Euclidean check's core radius follows n: R = 50 leaves too much
     # of the n = 5 bubble's mass in the tail
     assert main(["audit", "--n", str(n)]) == 0
+
+
+@pytest.mark.parametrize("n", [51, 52, 60])
+def test_audit_records_hold_no_nan(out_root, n):
+    # a NaN side once reached the record as a "violated" verdict from n = 52 on
+    assert main(["audit", "--n", str(n)]) == 0
+    (record,) = out_root.glob("*/record.json")
+    doc = json.loads(record.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in record"))
+    for rep in doc["payload"]["reports"]:
+        assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "ratio"))
 
 
 def _fresh_python(code, *args):

@@ -7,7 +7,9 @@ from paneitz_lab.optimizer import (
     DensityParameterization,
     OptimizerConfig,
     _engine,
+    _lockstep_descent,
     _renormalize,
+    _starts,
     gradient,
     minimize,
     objective,
@@ -106,14 +108,14 @@ def test_step_grows_only_after_an_easy_acceptance(monkeypatch):
     # an iteration whose first trial is accepted costs one solve; the bound
     # leaves room for a quarter of the iterations to backtrack once
     solves = 0
-    solve = optimizer._solve
+    solve = optimizer._solve_rows
 
-    def counting(*args):
+    def counting(c, *args):
         nonlocal solves
-        solves += 1
-        return solve(*args)
+        solves += len(c)  # the rows of one stacked solve
+        return solve(c, *args)
 
-    monkeypatch.setattr(optimizer, "_solve", counting)
+    monkeypatch.setattr(optimizer, "_solve_rows", counting)
     cfg = OptimizerConfig(n=12, k=2, restarts=3, max_iters=200, seed=0)
     res = minimize(cfg)
     iterations = sum(len(tr.objectives) for tr in res.traces)
@@ -122,6 +124,71 @@ def test_step_grows_only_after_an_easy_acceptance(monkeypatch):
     assert solves == sum(tr.pencil_solves for tr in res.traces)
     for tr in res.traces:
         assert tr.pencil_solves <= 1 + len(tr.objectives) + tr.rejected_trials
+
+
+def _trace_bits(trace):
+    """Everything a trace records but its wall times, as comparable bits."""
+    lists = (trace.objectives, trace.lambda_bars, trace.grad_norms, trace.gaps, trace.residuals)
+    return [np.asarray(v).tobytes() for v in lists] + [
+        trace.status, trace.annotations, trace.pencil_solves, trace.rejected_trials
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 5])
+def test_each_restart_descends_as_if_alone(n, request):
+    # the lockstep descent is bookkeeping: a start descended as a stack of
+    # one gives the bits it gives inside the default stack of eight
+    cfg = OptimizerConfig(n=n, k=2, seed=0)
+    res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
+    setup = _engine(cfg)
+    alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
+    assert len(alone) == len(res.traces) == cfg.restarts
+    for trace, (_, _, (trace_alone,)) in zip(res.traces, alone):
+        assert _trace_bits(trace) == _trace_bits(trace_alone)
+    winner = min(range(len(alone)), key=lambda i: alone[i][1][0])
+    assert res.best.coeffs.tobytes() == alone[winner][0][0].tobytes()
+    assert res.best_objective == alone[winner][1][0]
+
+
+def test_a_refused_row_costs_the_other_rows_nothing(monkeypatch):
+    cfg = OptimizerConfig(n=12, k=2, restarts=3, max_iters=30)
+    baseline = minimize(cfg)
+    calls = []
+    solve = optimizer._solve_rows
+
+    def flaky(c, *args):
+        calls.append(len(c))
+        # the first trial round (all three rows) fails, then its second row
+        # fails again when the round is redone row by row
+        if len(calls) in (2, 4):
+            raise ValueError("injected")
+        return solve(c, *args)
+
+    monkeypatch.setattr(optimizer, "_solve_rows", flaky)
+    res = minimize(cfg)
+    assert calls[:5] == [3, 3, 1, 1, 1]
+    for i in (0, 2):
+        assert _trace_bits(res.traces[i]) == _trace_bits(baseline.traces[i])
+    hit, clean = res.traces[1], baseline.traces[1]
+    assert hit.annotations == ["iter 0: step rejected (injected)"] and not clean.annotations
+    assert hit.objectives[0] == clean.objectives[0]
+    # the refused trial was solved (its renormalization passed) and rejected
+    assert hit.pencil_solves == 1 + len(hit.objectives) + hit.rejected_trials
+    assert hit.rejected_trials >= 1
+
+
+def test_restarts_are_run_exactly():
+    for restarts, labels in [
+        (1, ["two-bubble"]),
+        (2, ["two-bubble", "constant"]),
+        (3, ["two-bubble", "constant", "random-0"]),
+    ]:
+        res = minimize(OptimizerConfig(n=12, k=2, restarts=restarts, max_iters=0))
+        assert [tr.start_label for tr in res.traces] == labels
+    with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+        OptimizerConfig(n=12, restarts=0)
+    with pytest.raises(ValueError, match=r"max_iters \(--iterations\) must be >= 0, got -3"):
+        OptimizerConfig(n=12, max_iters=-3)
 
 
 def test_minimize_determinism():

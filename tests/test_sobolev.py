@@ -65,6 +65,30 @@ def test_bubble_radius_keeps_the_tail_small(n):
     assert rep.ratio == pytest.approx(2 ** (4 / n), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [51, 52, 60])
+def test_radial_grid_stays_finite_in_high_dimensions(n):
+    # r^(n-1) overflows at the outermost tail node from n = 52 on; the grid
+    # drops such nodes instead of carrying an infinite weight into inf * 0
+    grid = build_radial_grid(n, R=bubble_radius(n))
+    assert np.all(np.isfinite(grid.weights)) and np.all(grid.weights > 0)
+    assert len(grid.r) == (600 if n <= 51 else 599 if n == 52 else 598)
+    rep = euclidean_corollary_check(grid, standard_bubble(n), standard_bubble(n))
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+    assert rep.ratio == pytest.approx(2 ** (4 / n), rel=1e-10)
+    assert rep.details["v_sharp_quotient"] == pytest.approx(sharp_constant_oracle(n), rel=1e-10)
+
+
+def test_non_finite_sides_are_refused():
+    with pytest.raises(ValueError, match="x: non-finite side"):
+        make_report("x", math.nan, 1.0)
+    with pytest.raises(ValueError, match="x: non-finite side"):
+        make_report("x", 1.0, math.inf)
+    # past n = 326 the bubble's mass leaves the normal double range
+    grid = build_radial_grid(330, R=bubble_radius(330))
+    with pytest.raises(ValueError, match="below the normal double range at n = 330"):
+        euclidean_corollary_check(grid, standard_bubble(330), standard_bubble(330))
+
+
 def test_euclidean_decay_guard():
     grid = build_radial_grid(12, R=0.5)
     with pytest.raises(ValueError, match="increase R"):

@@ -13,6 +13,7 @@ from paneitz_lab.spectral import (
     assemble_stiffness,
     constant_density,
     density_from_sqrt_field,
+    mass_from_values,
     minimax_over_plane,
     normalized_invariant,
     pencil_eigen,
@@ -187,6 +188,41 @@ def test_kernel_refusals(setup5):
         pencil_eigen(np.where(np.arange(dim) == 3, 0.0, setup5.A_diag), B, 1)
     with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
         pencil_eigen(setup5.A_diag, np.zeros((dim, dim)), 1)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_stacked_kernel_matches_row_calls_bit_for_bit(n, setup5, setup12):
+    # a stack of pencils, one of them singular (the shift path), solves with
+    # the bits of the one-row calls: values, vectors and per-row shifts
+    setup = setup5 if n == 5 else setup12
+    rng = np.random.default_rng(20 + n)
+    dens = [random_density(setup.basis, setup.coeffs.N, rng).values for _ in range(3)]
+    dens.insert(1, np.where(setup.rule.nodes > setup.rule.nodes[-9], 1.0, 0.0))
+    values = np.array(dens)
+    B = mass_from_values(setup.basis, values, setup.coeffs.N)
+    lams, V, shift = pencil_eigen(setup.A_diag, B, 3)
+    assert lams.shape == (4, 3) and V.shape == (4, setup.basis.dim, 3)
+    assert shift[1] > 0 and np.any(shift == 0.0)  # shifted and unshifted rows
+    for i, u in enumerate(values):
+        B_row = mass_from_values(setup.basis, u, setup.coeffs.N)
+        assert B_row.tobytes() == B[i].tobytes()
+        lams_row, V_row, shift_row = pencil_eigen(setup.A_diag, B_row, 3)
+        assert lams_row.tobytes() == lams[i].tobytes()
+        assert np.ascontiguousarray(V_row).tobytes() == np.ascontiguousarray(V[i]).tobytes()
+        assert shift_row == shift[i]
+
+
+def test_stacked_kernel_refuses_the_whole_stack(setup5):
+    B = assemble_mass(constant_density(setup5.basis, setup5.coeffs.N), setup5.basis)
+    dim = setup5.basis.dim
+    with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
+        pencil_eigen(setup5.A_diag, np.array([B, np.zeros((dim, dim))]), 1)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil_eigen(setup5.A_diag, np.array([B, np.full((dim, dim), np.nan)]), 1)
+    with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
+        pencil_eigen(setup5.A_diag, np.array([B, B]), dim + 1)
+    with pytest.raises(DegeneratePencilError, match="not positive definite"):
+        pencil_eigen(-setup5.A_diag, np.array([B, B]), 1)
 
 
 @pytest.mark.parametrize("dim", [17, 49, 401])

@@ -24,7 +24,6 @@ from .einstein import (
 )
 from .spectral import (
     ConformalDensity,
-    assemble_mass,
     assemble_stiffness,
     minimax_over_plane,
     round_setup,
@@ -228,7 +227,9 @@ def lemma3_bound(
     constant the unit-mass round first minimizer.  The bound is the sup of
     the Rayleigh quotient over span(v_eps, const) times the volume factor
     of u_eps; the target is (mu1^(n/4) + K2^(-2*n/4))^(4/n), which is
-    2^(4/n) K2^(-2) on the round sphere.
+    2^(4/n) K2^(-2) on the round sphere.  The sup reads only the plane's
+    2x2 mass, from the node values of u_eps, v_eps and the constant, so
+    no (L+1)x(L+1) mass form is assembled.
     """
     setup = round_setup(n, q=q, L=L)
     coeffs = setup.coeffs
@@ -245,8 +246,7 @@ def lemma3_bound(
         # truncation ripple can dip below zero in the tail; clip, the density
         # only needs to be nonnegative
         u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
-        B = assemble_mass(u, setup.basis)
-        sup = minimax_over_plane(setup.A_diag, B, bf.v, vconst)
+        sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
         bounds.append(sup * u.lN_mass() ** (4.0 / n))
     bounds = np.array(bounds)
     K2_inv_sq = sharp_constant_oracle(n)

@@ -122,7 +122,7 @@ def _solve_rows(
     coefficient columns for the pencil of u = q^2; leading axes of c are a
     stack of rows, solved in one call."""
     qvals = np.matmul(setup.basis.table.T, c[..., None])[..., 0]
-    B = mass_from_values(setup.basis, qvals**2, setup.coeffs.N)
+    B = mass_from_values(setup.basis.rule, setup.basis.table, qvals**2, setup.coeffs.N)
     lams, V, _ = pencil_eigen(setup.A_diag, B, kmax)
     return qvals, lams, V
 

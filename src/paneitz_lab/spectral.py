@@ -82,12 +82,17 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
     return (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
 
 
-def mass_from_values(basis: ZonalBasis, values: np.ndarray, N: float) -> np.ndarray:
-    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j) from the node values
-    of u, unvalidated; the one home of the mass formula.  Leading axes of
-    values are a stack of densities, and give a stack of mass forms."""
-    wdens = basis.rule.weights * values ** (N - 2)
-    return (basis.table * wdens[..., None, :]) @ basis.table.T
+def mass_from_values(
+    rule: QuadratureRule, table: np.ndarray, values: np.ndarray, N: float
+) -> np.ndarray:
+    """M_ab = Sum_j w_j u^(N-2)(x_j) f_a(x_j) f_b(x_j) from the node values
+    of u and of the functions f_a, the rows of table, unvalidated; the one
+    home of the mass formula.  The basis table gives the full form B(u),
+    the node values of a few fields the form restricted to their span.
+    Leading axes of values are a stack of densities, and give a stack of
+    forms."""
+    wdens = rule.weights * values ** (N - 2)
+    return (table * wdens[..., None, :]) @ table.T
 
 
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
@@ -98,7 +103,21 @@ def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
         raise ValueError(
             f"density lives on {len(u.values)} nodes, basis on {len(basis.rule.nodes)}"
         )
-    return mass_from_values(basis, u.values, u.N)
+    return mass_from_values(basis.rule, basis.table, u.values, u.N)
+
+
+def restricted_mass(u: ConformalDensity, *fields: ZonalField) -> np.ndarray:
+    """The mass form B(u) restricted to a few fields, M_ab = f_a^T B(u) f_b,
+    from their node values: O(q) per entry, against the O(L^2 q) of
+    assembling B(u) to read it."""
+    for f in fields:
+        if f.basis.n != u.basis.n or f.values.shape != u.values.shape:
+            raise ValueError(
+                f"density lives on {len(u.values)} nodes at n={u.basis.n}, "
+                f"field on {len(f.values)} at n={f.basis.n}"
+            )
+    table = np.array([f.values for f in fields])
+    return mass_from_values(u.basis.rule, table, u.values, u.N)
 
 
 @dataclass
@@ -197,35 +216,30 @@ def solve_generalized_eigen(
     )
 
 
-def _quad_form(B: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    return float(v @ (B @ w))
-
-
 def rayleigh(A_diag: np.ndarray, B: np.ndarray, v: ZonalField) -> float:
     """Generalized Rayleigh quotient of a single field."""
     c = v.coeffs
-    mass = _quad_form(B, c, c)
+    mass = float(c @ (B @ c))
     if mass <= 0:
         raise DegeneratePencilError("field has zero mass-form norm")
     return float(np.dot(A_diag, c * c)) / mass
 
 
 def minimax_over_plane(
-    A_diag: np.ndarray, B: np.ndarray, v: ZonalField, w: ZonalField
+    A_diag: np.ndarray, u: ConformalDensity, v: ZonalField, w: ZonalField
 ) -> float:
-    """Sup of the Rayleigh quotient over span(v, w): the larger eigenvalue
-    of the 2x2 restricted pencil, computed exactly."""
+    """Sup of the Rayleigh quotient of the pencil (A, B(u)) over span(v, w):
+    the larger eigenvalue of the 2x2 restricted pencil, computed exactly.
+
+    The energy form is summed in coefficient space; the mass form comes
+    from the node values of u, v and w (``restricted_mass``), so B(u) is
+    never assembled."""
+    M = restricted_mass(u, v, w)
     cv, cw = v.coeffs, w.coeffs
     E = np.array(
         [
             [np.dot(A_diag, cv * cv), np.dot(A_diag, cv * cw)],
             [np.dot(A_diag, cv * cw), np.dot(A_diag, cw * cw)],
-        ]
-    )
-    M = np.array(
-        [
-            [_quad_form(B, cv, cv), _quad_form(B, cv, cw)],
-            [_quad_form(B, cv, cw), _quad_form(B, cw, cw)],
         ]
     )
     if np.linalg.det(M) <= 0 or M[0, 0] <= 0:

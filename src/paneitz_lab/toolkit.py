@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .einstein import OperatorCoefficients
-from .spectral import ConformalDensity, assemble_mass, assemble_stiffness
+from .spectral import ConformalDensity, assemble_stiffness, restricted_mass
 from .zonal import QuadratureRule, ZonalBasis, ZonalField, _float_power, analyze
 
 
@@ -51,8 +51,7 @@ def positivity_lift(
     r_nodes = basis.table.T @ r_coeffs
     abs_proj = analyze(basis, np.abs(r_nodes))
     f = ZonalField(basis, abs_proj.coeffs / (basis.eigs + half))
-    B = assemble_mass(u, basis)
-    mass = float(f.coeffs @ (B @ f.coeffs))
+    mass = float(restricted_mass(u, f)[0, 0])
     if mass <= 0:
         raise ValueError("lifted field has zero weighted mass")
     k = 1.0 / np.sqrt(mass)
@@ -86,16 +85,15 @@ def orthogonal_pair(
     of 1; that value is reported as a diagnostic.
     """
     basis = v.basis
-    B = assemble_mass(u, basis)
-    t = float(v.coeffs @ (B @ s.coeffs))
+    t = float(restricted_mass(u, v, s)[0, 1])
     if abs(t) >= 1:
         raise ValueError(f"fields are effectively proportional (overlap {t:.6f})")
     root = np.sqrt(1.0 - t * t)
     alpha_c = -t / root
     beta_c = 1.0 / root
     w = ZonalField(basis, alpha_c * v.coeffs + beta_c * s.coeffs)
-    cross = float(v.coeffs @ (B @ w.coeffs))
-    norm = float(w.coeffs @ (B @ w.coeffs))
+    M = restricted_mass(u, v, w)
+    cross, norm = float(M[0, 1]), float(M[1, 1])
     printed = (1.0 + t) / t if t != 0 else np.nan
     return OrthogonalPair(
         alpha_c=alpha_c,
@@ -148,8 +146,7 @@ def nodal_profile(
         if signs[i] * signs[j] < 0:
             frac = vals[i] / (vals[i] - vals[j])
             crossings.append(float(theta[i] + frac * (theta[j] - theta[i])))
-    B = assemble_mass(u, basis)
-    ortho = float(v.coeffs @ (B @ w.coeffs))
+    ortho = float(restricted_mass(u, v, w)[0, 1])
     return NodalProfile(
         sign_changes=changes,
         crossings=crossings,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import paneitz_lab.spectral as spectral
+
 from paneitz_lab.bubbles import (
     DEFAULT_EPS_GRID,
     BubbleSpec,
@@ -116,6 +118,22 @@ def test_lemma3_bound_structure():
     # degenerate large-eps end is far above the target
     assert rep.bounds[0] > rep.bounds[-1]
     assert not lemma3_bound(8, sharp_constant_oracle(8), (0.1, 0.2)).hypothesis_ok
+
+
+def test_lemma3_bound_forms_no_full_mass(monkeypatch):
+    # the bound reads three entries of B(u) per eps; it must form only the
+    # plane's 2x2 mass, never the (L+1)x(L+1) one
+    shapes = []
+    kernel = spectral.mass_from_values
+
+    def counted(*args, **kwargs):
+        M = kernel(*args, **kwargs)
+        shapes.append(M.shape)
+        return M
+
+    monkeypatch.setattr(spectral, "mass_from_values", counted)
+    lemma3_bound(12, sharp_constant_oracle(12), DEFAULT_EPS_GRID, q=200, L=48)
+    assert shapes == [(2, 2)] * len(DEFAULT_EPS_GRID)
 
 
 def test_elementary_inequality_cases():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh
 
 from conftest import random_density
@@ -18,11 +19,12 @@ from paneitz_lab.spectral import (
     normalized_invariant,
     pencil_eigen,
     rayleigh,
+    restricted_mass,
     round_setup,
     solve_density,
     solve_generalized_eigen,
 )
-from paneitz_lab.zonal import ZonalField
+from paneitz_lab.zonal import ZonalField, constant_field
 
 
 def test_stiffness_closed_form(setup5):
@@ -78,8 +80,7 @@ def test_minimax_over_plane_equals_lambda2(setup5):
     rng = np.random.default_rng(5)
     u = random_density(setup5.basis, setup5.coeffs.N, rng)
     spec = solve_density(setup5, u, 2)
-    B = assemble_mass(u, setup5.basis)
-    sup = minimax_over_plane(setup5.A_diag, B, *spec.eigenfields)
+    sup = minimax_over_plane(setup5.A_diag, u, *spec.eigenfields)
     assert sup == pytest.approx(spec.eigenvalues[1], rel=1e-10)
 
 
@@ -199,12 +200,12 @@ def test_stacked_kernel_matches_row_calls_bit_for_bit(n, setup5, setup12):
     dens = [random_density(setup.basis, setup.coeffs.N, rng).values for _ in range(3)]
     dens.insert(1, np.where(setup.rule.nodes > setup.rule.nodes[-9], 1.0, 0.0))
     values = np.array(dens)
-    B = mass_from_values(setup.basis, values, setup.coeffs.N)
+    B = mass_from_values(setup.rule, setup.basis.table, values, setup.coeffs.N)
     lams, V, shift = pencil_eigen(setup.A_diag, B, 3)
     assert lams.shape == (4, 3) and V.shape == (4, setup.basis.dim, 3)
     assert shift[1] > 0 and np.any(shift == 0.0)  # shifted and unshifted rows
     for i, u in enumerate(values):
-        B_row = mass_from_values(setup.basis, u, setup.coeffs.N)
+        B_row = mass_from_values(setup.rule, setup.basis.table, u, setup.coeffs.N)
         assert B_row.tobytes() == B[i].tobytes()
         lams_row, V_row, shift_row = pencil_eigen(setup.A_diag, B_row, 3)
         assert lams_row.tobytes() == lams[i].tobytes()
@@ -252,13 +253,52 @@ def test_kernel_reproduces_scipy_eigh(dim):
 def test_minimax_over_plane_matches_scipy(setup5):
     rng = np.random.default_rng(8)
     u = random_density(setup5.basis, setup5.coeffs.N, rng)
-    B = assemble_mass(u, setup5.basis)
+    wdens = setup5.rule.weights * u.values ** (u.N - 2)
     A = setup5.A_diag
     for _ in range(20):
         cv, cw = rng.standard_normal((2, setup5.basis.dim)) * 0.7 ** np.arange(setup5.basis.dim)
+        v, w = ZonalField(setup5.basis, cv), ZonalField(setup5.basis, cw)
         # the restricted forms as minimax_over_plane sums them, since the
         # planes can be ill-conditioned enough to amplify a reordered sum
         E = np.array([[A @ (cv * cv), A @ (cv * cw)], [A @ (cv * cw), A @ (cw * cw)]])
-        M = np.array([[cv @ (B @ cv), cv @ (B @ cw)], [cv @ (B @ cw), cw @ (B @ cw)]])
-        sup = minimax_over_plane(A, B, ZonalField(setup5.basis, cv), ZonalField(setup5.basis, cw))
+        F = np.array([v.values, w.values])
+        M = (F * wdens) @ F.T
+        sup = minimax_over_plane(A, u, v, w)
         assert sup == pytest.approx(eigh(E, M, eigvals_only=True)[-1], rel=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(5, 30), seed=st.integers(0, 2**32 - 1))
+def test_plane_mass_from_node_values_is_the_full_form(n, seed):
+    # the 2x2 mass of a plane from node values, and the plane's sup, agree
+    # with the same forms read off the assembled (L+1)x(L+1) B(u)
+    setup = round_setup(n, q=120, L=24)
+    rng = np.random.default_rng(seed)
+    u = random_density(setup.basis, setup.coeffs.N, rng)
+    cv, cw = rng.standard_normal((2, setup.basis.dim)) * 0.8 ** np.arange(setup.basis.dim)
+    cw = cw - (cw @ cv) / (cv @ cv) * cv
+    B = assemble_mass(u, setup.basis)
+    full = np.array([[cv @ B @ cv, cv @ B @ cw], [cw @ B @ cv, cw @ B @ cw]])
+    assume(np.linalg.det(full) >= 1e-2 * full[0, 0] * full[1, 1])  # well-conditioned
+    v, w = ZonalField(setup.basis, cv), ZonalField(setup.basis, cw)
+    M = restricted_mass(u, v, w)
+    # relative to the Cauchy-Schwarz scale, since the cross term may vanish
+    scale = np.sqrt(np.outer(np.diag(full), np.diag(full)))
+    assert np.max(np.abs(M - full) / scale) <= 1e-12
+    A = setup.A_diag
+    E = np.array([[A @ (cv * cv), A @ (cv * cw)], [A @ (cv * cw), A @ (cw * cw)]])
+    sup = minimax_over_plane(A, u, v, w)
+    assert sup == pytest.approx(eigh(E, full, eigvals_only=True)[-1], rel=1e-12)
+
+
+def test_minimax_over_plane_refuses_bad_planes(setup5):
+    u = constant_density(setup5.basis, setup5.coeffs.N)
+    v = constant_field(setup5.basis)
+    for w in (v, ZonalField(setup5.basis, np.zeros(setup5.basis.dim))):
+        with pytest.raises(DegeneratePencilError, match="plane is degenerate"):
+            minimax_over_plane(setup5.A_diag, u, v, w)
+    coarse = round_setup(5, q=60, L=16)
+    with pytest.raises(ValueError, match="density lives on 200 nodes"):
+        restricted_mass(u, constant_field(coarse.basis))
+    with pytest.raises(ValueError, match="density lives on 200 nodes"):
+        minimax_over_plane(setup5.A_diag, u, v, constant_field(coarse.basis))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import paneitz_lab.spectral as spectral
 from conftest import random_density
 from paneitz_lab.einstein import EinsteinData, derive_coefficients
 from paneitz_lab.spectral import assemble_mass, constant_density, solve_density
@@ -126,3 +127,28 @@ def test_fixed_point_residual_positive_for_mismatch(setup5_opt):
     e1 = np.zeros(basis.dim)
     e1[1] = 1.0
     assert fixed_point_residual(ZonalField(basis, e1), u) > 0.1
+
+
+def test_toolkit_inner_products_form_no_full_mass(setup5, monkeypatch):
+    # each diagnostic reads one to three weighted inner products, from the
+    # node values of its fields, never from the (L+1)x(L+1) mass form
+    rng = np.random.default_rng(12)
+    u = random_density(setup5.basis, setup5.coeffs.N, rng)
+    spec = solve_density(setup5, u, 2)
+    v, w = spec.eigenfields
+    shapes = []
+    kernel = spectral.mass_from_values
+
+    def counted(*args, **kwargs):
+        M = kernel(*args, **kwargs)
+        shapes.append(M.shape)
+        return M
+
+    monkeypatch.setattr(spectral, "mass_from_values", counted)
+    positivity_lift(v, setup5.coeffs, setup5.basis, u, float(spec.eigenvalues[0]))
+    pair = orthogonal_pair(v, (v + w) * np.sqrt(0.5), u)
+    profile = nodal_profile(w, u, v)
+    assert shapes == [(1, 1), (2, 2), (2, 2), (2, 2)]
+    assert pair.overlap == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert abs(pair.cross_constraint) <= 1e-12
+    assert abs(profile.weighted_orthogonality) <= 1e-12

@@ -4,6 +4,10 @@ Closed-form coefficient algebra, a zonal spectral discretization, the
 generalized eigenproblem under conformal densities, descent over densities
 for the first and second normalized eigenvalue invariants, concentrated
 test-function bounds, and audits of the associated Sobolev inequalities.
+
+The package root re-exports only the closed-form algebra of `einstein`,
+which needs no numpy, so the `coeffs` and `report` subcommands start
+without it; import the array modules by their own names.
 """
 
 from .einstein import (
@@ -16,34 +20,17 @@ from .einstein import (
     sharp_constant_report,
     sphere_volume,
 )
-from .spectral import (
-    ConformalDensity,
-    GeneralizedSpectrum,
-    round_setup,
-    solve_density,
-    solve_generalized_eigen,
-)
-from .zonal import ZonalBasis, ZonalField, build_basis, build_quadrature
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EinsteinData",
     "OperatorCoefficients",
-    "ConformalDensity",
-    "GeneralizedSpectrum",
-    "ZonalBasis",
-    "ZonalField",
-    "build_basis",
-    "build_quadrature",
     "derive_coefficients",
     "q_curvature_einstein",
-    "round_setup",
     "round_sphere",
     "sharp_constant_oracle",
     "sharp_constant_report",
-    "solve_density",
-    "solve_generalized_eigen",
     "sphere_volume",
     "__version__",
 ]

@@ -229,8 +229,12 @@ def lemma3_bound(
     of u_eps; the target is (mu1^(n/4) + K2^(-2*n/4))^(4/n), which is
     2^(4/n) K2^(-2) on the round sphere.  The sup reads only the plane's
     2x2 mass, from the node values of u_eps, v_eps and the constant, so
-    no (L+1)x(L+1) mass form is assembled.
+    no (L+1)x(L+1) mass form is assembled.  mu1 must be positive and
+    finite: it is a first eigenvalue invariant, and the bound means
+    nothing otherwise.
     """
+    if not 0.0 < best_mu1 < math.inf:
+        raise ValueError(f"mu1 must be positive and finite, got {best_mu1}")
     setup = round_setup(n, q=q, L=L)
     coeffs = setup.coeffs
     N = coeffs.N

@@ -6,7 +6,9 @@ runs/<config-hash>/record.json plus CSV tables.  COMMAND_KEYS names the keys
 each subcommand reads besides n and seed; they alone make its flags, its
 config hash and the config in its record.  record.json is a pure function of
 the config — timestamps and wall-clock data go to a sibling meta.json so
-identical configs produce byte-identical records.
+identical configs produce byte-identical records.  numpy is imported by
+the runners that compute with arrays, never here, so `coeffs` and `report`
+start without it.
 """
 
 import argparse
@@ -19,8 +21,6 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA = 1
@@ -52,6 +52,10 @@ class ExperimentConfig:
             raise SystemExit(f"invalid value for density: {self.density!r}")
         self.S = None if self.S is None else float(self.S)
         self.mu1 = float(self.mu1)
+        if not self.mu1 >= 0:
+            raise SystemExit(
+                f"invalid value for mu1: {self.mu1!r} (must be >= 0; 0 means the oracle)"
+            )
         self.eps_grid = tuple(map(float, self.eps_grid))
 
     def settings(self) -> dict:
@@ -99,15 +103,17 @@ class RunRecord:
 
 
 def _jsonify(obj):
-    """Recursively coerce numpy scalars/arrays for deterministic JSON."""
+    """Recursively coerce numpy scalars/arrays for deterministic JSON.
+
+    Both carry tolist(), which gives the plain Python float, int or bool,
+    or nested lists of them, without this module importing numpy.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):  # numpy scalar -> the Python float, int or bool
-        return obj.item()
+    if hasattr(obj, "tolist"):
+        return _jsonify(obj.tolist())
     return obj
 
 
@@ -166,12 +172,13 @@ def _run_coeffs(config: ExperimentConfig):
 
 
 def _density_for(config: ExperimentConfig, setup):
-    from .optimizer import two_bubble_initializer
     from .spectral import constant_density, density_from_sqrt_field
     from .zonal import ZonalField
 
     if config.density == "const":
         return constant_density(setup.basis, setup.coeffs.N)
+    from .optimizer import two_bubble_initializer
+
     p = two_bubble_initializer(0.1, 0.5, setup.basis)
     return density_from_sqrt_field(ZonalField(setup.basis, p.coeffs), setup.coeffs.N)
 
@@ -288,6 +295,8 @@ def _run_lemma3_bound(config: ExperimentConfig):
 
 def _run_audit(config: ExperimentConfig):
     """Evaluate the Sobolev-type inequalities on trial data."""
+    import numpy as np
+
     from .bubbles import elementary_inequality_check
     from .sobolev import (
         bubble_radius,

@@ -25,6 +25,7 @@ from .spectral import (
     ConformalDensity,
     assemble_mass,
     assemble_stiffness,
+    restricted_mass,
     solve_generalized_eigen,
 )
 from .zonal import ZonalField
@@ -120,8 +121,7 @@ def refined_inequality_ratio(
     n = coeffs.n
     basis = v.basis
     K2_inv_sq = sharp_constant_oracle(n)
-    rule = basis.rule
-    lhs = rule.integrate(u.weight_values * v.values**2)
+    lhs = float(restricted_mass(u, v)[0, 0])
     A_diag = assemble_stiffness(coeffs, basis)
     energy = float(np.dot(A_diag, v.coeffs**2))
     rhs = 2.0 ** (-4.0 / n) / K2_inv_sq * energy * u.lN_mass() ** (2.0 / coeffs.N)

@@ -39,11 +39,6 @@ class ConformalDensity:
         if not np.any(self.values > 0):
             raise ValueError("density is identically zero (degenerate metric)")
 
-    @property
-    def weight_values(self) -> np.ndarray:
-        """u^(N-2) at the nodes."""
-        return self.values ** (self.N - 2)
-
     def lN_mass(self) -> float:
         """Integral of u^N."""
         return self.basis.rule.lN_mass(self.values, self.N)

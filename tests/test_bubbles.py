@@ -120,6 +120,13 @@ def test_lemma3_bound_structure():
     assert not lemma3_bound(8, sharp_constant_oracle(8), (0.1, 0.2)).hypothesis_ok
 
 
+@pytest.mark.parametrize("mu1", [-1.0, 0.0, math.nan, math.inf])
+def test_lemma3_bound_refuses_a_meaningless_mu1(mu1):
+    # mu1 = -1 and 0 once gave ratios 1149 and 1072 at n = 12, without an error
+    with pytest.raises(ValueError, match="mu1"):
+        lemma3_bound(12, mu1, DEFAULT_EPS_GRID)
+
+
 def test_lemma3_bound_forms_no_full_mass(monkeypatch):
     # the bound reads three entries of B(u) per eps; it must form only the
     # plane's 2x2 mass, never the (L+1)x(L+1) one

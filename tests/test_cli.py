@@ -170,6 +170,8 @@ def test_round_is_refused(tmp_path, capsys):
             ["minimize", "--n", "5", "--iterations", "-3"],
             "error: max_iters (--iterations) must be >= 0, got -3",
         ),
+        ("", ["lemma3-bound", "--n", "12", "--mu1", "-1"], "invalid value for mu1: -1.0"),
+        ("mu1 = nan\n", ["lemma3-bound", "--n", "12"], "invalid value for mu1: nan"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -293,3 +295,40 @@ for argv in (
     done = _fresh_python(code, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*/record.json"))) == 6
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path, monkeypatch):
+    # coeffs and report compute nothing with arrays: with numpy blocked they
+    # write the same bytes as an unblocked run
+    monkeypatch.delenv("PANEITZ_LAB_OUT")  # each run writes under its own --out
+    code = """
+import sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None
+from paneitz_lab.cli import main
+for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
+    assert main([*argv, "--n", "12", "--out", sys.argv[1]]) == 0, argv
+"""
+    outputs = {}
+    for mode in ("blocked", "unblocked"):
+        out = tmp_path / mode
+        done = _fresh_python(code, str(out), mode)
+        assert done.returncode == 0, done.stderr
+        outputs[mode] = {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "meta.json"
+        }
+    assert len(outputs["blocked"]) == 2 * 2 + 2  # record.json and a CSV per run, the report's two
+    assert outputs["blocked"] == outputs["unblocked"]
+
+
+def test_constant_spectrum_leaves_the_optimizer_unloaded(tmp_path):
+    code = """
+import sys
+from paneitz_lab.cli import main
+assert main(["spectrum", "--density", "const", "--n", "12", "--out", sys.argv[1]]) == 0
+assert "paneitz_lab.optimizer" not in sys.modules
+"""
+    done = _fresh_python(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr

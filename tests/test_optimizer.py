@@ -92,6 +92,14 @@ def test_minimize_k1_does_not_beat_round_value():
     assert res.final_objective >= oracle * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("n", [5, 7, 12, 20])
+def test_attainment_product_never_drops_below_one(n):
+    # on the round sphere mu_2 is 2^(4/n) K2^(-2) (ROADMAP item 1): a product
+    # below 1 would be a discretization defect, not attainment
+    res = minimize(OptimizerConfig(n=n, k=2, restarts=3, max_iters=60))
+    assert res.diagnostics["attainment_product"] >= 1 - 1e-8
+
+
 def test_minimize_k2_trace_and_ordering():
     cfg = OptimizerConfig(n=12, k=2, restarts=3, max_iters=80, seed=5)
     res = minimize(cfg)

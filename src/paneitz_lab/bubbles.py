@@ -40,8 +40,8 @@ class BubbleSpec:
     center: str = "north"
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 < self.delta <= math.pi / 2:
             raise ValueError("cutoff radius must lie in (0, pi/2]")
         if self.center not in ("north", "south"):
@@ -172,9 +172,7 @@ class SweepReport:
     residual: float  # rms misfit relative to A
 
 
-def epsilon_sweep(
-    eps_grid, n: int, q: int = 200, delta: float = 0.5
-) -> SweepReport:
+def epsilon_sweep(eps_grid, n: int, q: int = 200) -> SweepReport:
     """Fit the small-eps expansion of Y(phi_eps) on the round n-sphere."""
     if n <= 6:
         raise ValueError("sweep fit requires n > 6")
@@ -191,7 +189,7 @@ def epsilon_sweep(
         raise ValueError(
             f"grid point {eps[0]} under the alias floor {floor:.4f} at q={q}"
         )
-    Y = np.array([profile_quotient(BubbleSpec(eps=e, delta=delta), coeffs, rule) for e in eps])
+    Y = np.array([profile_quotient(BubbleSpec(eps=e), coeffs, rule) for e in eps])
     design = np.column_stack([np.ones_like(eps), -(eps**2)])
     (A, C), *_ = np.linalg.lstsq(design, Y, rcond=None)
     fit = design @ np.array([A, C])
@@ -219,7 +217,6 @@ def lemma3_bound(
     eps_grid=DEFAULT_EPS_GRID,
     q: int = 200,
     L: int = 48,
-    delta: float = 0.5,
 ) -> BoundReport:
     """Certified upper bound for the second normalized eigenvalue at u_eps.
 
@@ -244,7 +241,7 @@ def lemma3_bound(
     eps = np.asarray(eps_grid, dtype=float)
     bounds = []
     for e in eps:
-        bf = bubble_field(BubbleSpec(eps=float(e), delta=delta), setup.basis)
+        bf = bubble_field(BubbleSpec(eps=float(e)), setup.basis)
         Yv = functional_Y(bf.v, coeffs)
         u_nodes = Yv**expo * bf.v.values + best_mu1**expo * vconst.values
         # truncation ripple can dip below zero in the tail; clip, the density

@@ -16,7 +16,7 @@ import csv
 import datetime
 import hashlib
 import json
-import os
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field
@@ -40,7 +40,7 @@ class ExperimentConfig:
     restarts: int = 8
     iterations: int = 500
     seed: int = 0
-    eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)
+    eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)  # bubbles.DEFAULT_EPS_GRID
     density: typing.Literal["const", "two-bubble"] = "const"
     mu1: float = 0.0          # 0 means "use the oracle"
     out: str = "runs"         # output root; in neither the hash nor the record
@@ -51,12 +51,16 @@ class ExperimentConfig:
         if self.density not in typing.get_args(ExperimentConfig.__annotations__["density"]):
             raise SystemExit(f"invalid value for density: {self.density!r}")
         self.S = None if self.S is None else float(self.S)
+        if self.S is not None and not math.isfinite(self.S):
+            raise SystemExit(f"invalid value for S: {self.S!r} (must be finite)")
         self.mu1 = float(self.mu1)
-        if not self.mu1 >= 0:
+        if not 0 <= self.mu1 < math.inf:
             raise SystemExit(
-                f"invalid value for mu1: {self.mu1!r} (must be >= 0; 0 means the oracle)"
+                f"invalid value for mu1: {self.mu1!r} (must be finite and >= 0; 0 means the oracle)"
             )
         self.eps_grid = tuple(map(float, self.eps_grid))
+        if not all(map(math.isfinite, self.eps_grid)):
+            raise SystemExit(f"invalid value for eps_grid: {self.eps_grid!r} (entries must be finite)")
 
     def settings(self) -> dict:
         """command, n, seed and the keys this command reads, sorted."""
@@ -127,10 +131,6 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
             )
 
 
-def _out_root(config: ExperimentConfig) -> Path:
-    return Path(os.environ.get("PANEITZ_LAB_OUT", config.out))
-
-
 # ---------------------------------------------------------------------------
 # subcommand payloads
 
@@ -177,9 +177,9 @@ def _density_for(config: ExperimentConfig, setup):
 
     if config.density == "const":
         return constant_density(setup.basis, setup.coeffs.N)
-    from .optimizer import two_bubble_initializer
+    from .optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
 
-    p = two_bubble_initializer(0.1, 0.5, setup.basis)
+    p = two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)
     return density_from_sqrt_field(ZonalField(setup.basis, p.coeffs), setup.coeffs.N)
 
 
@@ -350,7 +350,7 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
         seed=config.seed,
         config=_jsonify(config.settings()),
     )
-    run_dir = _out_root(config) / config.config_hash
+    run_dir = Path(config.out) / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     doc = {"schema": SCHEMA, **asdict(record)}
     (run_dir / "record.json").write_text(
@@ -373,24 +373,30 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
 
 def _run_report(config: ExperimentConfig) -> RunRecord:
     """Consolidate every valid record under the output root."""
-    root = _out_root(config)
+    root = Path(config.out)
     rows = []
     for record_path in sorted(root.glob("*/record.json")):
         try:
             doc = json.loads(record_path.read_text())
-            payload = doc["payload"]
-            cmd = doc["config"]["command"]
-        except (json.JSONDecodeError, KeyError, OSError) as exc:
+            if not isinstance(doc, dict):
+                raise ValueError("the record is not a JSON object")
+            payload, settings = doc["payload"], doc["config"]
+            if not (isinstance(payload, dict) and isinstance(settings, dict)):
+                raise ValueError("payload and config must be JSON objects")
+            diag = payload.get("diagnostics") or {}
+            if not isinstance(diag, dict):
+                raise ValueError("diagnostics must be a JSON object")
+            cmd = settings["command"]
+        except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
             print(f"warning: skipping corrupted record {record_path}: {exc}", file=sys.stderr)
             continue
         row = {
             "hash": doc.get("config_hash", record_path.parent.name),
             "command": cmd,
-            "n": doc["config"].get("n"),
+            "n": settings.get("n"),
         }
         if cmd == "minimize":
             row["mu_estimate"] = payload.get("final_objective")
-            diag = payload.get("diagnostics") or {}
             row["attainment_product"] = diag.get("attainment_product")
         elif cmd == "lemma3-bound":
             row["bound_ratio"] = payload.get("ratio")

@@ -29,27 +29,21 @@ def euclidean_sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class EinsteinData:
-    """Dimension, scalar curvature and cached volume of the model manifold.
-
-    ``round_unit`` marks the round unit sphere, for which S = n(n-1) exactly.
-    """
+    """Dimension, scalar curvature and cached volume of the model manifold."""
 
     n: int
     S: float
-    round_unit: bool = False
     vol: float = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 5:
             raise ValueError(f"dimension must be an integer >= 5, got {self.n!r}")
-        if self.round_unit and self.S != self.n * (self.n - 1):
-            raise ValueError("round unit sphere requires S = n(n-1)")
         object.__setattr__(self, "vol", sphere_volume(self.n))
 
 
 def round_sphere(n: int) -> EinsteinData:
     """Round unit n-sphere: S = n(n-1)."""
-    return EinsteinData(n=n, S=float(n * (n - 1)), round_unit=True)
+    return EinsteinData(n=n, S=float(n * (n - 1)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ by soft-min/soft-max smoothing with an annealed temperature.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +18,20 @@ from .bubbles import BubbleSpec, bubble_profile
 from .einstein import _critical_exponent, sharp_constant_oracle
 from .spectral import (
     SphereSetup,
-    assemble_mass,
-    assemble_stiffness,
     density_from_sqrt_field,
     mass_from_values,
+    normalized_invariant,
     pencil_eigen,
     round_setup,
+    solve_density,
 )
 from .toolkit import _fixed_point_residual
-from .zonal import ZonalBasis, _float_power, analyze, build_basis
+from .zonal import ZonalBasis, _float_power, analyze
+
+GAP_TOL = 1e-6      # relative eigenvalue gap below which the gradient is smoothed
+GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
+INIT_EPS = 0.1      # bubble scale of the two-bubble start
+INIT_SPLIT = 0.5    # its north-pole mass fraction
 
 
 class DegenerateGapError(RuntimeError):
@@ -56,10 +60,6 @@ class OptimizerConfig:
     seed: int = 0
     q_nodes: int = 200
     L_final: int = 48
-    gap_tol: float = 1e-6       # relative; below this the gradient is smoothed
-    grad_tol: float = 1e-7      # relative gradient-norm stopping rule
-    init_eps: float = 0.1
-    init_split: float = 0.5
 
     def __post_init__(self):
         if self.n < 5:
@@ -84,7 +84,6 @@ class RunTrace:
     grad_norms: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)         # lambda_{k+1} - lambda_k
     residuals: list[float] = field(default_factory=list)    # |w|/||w||_N vs u distance
-    wall_times: list[float] = field(default_factory=list)
     status: str = "running"
     annotations: list[str] = field(default_factory=list)
     pencil_solves: int = 0      # pencil eigensolves, the start's included
@@ -172,7 +171,7 @@ def gradient(
     c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
     kmax = min(k + 1, setup.basis.dim)
     qvals, lam, V = _solve_rows(c, setup, kmax)
-    tol = 1e-6 * abs(lam[k - 1])
+    tol = GAP_TOL * abs(lam[k - 1])
     if k > 1 and lam[k - 1] - lam[k - 2] < tol:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
@@ -180,9 +179,7 @@ def gradient(
     return _eig_gradient(qvals, _node_values(setup.basis, V)[k - 1], lam[k - 1], setup)
 
 
-def two_bubble_initializer(
-    eps: float, split: float, basis: ZonalBasis, delta: float = 0.5
-) -> DensityParameterization:
+def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> DensityParameterization:
     """q from sqrt-bubble profiles at the two poles, projected to the basis.
 
     split is the mass fraction at the north pole; split = 1 gives a single
@@ -193,9 +190,8 @@ def two_bubble_initializer(
     n = basis.n
     theta = basis.rule.theta
     # sqrt of the bubble density profile: exponent (n-4)/4 in q-space
-    half = BubbleSpec(eps=eps, delta=delta, center="north")
-    phi_n, _, _ = bubble_profile(theta, half, n)
-    phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, delta=delta, center="south"), n)
+    phi_n, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="north"), n)
+    phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="south"), n)
     qvals = math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s)
     c = analyze(basis, qvals).coeffs
     N = _critical_exponent(n)
@@ -215,7 +211,7 @@ def _random_start(basis: ZonalBasis, N: float, rng) -> DensityParameterization:
     return DensityParameterization(_renormalize(c, basis, N))
 
 
-def _surrogate(spectra: list[list[float]], T: list[float], k: int, gap_tol: float):
+def _surrogate(spectra: list[list[float]], T: list[float], k: int):
     """Objectives of a stack of spectra (lists of eigenvalues), smoothed
     across near-crossings.
 
@@ -230,8 +226,8 @@ def _surrogate(spectra: list[list[float]], T: list[float], k: int, gap_tol: floa
         lk = spec[k - 1]
         # the lower crossing is a ridge (lambda_k is locally a max): widen
         # its activation so the descent walks the ridge instead of zigzagging
-        lo = k > 1 and lk - spec[k - 2] < max(gap_tol, 0.02) * abs(lk)
-        hi = len(spec) > k and spec[k] - lk < max(gap_tol * abs(lk), 5.0 * t)
+        lo = k > 1 and lk - spec[k - 2] < max(GAP_TOL, 0.02) * abs(lk)
+        hi = len(spec) > k and spec[k] - lk < max(GAP_TOL * abs(lk), 5.0 * t)
         if not lo and not hi:
             J.append(lk)
             continue
@@ -314,13 +310,12 @@ def _lockstep_descent(
         c, qvals, lam, V = c[keep], qvals[keep], lam[keep], V[keep]
         return keep
 
-    t0 = time.perf_counter()
     for it in range(config.max_iters):
         if not live:
             break
         lam_k = lam[:, k - 1].tolist()
         T = [max(1e-3 * lk * 0.98**it, 1e-10 * lk) for lk in lam_k]
-        J, soft = _surrogate(lam.tolist(), T, k, config.gap_tol)
+        J, soft = _surrogate(lam.tolist(), T, k)
         # eigenfield node values; the gradient sums those of the eigenvalues
         # each row's surrogate weighs, in their order, with its weights
         w_vals = _node_values(basis, V)
@@ -339,7 +334,6 @@ def _lockstep_descent(
         gnorm = gnorm_rows.tolist()
         gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(live)
         residuals = _fixed_point_residual(basis.rule, w_vals[:, k - 1], qvals**2, N).tolist()
-        wall = time.perf_counter() - t0
         converged = []
         for r, i in enumerate(live):
             trace = traces[i]
@@ -348,8 +342,7 @@ def _lockstep_descent(
             trace.grad_norms.append(gnorm[r])
             trace.gaps.append(gaps[r])
             trace.residuals.append(residuals[r])
-            trace.wall_times.append(wall)
-            if gnorm[r] <= config.grad_tol * max(abs(J[r]), 1.0):
+            if gnorm[r] <= GRAD_TOL * max(abs(J[r]), 1.0):
                 converged.append(r)
         # Armijo backtracking along the normalized direction; the step is a
         # displacement in coefficient space, comparable across iterations.
@@ -371,7 +364,7 @@ def _lockstep_descent(
             c_new, q_new, lam_new, V_new, refused = _solve_trials(
                 c[at] - np.array([step[r] for r in pending])[:, None] * d[at], setup, kmax
             )
-            J_try, _ = _surrogate(lam_new.tolist(), [T[r] for r in pending], k, config.gap_tol)
+            J_try, _ = _surrogate(lam_new.tolist(), [T[r] for r in pending], k)
             won, lost = [], []
             for p, r in enumerate(pending):
                 trace = traces[live[r]]
@@ -407,7 +400,7 @@ def _starts(
     N = setup.coeffs.N
     rng = np.random.default_rng(config.seed)
     starts = [
-        ("two-bubble", two_bubble_initializer(config.init_eps, config.init_split, setup.basis)),
+        ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)),
         ("constant", _constant_start(setup.basis, N)),
     ][: config.restarts]
     for i in range(config.restarts - len(starts)):
@@ -438,17 +431,12 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
         if val < best_val:
             best, best_val = DensityParameterization(row), val
 
-    # final evaluation on the finer basis over the same rule: q is exact at
-    # the nodes, only the eigenproblem subspace grows
-    fine_basis = build_basis(setup.rule, config.L_final)
+    # final evaluation on the finer basis over the same (memoized) rule: q is
+    # exact at the nodes, only the eigenproblem subspace grows
+    fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)
     qvals = setup.basis.table.T @ best.coeffs
-    u_fine = density_from_sqrt_field(
-        analyze(fine_basis, qvals), N, normalize=True
-    )
-    B = assemble_mass(u_fine, fine_basis)
-    fine_A = assemble_stiffness(setup.coeffs, fine_basis)
-    fine_lams, _, _ = pencil_eigen(fine_A, B, config.k)
-    final = float(fine_lams[config.k - 1]) * u_fine.lN_mass() ** (4.0 / config.n)
+    u_fine = density_from_sqrt_field(analyze(fine.basis, qvals), N)
+    final = normalized_invariant(solve_density(fine, u_fine, config.k), u_fine, config.k)
 
     K2_inv_sq = sharp_constant_oracle(config.n)
     round_pair_bound = 2.0 ** (4.0 / config.n) * K2_inv_sq

@@ -25,10 +25,14 @@ from .spectral import (
     ConformalDensity,
     assemble_mass,
     assemble_stiffness,
+    normalized_invariant,
     restricted_mass,
     solve_generalized_eigen,
 )
 from .zonal import ZonalField
+
+REFINED_EPS = 0.1   # slack (1+eps)^(-1) in the second-eigenvalue form of the refined inequality
+RADIAL_NODES = 400  # Gauss nodes in the core of the radial grid, half as many in its tail
 
 
 @dataclass
@@ -109,14 +113,14 @@ def refined_inequality_ratio(
     u: ConformalDensity,
     v: ZonalField,
     coeffs: OperatorCoefficients,
-    eps: float = 0.1,
 ) -> InequalityReport:
     """The refined inequality as printed, plus its second-eigenvalue form.
 
     As printed: int u^(N-2) v^2 <= 2^(-4/n) K2^2 int v P(v) (int u^N)^(2/N).
     Constants make the ratio exactly 2^(4/n) — violated.  The
     second-eigenvalue form asks lambda_2(u) (int u^N)^(4/n) >=
-    2^(4/n) K2^(-2) (1+eps)^(-1); its ratio is reported in the details.
+    2^(4/n) K2^(-2) (1+eps)^(-1), eps = REFINED_EPS; its ratio is reported
+    in the details.
     """
     n = coeffs.n
     basis = v.basis
@@ -129,14 +133,14 @@ def refined_inequality_ratio(
 
     B = assemble_mass(u, basis)
     spec = solve_generalized_eigen(A_diag, B, 2, basis)
-    lam2_bar = float(spec.eigenvalues[1]) * u.lN_mass() ** (4.0 / n)
-    threshold = 2.0 ** (4.0 / n) * K2_inv_sq / (1.0 + eps)
+    lam2_bar = normalized_invariant(spec, u, 2)
+    threshold = 2.0 ** (4.0 / n) * K2_inv_sq / (1.0 + REFINED_EPS)
     report.details.update(
         lam2_bar=lam2_bar,
         lam2_threshold=threshold,
         lam2_form_ratio=lam2_bar / threshold,
         lam2_form_holds=bool(lam2_bar >= threshold),
-        eps=eps,
+        eps=REFINED_EPS,
     )
     return report
 
@@ -172,9 +176,9 @@ class EuclideanRadialGrid:
         return tail / total
 
 
-def build_radial_grid(n: int, R: float = 50.0, q: int = 400) -> EuclideanRadialGrid:
-    """q-node core on (0, R) and a q/2-node tail panel, less the nodes where
-    the measure r^(n-1) overflows double precision.
+def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
+    """RADIAL_NODES-node core on (0, R) and a tail panel of half as many
+    nodes, less the nodes where the measure r^(n-1) overflows double precision.
 
     That happens at the outermost tail nodes (r near 1e6) from n = 52 on, and
     inside the core from n = 183 on.  The profiles the grid is for decay at
@@ -182,8 +186,9 @@ def build_radial_grid(n: int, R: float = 50.0, q: int = 400) -> EuclideanRadialG
     their products with the weight lie far below any sum's last bit, while
     inf * 0 would turn every sum into NaN.  No node is dropped for n <= 51.
     """
-    if R <= 0 or q < 4:
-        raise ValueError("need R > 0 and q >= 4")
+    if R <= 0:
+        raise ValueError("need R > 0")
+    q = RADIAL_NODES
     area = euclidean_sphere_area(n)
     x, w = np.polynomial.legendre.leggauss(q)
     r_core = 0.5 * R * (x + 1.0)

@@ -28,7 +28,6 @@ class ConformalDensity:
     basis: ZonalBasis
     values: np.ndarray          # u at the quadrature nodes, >= 0
     N: float
-    normalized: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -45,18 +44,13 @@ class ConformalDensity:
 
     def normalize(self) -> "ConformalDensity":
         scale = self.lN_mass() ** (-1.0 / self.N)
-        return ConformalDensity(
-            basis=self.basis,
-            values=self.values * scale,
-            N=self.N,
-            normalized=True,
-        )
+        return ConformalDensity(basis=self.basis, values=self.values * scale, N=self.N)
 
 
-def density_from_sqrt_field(qfield: ZonalField, N: float, normalize: bool = True) -> ConformalDensity:
-    """Density u = q^2: nonnegative by construction, zeros permitted."""
-    u = ConformalDensity(basis=qfield.basis, values=qfield.values**2, N=N)
-    return u.normalize() if normalize else u
+def density_from_sqrt_field(qfield: ZonalField, N: float) -> ConformalDensity:
+    """Density u = q^2 with unit L^N mass: nonnegative by construction,
+    zeros permitted."""
+    return ConformalDensity(basis=qfield.basis, values=qfield.values**2, N=N).normalize()
 
 
 def constant_density(basis: ZonalBasis, N: float) -> ConformalDensity:
@@ -66,7 +60,6 @@ def constant_density(basis: ZonalBasis, N: float) -> ConformalDensity:
         basis=basis,
         values=np.full_like(basis.rule.nodes, vol ** (-1.0 / N)),
         N=N,
-        normalized=True,
     )
 
 

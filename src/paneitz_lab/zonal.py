@@ -174,7 +174,7 @@ class ZonalField:
 
     basis: ZonalBasis
     coeffs: np.ndarray
-    _values: np.ndarray | None = None
+    _values: np.ndarray | None = field(default=None, init=False)  # node values, on first use
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)

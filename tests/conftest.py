@@ -36,4 +36,4 @@ def random_density(basis, N, rng, degree=8, bias=1.0):
     d = min(degree, basis.L)
     c[: d + 1] = rng.standard_normal(d + 1) * 0.5 ** np.arange(d + 1)
     c[0] += bias
-    return density_from_sqrt_field(ZonalField(basis, c), N, normalize=True)
+    return density_from_sqrt_field(ZonalField(basis, c), N)

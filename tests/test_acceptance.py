@@ -206,7 +206,7 @@ def test_criterion_09_two_plane_bound_margin(minimize12):
 
 def test_criterion_10_nodal_diagnostics(minimize12):
     from paneitz_lab.optimizer import _engine, _renormalize, two_bubble_initializer
-    from paneitz_lab.spectral import density_from_sqrt_field, solve_density
+    from paneitz_lab.spectral import ConformalDensity, solve_density
     from paneitz_lab.toolkit import fixed_point_residual, nodal_profile
 
     setup = _engine(minimize12.config)
@@ -214,7 +214,7 @@ def test_criterion_10_nodal_diagnostics(minimize12):
 
     def second_pair(params):
         c = _renormalize(params.coeffs, setup.basis, N)
-        u = density_from_sqrt_field(ZonalField(setup.basis, c), N, normalize=False)
+        u = ConformalDensity(setup.basis, ZonalField(setup.basis, c).values**2, N)
         spec = solve_density(setup, u, 2)
         return u, spec.eigenfields[0], spec.eigenfields[1]
 
@@ -258,12 +258,11 @@ def test_criterion_12_elementary_inequality():
     assert elementary_inequality_check(4.0, 0.1, 100_000, seed=12) > 0
 
 
-def test_criterion_13_record_determinism(tmp_path, monkeypatch):
+def test_criterion_13_record_determinism(tmp_path):
     from paneitz_lab.cli import ExperimentConfig, dispatch
 
-    monkeypatch.setenv("PANEITZ_LAB_OUT", str(tmp_path))
     config = ExperimentConfig(
-        command="minimize", n=12, k=2, restarts=2, iterations=20, seed=3
+        command="minimize", n=12, k=2, restarts=2, iterations=20, seed=3, out=str(tmp_path)
     )
     dispatch(config)
     record = tmp_path / config.config_hash / "record.json"

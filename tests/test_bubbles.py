@@ -27,6 +27,9 @@ def test_spec_validation():
         BubbleSpec(eps=0.1, delta=2.0)
     with pytest.raises(ValueError):
         BubbleSpec(eps=0.1, center="equator")
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            BubbleSpec(eps=eps)
 
 
 def test_profile_plateau_and_cutoff(setup12):

@@ -23,8 +23,9 @@ from paneitz_lab.cli import (
 
 @pytest.fixture(autouse=True)
 def out_root(tmp_path, monkeypatch):
-    monkeypatch.setenv("PANEITZ_LAB_OUT", str(tmp_path))
-    return tmp_path
+    # runs land under the default --out, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / "runs"
 
 
 def test_coeffs_command(out_root, capsys):
@@ -70,6 +71,10 @@ def test_config_file_rejects_garbage(tmp_path):
 
 
 def test_record_json_schema(out_root):
+    from paneitz_lab.bubbles import DEFAULT_EPS_GRID
+
+    # two homes of one grid, since cli imports no numpy-backed module
+    assert ExperimentConfig(command="bubble-sweep").eps_grid == DEFAULT_EPS_GRID
     record = dispatch(ExperimentConfig(command="bubble-sweep", n=12))
     doc = json.loads((out_root / record.config_hash / "record.json").read_text())
     assert doc["schema"] == 1
@@ -101,6 +106,27 @@ def test_report_consolidation(out_root, capsys):
     assert (out_root / "report" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[1, 2]",
+        '"text"',
+        '{"payload": [], "config": {"command": "minimize"}}',
+        '{"payload": {}, "config": []}',
+        '{"payload": {"diagnostics": [1]}, "config": {"command": "minimize"}}',
+    ],
+)
+def test_report_skips_a_malformed_record(out_root, capsys, body):
+    dispatch(ExperimentConfig(command="coeffs", n=5))
+    bad_dir = out_root / "deadbeef"
+    bad_dir.mkdir()
+    (bad_dir / "record.json").write_text(body)
+    dispatch(ExperimentConfig(command="report"))
+    assert "skipping corrupted record" in capsys.readouterr().err
+    summary = json.loads((out_root / "report" / "summary.json").read_text())
+    assert [row["command"] for row in summary["rows"]] == ["coeffs"]
+
+
 def test_report_empty(out_root, capsys):
     dispatch(ExperimentConfig(command="report"))
     assert "no runs" in capsys.readouterr().out
@@ -108,6 +134,14 @@ def test_report_empty(out_root, capsys):
 
 def test_main_entry(out_root):
     assert main(["coeffs", "--n", "5"]) == 0
+
+
+def test_out_flag_alone_sets_the_output_root(tmp_path, monkeypatch):
+    # no environment variable overrides --out
+    monkeypatch.setenv("PANEITZ_LAB_OUT", str(tmp_path / "env"))
+    assert main(["coeffs", "--n", "5", "--out", str(tmp_path / "flag")]) == 0
+    assert len(list((tmp_path / "flag").glob("*/record.json"))) == 1
+    assert not (tmp_path / "env").exists()
 
 
 def test_each_subparser_takes_only_its_keys():
@@ -172,6 +206,20 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         ("", ["lemma3-bound", "--n", "12", "--mu1", "-1"], "invalid value for mu1: -1.0"),
         ("mu1 = nan\n", ["lemma3-bound", "--n", "12"], "invalid value for mu1: nan"),
+        ("", ["coeffs", "--n", "5", "--S", "nan"], "invalid value for S: nan"),
+        ("", ["coeffs", "--n", "5", "--S", "inf"], "invalid value for S: inf"),
+        ("S = -inf\n", ["coeffs", "--n", "5"], "invalid value for S: -inf"),
+        ("", ["lemma3-bound", "--n", "12", "--mu1", "inf"], "invalid value for mu1: inf"),
+        (
+            "",
+            ["lemma3-bound", "--n", "12", "--eps-grid", "inf,0.1"],
+            "invalid value for eps_grid: (inf, 0.1)",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "nan,0.1,0.2"],
+            "invalid value for eps_grid: (nan, 0.1, 0.2)",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -297,10 +345,9 @@ for argv in (
     assert len(list(tmp_path.glob("*/record.json"))) == 6
 
 
-def test_closed_form_commands_run_without_numpy(tmp_path, monkeypatch):
+def test_closed_form_commands_run_without_numpy(tmp_path):
     # coeffs and report compute nothing with arrays: with numpy blocked they
     # write the same bytes as an unblocked run
-    monkeypatch.delenv("PANEITZ_LAB_OUT")  # each run writes under its own --out
     code = """
 import sys
 if sys.argv[2] == "blocked":

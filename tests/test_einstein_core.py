@@ -54,8 +54,6 @@ def test_zero_curvature_degenerates():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         EinsteinData(n=4, S=12.0)
-    with pytest.raises(ValueError):
-        EinsteinData(n=5, S=10.0, round_unit=True)
 
 
 @given(

@@ -117,7 +117,7 @@ def test_fixed_point_residual_zero_at_match(setup5_opt):
     w = ZonalField(basis, rng.standard_normal(basis.dim))
     wabs = np.abs(w.values)
     wn = basis.rule.integrate(wabs**N) ** (1 / N)
-    u = ConformalDensity(basis, wabs / wn, N, normalized=True)
+    u = ConformalDensity(basis, wabs / wn, N)
     assert fixed_point_residual(w, u) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -69,12 +69,16 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
     """phi, phi', phi'' of the cutoff bubble at the given colatitudes.
 
     Geodesic distance from the center is theta itself (north) or
-    pi - theta (south); derivatives are with respect to theta.
+    pi - theta (south); derivatives are with respect to theta.  A scale
+    so large that eps^2 overflows is refused.
     """
     r = theta if spec.center == "north" else math.pi - theta
     sgn = 1.0 if spec.center == "north" else -1.0
     m = (n - 4) / 2.0
-    base = r * r + spec.eps**2
+    try:  # math.pow raises on overflow for a Python and a numpy float alike
+        base = r * r + math.pow(spec.eps, 2)
+    except OverflowError:
+        raise ValueError(f"eps={spec.eps} is too large at n={n}: eps^2 overflows") from None
     g = base**-m
     dg = -2 * m * r * base ** (-m - 1)
     d2g = -2 * m * base ** (-m - 1) + 4 * m * (m + 1) * r * r * base ** (-m - 2)
@@ -83,6 +87,18 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
     dphi = deta * g + eta * dg
     d2phi = d2eta * g + 2 * deta * dg + eta * d2g
     return phi, sgn * dphi, d2phi
+
+
+def _profile_mass(rule: QuadratureRule, phi: np.ndarray, N: float, spec: BubbleSpec) -> float:
+    """Integral of |phi|^N from the node values of a bubble profile; a scale
+    so large that this mass underflows to zero is refused."""
+    mass = rule.lN_mass(phi, N)
+    if not mass > 0:
+        raise ValueError(
+            f"eps={spec.eps} is too large at n={rule.n}: the L^N mass of phi_eps "
+            "underflows to zero"
+        )
+    return mass
 
 
 def sphere_laplacian_values(
@@ -121,7 +137,7 @@ def profile_quotient(
     phi, dphi, d2phi = bubble_profile(rule.theta, spec, n)
     lap = sphere_laplacian_values(rule.theta, dphi, d2phi, n)
     num = rule.integrate(lap**2 + coeffs.alpha * dphi**2 + coeffs.alpha_bar * phi**2)
-    den = rule.lN_mass(phi, coeffs.N) ** (2.0 / coeffs.N)
+    den = _profile_mass(rule, phi, coeffs.N, spec) ** (2.0 / coeffs.N)
     return num / den
 
 
@@ -153,7 +169,7 @@ def bubble_field(spec: BubbleSpec, basis: ZonalBasis) -> BubbleField:
     phi_vals, _, _ = bubble_profile(rule.theta, spec, basis.n)
     phi = analyze(basis, phi_vals)
     N = _critical_exponent(basis.n)
-    c_eps = rule.lN_mass(phi_vals, N) ** (-1.0 / N)
+    c_eps = _profile_mass(rule, phi_vals, N, spec) ** (-1.0 / N)
     return BubbleField(spec=spec, phi=phi, v=phi * c_eps, c_eps=c_eps)
 
 

@@ -173,14 +173,13 @@ def _run_coeffs(config: ExperimentConfig):
 
 def _density_for(config: ExperimentConfig, setup):
     from .spectral import constant_density, density_from_sqrt_field
-    from .zonal import ZonalField
 
     if config.density == "const":
         return constant_density(setup.basis, setup.coeffs.N)
     from .optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
 
-    p = two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)
-    return density_from_sqrt_field(ZonalField(setup.basis, p.coeffs), setup.coeffs.N)
+    q = two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)
+    return density_from_sqrt_field(q, setup.coeffs.N)
 
 
 def _run_spectrum(config: ExperimentConfig):

@@ -26,7 +26,7 @@ from .spectral import (
     solve_density,
 )
 from .toolkit import _fixed_point_residual
-from .zonal import ZonalBasis, _float_power, analyze
+from .zonal import ZonalBasis, ZonalField, _float_power, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap below which the gradient is smoothed
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
@@ -36,18 +36,6 @@ INIT_SPLIT = 0.5    # its north-pole mass fraction
 
 class DegenerateGapError(RuntimeError):
     """Plain eigenvalue gradient requested at a near-crossing."""
-
-
-@dataclass
-class DensityParameterization:
-    """Coefficients of q with u = q^2; degree is len(coeffs) - 1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if not np.any(self.coeffs != 0):
-            raise ValueError("all-zero parameterization is a degenerate density")
 
 
 @dataclass
@@ -93,15 +81,11 @@ class RunTrace:
 @dataclass
 class MinimizeResult:
     config: OptimizerConfig
-    best: DensityParameterization
+    best: ZonalField             # q of the winner, u = q^2, on the L_opt basis
     best_objective: float        # lambda_bar_k at L_opt
     final_objective: float       # re-evaluated at L_final
     traces: list[RunTrace]
     diagnostics: dict
-
-
-def _engine(config: OptimizerConfig) -> SphereSetup:
-    return round_setup(config.n, q=config.q_nodes, L=config.L_opt)
 
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
@@ -126,9 +110,9 @@ def _solve_rows(
     return qvals, lams, V
 
 
-def objective(params: DensityParameterization, k: int, setup: SphereSetup) -> float:
+def objective(q: ZonalField, k: int, setup: SphereSetup) -> float:
     """lambda_bar_k of the normalized density u = q^2."""
-    c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
+    c = _renormalize(q.coeffs, setup.basis, setup.coeffs.N)
     return float(_solve_rows(c, setup, k)[1][k - 1])
 
 
@@ -164,11 +148,9 @@ def _node_values(basis: ZonalBasis, V: np.ndarray) -> np.ndarray:
     return np.matmul(basis.table.T, V.swapaxes(-1, -2)[..., None])[..., 0]
 
 
-def gradient(
-    params: DensityParameterization, k: int, setup: SphereSetup
-) -> np.ndarray:
+def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
     """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
-    c = _renormalize(params.coeffs, setup.basis, setup.coeffs.N)
+    c = _renormalize(q.coeffs, setup.basis, setup.coeffs.N)
     kmax = min(k + 1, setup.basis.dim)
     qvals, lam, V = _solve_rows(c, setup, kmax)
     tol = GAP_TOL * abs(lam[k - 1])
@@ -179,7 +161,7 @@ def gradient(
     return _eig_gradient(qvals, _node_values(setup.basis, V)[k - 1], lam[k - 1], setup)
 
 
-def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> DensityParameterization:
+def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> ZonalField:
     """q from sqrt-bubble profiles at the two poles, projected to the basis.
 
     split is the mass fraction at the north pole; split = 1 gives a single
@@ -195,20 +177,20 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Densi
     qvals = math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s)
     c = analyze(basis, qvals).coeffs
     N = _critical_exponent(n)
-    return DensityParameterization(_renormalize(c, basis, N))
+    return ZonalField(basis, _renormalize(c, basis, N))
 
 
-def _constant_start(basis: ZonalBasis, N: float) -> DensityParameterization:
+def _constant_start(basis: ZonalBasis, N: float) -> ZonalField:
     c = np.zeros(basis.dim)
     c[0] = 1.0
-    return DensityParameterization(_renormalize(c, basis, N))
+    return ZonalField(basis, _renormalize(c, basis, N))
 
 
-def _random_start(basis: ZonalBasis, N: float, rng) -> DensityParameterization:
+def _random_start(basis: ZonalBasis, N: float, rng) -> ZonalField:
     decay = 0.5 ** np.arange(basis.dim)
     c = rng.standard_normal(basis.dim) * decay
     c[0] += 1.0  # bias away from heavily degenerate densities
-    return DensityParameterization(_renormalize(c, basis, N))
+    return ZonalField(basis, _renormalize(c, basis, N))
 
 
 def _surrogate(spectra: list[list[float]], T: list[float], k: int):
@@ -280,7 +262,7 @@ def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
 
 
 def _lockstep_descent(
-    starts: list[tuple[str, DensityParameterization]], config: OptimizerConfig, setup: SphereSetup
+    starts: list[tuple[str, ZonalField]], config: OptimizerConfig, setup: SphereSetup
 ) -> tuple[np.ndarray, list[float], list[RunTrace]]:
     """Descend every start together, as rows of stacked arrays.
 
@@ -392,9 +374,7 @@ def _lockstep_descent(
     return final_c, final_lam.tolist(), traces
 
 
-def _starts(
-    config: OptimizerConfig, setup: SphereSetup
-) -> list[tuple[str, DensityParameterization]]:
+def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
     """The first config.restarts of: the antipodal two-bubble configuration,
     the constant, then seeded random coefficient draws."""
     N = setup.coeffs.N
@@ -415,7 +395,7 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
     re-evaluated on the finer L_final basis (a variational improvement,
     never an increase).
     """
-    setup = _engine(config)
+    setup = round_setup(config.n, q=config.q_nodes, L=config.L_opt)
     N = setup.coeffs.N
     starts = _starts(config, setup)
     rows, values, traces = _lockstep_descent(starts, config, setup)
@@ -426,16 +406,13 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
             trace.status = "no-iterations"
             trace.objectives.append(val)
             trace.lambda_bars.append(val)
-    best, best_val = None, math.inf
-    for row, val in zip(rows, values):
-        if val < best_val:
-            best, best_val = DensityParameterization(row), val
+    best_val = min(values)
+    best = ZonalField(setup.basis, rows[values.index(best_val)])
 
     # final evaluation on the finer basis over the same (memoized) rule: q is
     # exact at the nodes, only the eigenproblem subspace grows
     fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)
-    qvals = setup.basis.table.T @ best.coeffs
-    u_fine = density_from_sqrt_field(analyze(fine.basis, qvals), N)
+    u_fine = density_from_sqrt_field(analyze(fine.basis, best.values), N)
     final = normalized_invariant(solve_density(fine, u_fine, config.k), u_fine, config.k)
 
     K2_inv_sq = sharp_constant_oracle(config.n)

@@ -285,8 +285,7 @@ def euclidean_corollary_check(
     lap = flat_laplacian(v, grid.r, n)
     lhs = grid.integrate((u_scale * u.f(grid.r)) ** (N - 2) * v.f(grid.r) ** 2)
     K2_sq = 1.0 / sharp_constant_oracle(n)
-    uN_mass = 1.0
-    rhs = 2.0 ** (-4.0 / n) * K2_sq * grid.integrate(lap**2) * uN_mass ** (2.0 / N)
+    rhs = 2.0 ** (-4.0 / n) * K2_sq * grid.integrate(lap**2)
     sharp_quotient = grid.integrate(lap**2) / grid.integrate(
         np.abs(v.f(grid.r)) ** N
     ) ** (2.0 / N)
@@ -294,7 +293,7 @@ def euclidean_corollary_check(
         "euclidean-corollary",
         lhs,
         rhs,
-        uN_mass=uN_mass,
+        uN_mass=1.0,  # u_scale gives u unit L^N mass
         v_sharp_quotient=sharp_quotient,
         tail_fraction=frac,
     )

@@ -147,7 +147,8 @@ def pencil_eigen(
 
     Leading axes of B are a stack of pencils sharing A, solved in one call;
     every row gets the bits of its own two-dimensional call, the shift is
-    probed and applied row by row, and any refusal refuses the whole stack.
+    probed and applied row by row (a float for one pencil, an array of the
+    stack's shape for a stack), and any refusal refuses the whole stack.
     """
     dim = len(A_diag)
     if not 1 <= k <= dim:
@@ -156,21 +157,17 @@ def pencil_eigen(
         raise DegeneratePencilError(
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
-    shift = 0.0 if B.ndim == 2 else np.zeros(B.shape[:-2])
+    shift = np.zeros(B.shape[:-2])  # one pencil is a stack of shape ()
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
-        if B.ndim == 2:
-            shift = 1e-12 * np.trace(B) / dim
-            B = B + shift * np.eye(dim)
-        else:
-            B = B.copy()
-            for i in np.ndindex(shift.shape):
-                try:
-                    np.linalg.cholesky(B[i])
-                except np.linalg.LinAlgError:
-                    shift[i] = 1e-12 * np.trace(B[i]) / dim
-                    B[i] = B[i] + shift[i] * np.eye(dim)
+        B = B.copy()
+        for i in np.ndindex(shift.shape):
+            try:
+                np.linalg.cholesky(B[i])
+            except np.linalg.LinAlgError:
+                shift[i] = 1e-12 * np.trace(B[i]) / dim
+                B[i] = B[i] + shift[i] * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
     C = np.asarray_chkfinite((B * s).swapaxes(-1, -2) * s)
     w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
@@ -179,7 +176,7 @@ def pencil_eigen(
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
     top = Y.swapaxes(-1, -2)[..., ::-1, :][..., :k, :]
     V = (top * s / np.sqrt(mass)[..., None]).swapaxes(-1, -2)
-    return 1.0 / mass, V, shift
+    return 1.0 / mass, V, shift[()]
 
 
 def solve_generalized_eigen(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .einstein import OperatorCoefficients
 from .spectral import ConformalDensity, assemble_stiffness, restricted_mass
-from .zonal import QuadratureRule, ZonalBasis, ZonalField, _float_power, analyze
+from .zonal import QuadratureRule, ZonalField, _float_power, analyze
 
 
 @dataclass
@@ -34,7 +34,6 @@ class PositivityResult:
 def positivity_lift(
     v: ZonalField,
     coeffs: OperatorCoefficients,
-    basis: ZonalBasis,
     u: ConformalDensity,
     lambda_1: float,
 ) -> PositivityResult:
@@ -46,6 +45,7 @@ def positivity_lift(
     """
     if not coeffs.coercive:
         raise ValueError("positivity lift requires positive scalar curvature")
+    basis = v.basis
     half = coeffs.alpha / 2.0
     r_coeffs = (basis.eigs + half) * v.coeffs
     r_nodes = basis.table.T @ r_coeffs

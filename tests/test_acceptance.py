@@ -101,7 +101,7 @@ def test_criterion_05_positivity_lift(setup5):
         spec = solve_density(setup5, u, 1)
         v = spec.eigenfields[0]
         lam1 = float(spec.eigenvalues[0])
-        res = positivity_lift(v, setup5.coeffs, setup5.basis, u, lam1)
+        res = positivity_lift(v, setup5.coeffs, u, lam1)
         assert np.all(res.f.values > 0)
         assert np.all(res.f.values >= np.abs(v.values) - 1e-10)
         B = assemble_mass(u, setup5.basis)
@@ -136,23 +136,21 @@ def test_criterion_06_orthogonal_pair(setup5_opt):
 def test_criterion_07_gradient_finite_differences():
     from paneitz_lab.optimizer import (
         DegenerateGapError,
-        DensityParameterization,
         OptimizerConfig,
-        _engine,
         _renormalize,
         gradient,
         objective,
     )
 
     cfg = OptimizerConfig(n=12, k=2)
-    setup = _engine(cfg)
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     N = setup.coeffs.N
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 20:
         c = rng.standard_normal(setup.basis.dim) * 0.5 ** np.arange(setup.basis.dim)
         c[0] += 1.0
-        p = DensityParameterization(_renormalize(c, setup.basis, N))
+        p = ZonalField(setup.basis, _renormalize(c, setup.basis, N))
         try:
             g = gradient(p, 2, setup)
         except DegenerateGapError:
@@ -162,8 +160,8 @@ def test_criterion_07_gradient_finite_differences():
         for m in range(len(fd)):
             e = np.zeros_like(fd)
             e[m] = h
-            fp = objective(DensityParameterization(p.coeffs + e), 2, setup)
-            fm = objective(DensityParameterization(p.coeffs - e), 2, setup)
+            fp = objective(ZonalField(setup.basis, p.coeffs + e), 2, setup)
+            fm = objective(ZonalField(setup.basis, p.coeffs - e), 2, setup)
             fd[m] = (fp - fm) / (2 * h)
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
         checked += 1
@@ -205,11 +203,12 @@ def test_criterion_09_two_plane_bound_margin(minimize12):
 
 
 def test_criterion_10_nodal_diagnostics(minimize12):
-    from paneitz_lab.optimizer import _engine, _renormalize, two_bubble_initializer
+    from paneitz_lab.optimizer import _renormalize, two_bubble_initializer
     from paneitz_lab.spectral import ConformalDensity, solve_density
     from paneitz_lab.toolkit import fixed_point_residual, nodal_profile
 
-    setup = _engine(minimize12.config)
+    cfg = minimize12.config
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     N = setup.coeffs.N
 
     def second_pair(params):

@@ -220,6 +220,36 @@ def test_round_is_refused(tmp_path, capsys):
             ["bubble-sweep", "--n", "12", "--eps-grid", "nan,0.1,0.2"],
             "invalid value for eps_grid: (nan, 0.1, 0.2)",
         ),
+        (
+            "",
+            ["lemma3-bound", "--n", "12", "--eps-grid", "1e200,0.1"],
+            "error: eps=1e+200 is too large at n=12: eps^2 overflows",
+        ),
+        (
+            "",
+            ["lemma3-bound", "--n", "12", "--eps-grid", "1e40,0.1,0.2"],
+            "error: eps=1e+40 is too large at n=12: the L^N mass of phi_eps underflows",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "1e40,0.1,0.2"],
+            "error: eps=1e+40 is too large at n=12: the L^N mass of phi_eps underflows",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "1e200,0.1,0.2"],
+            "error: eps=1e+200 is too large at n=12: eps^2 overflows",
+        ),
+        (
+            "",
+            ["lemma3-bound", "--n", "12", "--eps-grid", "3e13,0.1"],
+            "error: eps=30000000000000.0 is too large at n=12: the L^N mass of phi_eps",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "30", "--eps-grid", "1e10,0.1,0.2"],
+            "error: eps=10000000000.0 is too large at n=30: the L^N mass of phi_eps",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

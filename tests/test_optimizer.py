@@ -4,9 +4,7 @@ import pytest
 import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
-    DensityParameterization,
     OptimizerConfig,
-    _engine,
     _lockstep_descent,
     _renormalize,
     _starts,
@@ -15,22 +13,31 @@ from paneitz_lab.optimizer import (
     objective,
     two_bubble_initializer,
 )
+from paneitz_lab.spectral import (
+    density_from_sqrt_field,
+    normalized_invariant,
+    round_setup,
+    solve_density,
+)
+from paneitz_lab.zonal import ZonalField
 
 
 @pytest.fixture(scope="module")
 def engine12():
-    return _engine(OptimizerConfig(n=12, k=2))
+    cfg = OptimizerConfig(n=12, k=2)
+    return round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
 
 
 @pytest.fixture(scope="module")
 def engine5():
-    return _engine(OptimizerConfig(n=5, k=1))
+    cfg = OptimizerConfig(n=5, k=1)
+    return round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
 
 
 def test_constant_objective_matches_oracle(engine5):
     c = np.zeros(engine5.basis.dim)
     c[0] = 1.0
-    p = DensityParameterization(c)
+    p = ZonalField(engine5.basis, c)
     assert objective(p, 1, engine5) == pytest.approx(sharp_constant_oracle(5), rel=1e-10)
     # second eigenvalue of the round pencil
     assert objective(p, 2, engine5) == pytest.approx(921.4494609652465, rel=1e-8)
@@ -39,8 +46,8 @@ def test_constant_objective_matches_oracle(engine5):
 def test_objective_scale_invariance(engine12):
     rng = np.random.default_rng(0)
     c = rng.standard_normal(engine12.basis.dim)
-    a = objective(DensityParameterization(c), 2, engine12)
-    b = objective(DensityParameterization(2.0 * c), 2, engine12)
+    a = objective(ZonalField(engine12.basis, c), 2, engine12)
+    b = objective(ZonalField(engine12.basis, 2.0 * c), 2, engine12)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -48,7 +55,7 @@ def test_gradient_orthogonal_to_scaling(engine12):
     rng = np.random.default_rng(1)
     c = rng.standard_normal(engine12.basis.dim)
     c[0] += 1.0
-    p = DensityParameterization(_renormalize(c, engine12.basis, engine12.coeffs.N))
+    p = ZonalField(engine12.basis, _renormalize(c, engine12.basis, engine12.coeffs.N))
     g = gradient(p, 2, engine12)
     cosine = g @ p.coeffs / (np.linalg.norm(g) * np.linalg.norm(p.coeffs))
     assert abs(cosine) < 1e-10
@@ -57,14 +64,12 @@ def test_gradient_orthogonal_to_scaling(engine12):
 def test_constant_is_stationary_for_k1(engine5):
     c = np.zeros(engine5.basis.dim)
     c[0] = 1.0
-    p = DensityParameterization(_renormalize(c, engine5.basis, engine5.coeffs.N))
+    p = ZonalField(engine5.basis, _renormalize(c, engine5.basis, engine5.coeffs.N))
     g = gradient(p, 1, engine5)
     assert np.linalg.norm(g) < 1e-8
 
 
 def test_two_bubble_initializer_limits(engine12):
-    from paneitz_lab.zonal import ZonalField
-
     # an equal split is symmetric about the equator (quadrature nodes come in
     # mirror pairs, so reversing the node order flips theta -> pi - theta)
     for eps in (0.1, 2.0):
@@ -148,7 +153,7 @@ def test_each_restart_descends_as_if_alone(n, request):
     # one gives the bits it gives inside the default stack of eight
     cfg = OptimizerConfig(n=n, k=2, seed=0)
     res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
-    setup = _engine(cfg)
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
     assert len(alone) == len(res.traces) == cfg.restarts
     for trace, (_, _, (trace_alone,)) in zip(res.traces, alone):
@@ -209,15 +214,29 @@ def test_minimize_determinism():
         assert ta.objectives == tb.objectives
 
 
-def test_degenerate_parameterization_rejected():
-    with pytest.raises(ValueError):
-        DensityParameterization(np.zeros(17))
+def test_degenerate_parameterization_rejected(engine12):
+    with pytest.raises(ValueError, match="degenerate parameterization"):
+        objective(ZonalField(engine12.basis, np.zeros(17)), 2, engine12)
+
+
+def test_winner_is_a_field_on_the_descent_basis():
+    # the winner carries its L_opt basis, and re-solving its density there
+    # gives back the reported objective
+    res = minimize(OptimizerConfig(n=12, k=2, restarts=2, max_iters=20))
+    setup = round_setup(12, q=200, L=16)
+    assert isinstance(res.best, ZonalField)
+    assert res.best.basis.L == setup.basis.L and res.best.basis.rule is setup.rule
+    assert np.array_equal(res.best.basis.table, setup.basis.table)
+    u = density_from_sqrt_field(res.best, setup.coeffs.N)
+    value = normalized_invariant(solve_density(setup, u, 2), u, 2)
+    assert value == pytest.approx(res.best_objective, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", range(5, 25))
 def test_renormalize_and_k1_minimum_in_every_dimension(n):
     # 2N = 4n/(n-4) is rarely an even integer: the mass must integrate |q|^(2N)
-    setup = _engine(OptimizerConfig(n=n, k=1))
+    cfg = OptimizerConfig(n=n, k=1)
+    setup = round_setup(n, q=cfg.q_nodes, L=cfg.L_opt)
     N = setup.coeffs.N
     rng = np.random.default_rng(n)
     c = rng.standard_normal(setup.basis.dim) * 0.5 ** np.arange(setup.basis.dim)

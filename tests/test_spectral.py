@@ -167,7 +167,12 @@ def test_kernel_shift_path(setup5):
     u = ConformalDensity(setup5.basis, vals, setup5.coeffs.N)
     B = assemble_mass(u, setup5.basis)
     lams, V, shift = pencil_eigen(setup5.A_diag, B, 2)
+    assert isinstance(shift, float)
     assert shift == pytest.approx(1e-12 * np.trace(B) / setup5.basis.dim)
+    # a stack of pencils returns its shifts as an array of the stack's shape
+    _, _, shifts = pencil_eigen(setup5.A_diag, np.array([[B], [B]]), 2)
+    assert isinstance(shifts, np.ndarray) and shifts.shape == (2, 1)
+    assert np.all(shifts == shift)
     spec = solve_generalized_eigen(setup5.A_diag, B, 2, setup5.basis)
     assert spec.shift == shift
     assert np.array_equal(lams, spec.eigenvalues)

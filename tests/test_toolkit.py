@@ -24,7 +24,7 @@ def test_lift_of_positive_constant_is_identity(setup5):
     spec = solve_density(setup5, u, 1)
     v = spec.eigenfields[0]  # constant, positive by the sign convention
     assert np.all(v.values > 0)
-    res = positivity_lift(v, setup5.coeffs, setup5.basis, u, float(spec.eigenvalues[0]))
+    res = positivity_lift(v, setup5.coeffs, u, float(spec.eigenvalues[0]))
     assert np.allclose(res.f.values, v.values, atol=1e-10)
     assert res.k == pytest.approx(1.0, abs=1e-10)
     assert abs(res.gap) < 1e-8
@@ -37,7 +37,7 @@ def test_lift_dominates_sign_changing_field(setup5):
     e1 = np.zeros(setup5.basis.dim)
     e1[1] = 1.0
     v = _unit_field(e1, setup5.basis, B)
-    res = positivity_lift(v, setup5.coeffs, setup5.basis, u, 0.0)
+    res = positivity_lift(v, setup5.coeffs, u, 0.0)
     assert np.all(res.f.values > 0)
     assert np.all(res.f.values >= np.abs(v.values) - 1e-10)
 
@@ -47,7 +47,7 @@ def test_lift_refuses_nonpositive_curvature(setup5):
     u = constant_density(setup5.basis, setup5.coeffs.N)
     v = constant_field(setup5.basis)
     with pytest.raises(ValueError):
-        positivity_lift(v, flat, setup5.basis, u, 0.0)
+        positivity_lift(v, flat, u, 0.0)
 
 
 def test_orthogonal_pair_known_overlap(setup5_opt):
@@ -145,7 +145,7 @@ def test_toolkit_inner_products_form_no_full_mass(setup5, monkeypatch):
         return M
 
     monkeypatch.setattr(spectral, "mass_from_values", counted)
-    positivity_lift(v, setup5.coeffs, setup5.basis, u, float(spec.eigenvalues[0]))
+    positivity_lift(v, setup5.coeffs, u, float(spec.eigenvalues[0]))
     pair = orthogonal_pair(v, (v + w) * np.sqrt(0.5), u)
     profile = nodal_profile(w, u, v)
     assert shapes == [(1, 1), (2, 2), (2, 2), (2, 2)]

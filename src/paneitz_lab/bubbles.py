@@ -11,6 +11,7 @@ inequality used alongside it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +92,13 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
 
 def _profile_mass(rule: QuadratureRule, phi: np.ndarray, N: float, spec: BubbleSpec) -> float:
     """Integral of |phi|^N from the node values of a bubble profile; a scale
-    so large that this mass underflows to zero is refused."""
+    so large that this mass leaves the normal double range is refused, since
+    a subnormal mass has lost the digits the quotient is read from."""
     mass = rule.lN_mass(phi, N)
-    if not mass > 0:
+    if not mass >= sys.float_info.min:
         raise ValueError(
             f"eps={spec.eps} is too large at n={rule.n}: the L^N mass of phi_eps "
-            "underflows to zero"
+            f"underflows to {mass:.3g}, below the normal double range"
         )
     return mass
 

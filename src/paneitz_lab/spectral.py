@@ -143,12 +143,15 @@ def pencil_eigen(
     delta = 1e-12 * trace(B)/dim is then added.  The solve inverts the
     pencil through A^(-1/2), which keeps near-null directions of B
     harmless: they correspond to huge Rayleigh quotients and never pollute
-    the bottom of the spectrum.
+    the bottom of the spectrum.  A pencil of dimension ``KRYLOV_MIN_DIM`` or
+    more is solved for its k pairs alone (``_block_krylov``), or by the full
+    eigh when that solve gives up; a smaller one by the full eigh.
 
-    Leading axes of B are a stack of pencils sharing A, solved in one call;
-    every row gets the bits of its own two-dimensional call, the shift is
-    probed and applied row by row (a float for one pencil, an array of the
-    stack's shape for a stack), and any refusal refuses the whole stack.
+    Leading axes of B are a stack of pencils sharing A, solved in one call
+    (large pencils one after another); every row gets the bits of its own
+    two-dimensional call, the shift is probed and applied row by row (a
+    float for one pencil, an array of the stack's shape for a stack), and
+    any refusal refuses the whole stack.
     """
     dim = len(A_diag)
     if not 1 <= k <= dim:
@@ -170,13 +173,86 @@ def pencil_eigen(
                 B[i] = B[i] + shift[i] * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
     C = np.asarray_chkfinite((B * s).swapaxes(-1, -2) * s)
-    w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
-    mass = w[..., ::-1][..., :k]
+    mass, top = _top_eigenpairs(C, k)
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    top = Y.swapaxes(-1, -2)[..., ::-1, :][..., :k, :]
     V = (top * s / np.sqrt(mass)[..., None]).swapaxes(-1, -2)
     return 1.0 / mass, V, shift[()]
+
+
+# Pencils of at least this dimension are solved by ``_block_krylov``, smaller
+# ones by a full eigh.  The measured crossover (n = 12, a smooth random
+# density, k = 2; one CPU, one BLAS thread): eigh 1.8 ms against 2.4 ms at
+# dim 129, 2.7 against 2.5 ms at 161, 3.3 against 2.4 ms at 193 and 20 against
+# 5.6 ms at 401.
+KRYLOV_MIN_DIM = 150
+RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, relative to ||C||
+
+
+def _top_eigenpairs(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetric C, descending, and their
+    unit eigenvectors as rows, for one matrix or a stack.
+
+    A large stack is solved row by row, so that every row keeps the bits of
+    its own two-dimensional call."""
+    dim = C.shape[-1]
+    if dim >= KRYLOV_MIN_DIM:
+        if C.ndim > 2:
+            rows = [_top_eigenpairs(c, k) for c in C.reshape(-1, dim, dim)]
+            mass = np.array([m for m, _ in rows]).reshape(*C.shape[:-2], k)
+            top = np.array([t for _, t in rows]).reshape(*C.shape[:-2], k, dim)
+            return mass, top
+        pairs = _block_krylov(C, k)
+        if pairs is not None:
+            return pairs
+    w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
+    return w[..., ::-1][..., :k], Y.swapaxes(-1, -2)[..., ::-1, :][..., :k, :]
+
+
+def _block_krylov(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k largest eigenpairs of one symmetric positive semidefinite C, as
+    ``_top_eigenpairs`` returns them, by block Krylov iteration with full
+    reorthogonalization and Rayleigh-Ritz at each step (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2nd ed., ch. 4-6); None when the
+    space breaks down or reaches half the dimension unconverged.
+
+    The start block is fixed, of k + 2 columns, so a double top eigenvalue
+    is found and the result is deterministic.  The pencil residual weighs
+    the error of an eigenvector of C by sqrt(A), which is large at high
+    degree; so the converged Ritz vectors take one more product with C,
+    which damps that error by 1/sqrt(A), and a last Rayleigh-Ritz on its
+    span gives the pairs.
+    """
+    dim, p = len(C), k + 2
+    cap = dim // 2  # columns the space may reach
+    Q = np.empty((dim, cap))  # orthonormal basis of the Krylov space
+    W = np.empty((dim, cap))  # C @ Q
+    T = np.empty((cap, cap))  # Q^T C Q
+    X = np.random.default_rng(0).standard_normal((dim, p))
+    scale = np.linalg.norm(X, axis=0)  # of each new column before orthogonalization
+    m = 0
+    while m + p <= cap:
+        block, R = np.linalg.qr(X)
+        if (np.abs(np.diag(R)) <= 1e-10 * scale).any():
+            return None  # the new block lies in the space already spanned
+        new = slice(m, m + p)
+        Q[:, new] = block
+        W[:, new] = C @ block
+        m += p
+        T[:m, new] = Q[:, :m].T @ W[:, new]
+        T[new, :m] = T[:m, new].T
+        theta, S = np.linalg.eigh(T[:m, :m])
+        theta, S = theta[::-1], S[:, ::-1]
+        ritz = W[:, :m] @ S[:, :k] - Q[:, :m] @ (S[:, :k] * theta[:k])
+        if np.linalg.norm(ritz, axis=0).max() <= RITZ_TOL * theta[0]:
+            Z, _ = np.linalg.qr(W[:, :m] @ S[:, :p])  # C times the top p Ritz vectors
+            w, G = np.linalg.eigh(Z.T @ (C @ Z))
+            return w[::-1][:k], (Z @ G[:, ::-1][:, :k]).T
+        X = W[:, new]
+        scale = np.linalg.norm(X, axis=0)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            X = X - Q[:, :m] @ (Q[:, :m].T @ X)
+    return None
 
 
 def solve_generalized_eigen(

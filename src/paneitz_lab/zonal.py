@@ -162,9 +162,11 @@ def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
     if L >= q:
         raise ValueError(f"basis degree L={L} must be < node count q={q} (aliasing)")
     b0, sqrt_beta = _recurrence(rule.n, L)
-    P = np.array(list(_rows(rule.nodes, b0, sqrt_beta)))
+    # the rows fill one (L+1, q) table, rescaled in place, so the build holds
+    # one table-sized array at a time (5 MB at q = 1600, L = 400)
+    table = np.fromiter(_rows(rule.nodes, b0, sqrt_beta), dtype=(float, q), count=L + 1)
     # rows are orthonormal for the x-weight; rescale to the full measure
-    table = P / math.sqrt(euclidean_sphere_area(rule.n))
+    table /= math.sqrt(euclidean_sphere_area(rule.n))
     return ZonalBasis(n=rule.n, L=L, rule=rule, table=table)
 
 

@@ -242,9 +242,7 @@ def test_criterion_11_refined_inequality_audit():
         setup = round_setup(n, q=200, L=16)
         for eps in (0.1, 0.15, 0.2):
             p = two_bubble_initializer(eps, 0.5, setup.basis)
-            u = density_from_sqrt_field(
-                ZonalField(setup.basis, p.coeffs), setup.coeffs.N
-            )
+            u = density_from_sqrt_field(p, setup.coeffs.N)
             report = refined_inequality_ratio(u, constant_field(setup.basis), setup.coeffs)
             assert report.details["lam2_form_ratio"] >= 1.0
 

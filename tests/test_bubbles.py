@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,16 @@ def test_sweep_guards():
         epsilon_sweep(DEFAULT_EPS_GRID, 5)  # n must exceed 6
     with pytest.raises(ValueError):
         epsilon_sweep((0.1, 0.2), 12)  # too few points
+
+
+@pytest.mark.parametrize("n, eps, mass", [(12, 2e13, "4.94e-322"), (30, 1.5e5, "1.27e-320")])
+def test_subnormal_bubble_mass_is_refused(n, eps, mass):
+    # a subnormal L^N mass has lost its digits: at n = 12 the excess read
+    # 1.0074769 at eps = 2e13 against 0.98565137 for every eps <= 1e11
+    setup = spectral.round_setup(n, q=200, L=16)
+    message = f"eps={eps} is too large at n={n}: the L^N mass of phi_eps underflows to {mass}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profile_quotient(BubbleSpec(eps=eps), setup.coeffs, setup.rule)
 
 
 def test_sweep_fit_quality():

@@ -250,6 +250,18 @@ def test_round_is_refused(tmp_path, capsys):
             ["bubble-sweep", "--n", "30", "--eps-grid", "1e10,0.1,0.2"],
             "error: eps=10000000000.0 is too large at n=30: the L^N mass of phi_eps",
         ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "2e13,0.1,0.2"],
+            "error: eps=20000000000000.0 is too large at n=12: the L^N mass of phi_eps "
+            "underflows to 4.94e-322, below the normal double range",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "30", "--eps-grid", "1.5e5,0.1,0.2"],
+            "error: eps=150000.0 is too large at n=30: the L^N mass of phi_eps "
+            "underflows to 1.27e-320, below the normal double range",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh
 
+import paneitz_lab.spectral as spectral
 from conftest import random_density
 from paneitz_lab.einstein import sharp_constant_oracle, sphere_volume
 from paneitz_lab.spectral import (
@@ -252,6 +253,136 @@ def test_kernel_reproduces_scipy_eigh(dim):
     for lam, v in zip(lams, V.T):
         av = A_diag * v
         assert np.linalg.norm(av - lam * (B @ v)) <= 1e-10 * np.linalg.norm(av)
+
+
+def _krylov_served(monkeypatch) -> list[bool]:
+    """Record, call by call, whether the block Krylov solve returned pairs
+    (True) or left the pencil to the dense fallback (False)."""
+    served, kernel = [], spectral._block_krylov
+
+    def recorded(C, k):
+        pairs = kernel(C, k)
+        served.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(spectral, "_block_krylov", recorded)
+    return served
+
+
+def _dense_pencil_eigen(A_diag, B, k):
+    """The reference: every pair of C = A^(-1/2) B A^(-1/2) from one eigh,
+    in the kernel's order of operations, so that it has the dense bits."""
+    s = 1.0 / np.sqrt(A_diag)
+    w, Y = np.linalg.eigh((B * s).T * s)
+    mass = w[::-1][:k]
+    return 1.0 / mass, (Y.T[::-1][:k] * s / np.sqrt(mass)[:, None]).T
+
+
+def _pencil_from_spectrum(w, A_diag, seed):
+    """A pencil (A, B) whose C = A^(-1/2) B A^(-1/2) has the eigenvalues w
+    in random eigenvectors."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(w), len(w))))
+    C = (U * w) @ U.T
+    r = np.sqrt(A_diag)
+    return ((C + C.T) / 2 * r).T * r
+
+
+@pytest.mark.parametrize("n", [5, 12, 20, 30])
+def test_top_k_kernel_matches_the_dense_solve(n, monkeypatch):
+    # large pencils take the top-k path; the dense eigh of the same C is the
+    # reference, on densities with distinct, near-degenerate (the two-bubble
+    # lambda_2, lambda_3) and shifted (B singular) spectra
+    from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
+
+    served = _krylov_served(monkeypatch)
+    rng = np.random.default_rng(30 + n)
+    for L in (spectral.KRYLOV_MIN_DIM, 400):
+        setup = round_setup(n, q=1600, L=L)
+        N = setup.coeffs.N
+        half = np.where(setup.rule.nodes > 0, 1.0, 0.0)
+        densities = {
+            "constant": constant_density(setup.basis, N),
+            "random": random_density(setup.basis, N, rng),
+            "two-bubble": density_from_sqrt_field(two_bubble_initializer(INIT_EPS, 0.5, setup.basis), N),
+            "singular": ConformalDensity(setup.basis, half, N).normalize(),
+        }
+        for name, u in densities.items():
+            B = assemble_mass(u, setup.basis)
+            lams_ref = None
+            for k in (3, 2, 1):
+                lams, V, shift = pencil_eigen(setup.A_diag, B, k)
+                assert shift > 0 or name != "singular"
+                B_shifted = B + shift * np.eye(setup.basis.dim)
+                if lams_ref is None:  # the shift does not depend on k
+                    lams_ref, _ = _dense_pencil_eigen(setup.A_diag, B_shifted, 3)
+                assert np.max(np.abs(lams / lams_ref[:k] - 1)) <= 1e-13, (name, L, k)
+                assert np.max(np.abs(V.T @ B_shifted @ V - np.eye(k))) <= 1e-12, (name, L, k)
+                for lam, v in zip(lams, V.T):
+                    av = setup.A_diag * v
+                    residual = np.linalg.norm(av - lam * (B_shifted @ v)) / np.linalg.norm(av)
+                    assert residual <= 1e-13, (name, L, k)
+    assert served == [True] * 24
+
+
+def test_top_k_kernel_finds_a_double_top_eigenvalue(monkeypatch):
+    # mass 1 twice on top: one Krylov vector spans one direction of that
+    # eigenspace, so a single-vector space would return lambda_2 = 9
+    served = _krylov_served(monkeypatch)
+    dim = 401
+    A_diag = (np.arange(dim) + 1.5) * (np.arange(dim) + 3.0)
+    w = 1.0 / np.arange(dim, 0, -1.0) ** 2
+    w[-2] = w[-1]
+    B = _pencil_from_spectrum(w, A_diag, seed=1)
+    for k in (2, 3):
+        lams, V, _ = pencil_eigen(A_diag, B, k)
+        assert np.max(np.abs(lams - [1.0, 1.0, 9.0][:k])) <= 1e-13
+        assert np.max(np.abs(V.T @ B @ V - np.eye(k))) <= 1e-12
+    assert served == [True, True]
+
+
+def test_flat_spectrum_takes_the_dense_fallback(monkeypatch):
+    # eigenvalues evenly spaced over [1, 2]: a Krylov space of half the
+    # dimension does not resolve the top pairs, and the dense eigh serves
+    # them, with its own bits; so it does when k + 2 columns already pass
+    # half the dimension
+    served = _krylov_served(monkeypatch)
+    dim = 401
+    A_diag = (np.arange(dim) + 1.5) * (np.arange(dim) + 3.0)
+    flat = _pencil_from_spectrum(np.linspace(1.0, 2.0, dim), A_diag, seed=2)
+    decaying = _pencil_from_spectrum(1.0 / np.arange(dim, 0, -1.0) ** 2, A_diag, seed=3)
+    for B, k in ((flat, 2), (decaying, dim // 2 - 1)):
+        lams, V, shift = pencil_eigen(A_diag, B, k)
+        lams_ref, V_ref = _dense_pencil_eigen(A_diag, B, k)
+        assert shift == 0.0
+        assert lams.tobytes() == lams_ref.tobytes()
+        assert np.ascontiguousarray(V).tobytes() == np.ascontiguousarray(V_ref).tobytes()
+    assert served == [False, False]
+
+
+def test_large_stack_solves_row_by_row(monkeypatch):
+    # a stack of large pencils: a top-k row, a shifted row and a dense
+    # fallback row, each with the bits of its own two-dimensional call
+    served = _krylov_served(monkeypatch)
+    setup = round_setup(12, q=1600, L=spectral.KRYLOV_MIN_DIM)
+    N, dim = setup.coeffs.N, setup.basis.dim
+    rng = np.random.default_rng(40)
+    half = np.where(setup.rule.nodes > 0, 1.0, 0.0)
+    B = np.array(
+        [
+            assemble_mass(random_density(setup.basis, N, rng), setup.basis),
+            assemble_mass(ConformalDensity(setup.basis, half, N).normalize(), setup.basis),
+            _pencil_from_spectrum(np.linspace(1.0, 2.0, dim), setup.A_diag, seed=3),
+        ]
+    )
+    lams, V, shift = pencil_eigen(setup.A_diag, B, 3)
+    assert lams.shape == (3, 3) and V.shape == (3, dim, 3)
+    assert shift[1] > 0 and shift[0] == shift[2] == 0.0
+    assert served == [True, True, False]
+    for i in range(3):
+        lams_row, V_row, shift_row = pencil_eigen(setup.A_diag, B[i], 3)
+        assert lams_row.tobytes() == lams[i].tobytes()
+        assert np.ascontiguousarray(V_row).tobytes() == np.ascontiguousarray(V[i]).tobytes()
+        assert shift_row == shift[i]
 
 
 def test_minimax_over_plane_matches_scipy(setup5):

@@ -20,6 +20,7 @@ from paneitz_lab.spectral import (
 from paneitz_lab.zonal import (
     ZonalField,
     _recurrence,
+    _rows,
     analyze,
     build_basis,
     build_quadrature,
@@ -170,6 +171,20 @@ def test_basis_orthonormal(basis5):
     W = basis5.rule.weights
     gram = (basis5.table * W) @ basis5.table.T
     assert np.max(np.abs(gram - np.eye(basis5.dim))) < 1e-10
+
+
+@pytest.mark.parametrize("n, q, L", [(12, 1600, 400), (5, 200, 16)])
+def test_basis_table_has_the_bits_of_the_list_and_divide_formula(n, q, L):
+    # the reference: every recurrence row in a list, stacked into one array,
+    # then divided into a second one
+    rule = build_quadrature(round_sphere(n), q)
+    b0, sqrt_beta = _recurrence(n, L)
+    reference = np.array(list(_rows(rule.nodes, b0, sqrt_beta))) / math.sqrt(
+        euclidean_sphere_area(n)
+    )
+    table = build_basis(rule, L).table
+    assert table.shape == (L + 1, q) and table.flags.c_contiguous
+    assert table.tobytes() == reference.tobytes()
 
 
 def test_basis_constant_mode(basis5):

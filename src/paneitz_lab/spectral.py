@@ -9,6 +9,7 @@ on sets of positive measure).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,21 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
     return (basis.eigs + coeffs.a) * (basis.eigs + coeffs.b)
 
 
+# A pencil of at least this dimension is large: it is solved by
+# ``_block_krylov``, a smaller one by a full eigh, and its mass form is
+# assembled as a symmetric product.  Measured crossovers (one pinned CPU, one
+# BLAS thread):
+# - solve (n = 12, a smooth random density, k = 2): eigh 1.8 ms against
+#   2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
+#   against 2.4 ms at 193 and 20 against 5.6 ms at 401;
+# - mass form: ``mass_from_values`` as the symmetric product X X^T (BLAS
+#   syrk) takes 7.2 ms against 11.7 ms as the general one (gemm) for a
+#   401x1600 table, 45 against 44 us for 49x200, and 103 against 78 us for
+#   the descent's stack of eight densities on a 17x200 table, so the descent
+#   and the default L = 48 runs stay on gemm.
+KRYLOV_MIN_DIM = 150
+
+
 def mass_from_values(
     rule: QuadratureRule, table: np.ndarray, values: np.ndarray, N: float
 ) -> np.ndarray:
@@ -78,8 +94,15 @@ def mass_from_values(
     home of the mass formula.  The basis table gives the full form B(u),
     the node values of a few fields the form restricted to their span.
     Leading axes of values are a stack of densities, and give a stack of
-    forms."""
+    forms.
+
+    A table of ``KRYLOV_MIN_DIM`` rows or more gives X X^T with
+    X = table * sqrt(w u^(N-2)): numpy sends it to BLAS syrk, which does half
+    the flops of the general product and returns an exactly symmetric form."""
     wdens = rule.weights * values ** (N - 2)
+    if len(table) >= KRYLOV_MIN_DIM:
+        X = table * np.sqrt(wdens)[..., None, :]
+        return X @ X.swapaxes(-1, -2)
     return (table * wdens[..., None, :]) @ table.T
 
 
@@ -180,12 +203,6 @@ def pencil_eigen(
     return 1.0 / mass, V, shift[()]
 
 
-# Pencils of at least this dimension are solved by ``_block_krylov``, smaller
-# ones by a full eigh.  The measured crossover (n = 12, a smooth random
-# density, k = 2; one CPU, one BLAS thread): eigh 1.8 ms against 2.4 ms at
-# dim 129, 2.7 against 2.5 ms at 161, 3.3 against 2.4 ms at 193 and 20 against
-# 5.6 ms at 401.
-KRYLOV_MIN_DIM = 150
 RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, relative to ||C||
 
 
@@ -330,7 +347,16 @@ class SphereSetup:
 
 
 def round_setup(n: int, q: int = 200, L: int = 48) -> SphereSetup:
-    """Quadrature, basis and operator form for the round unit n-sphere."""
+    """Quadrature, basis and operator form for the round unit n-sphere.
+
+    The last setup built is held and returned again for the same (n, q, L),
+    so a caller's setup and the one ``lemma3_bound`` asks for share one
+    basis table; its arrays are read-only, as the Gauss rule's are."""
+    return _round_setup(n, q, L)
+
+
+@functools.lru_cache(maxsize=1)
+def _round_setup(n: int, q: int, L: int) -> SphereSetup:
     from .einstein import derive_coefficients, round_sphere
     from .zonal import build_basis, build_quadrature
 
@@ -338,13 +364,10 @@ def round_setup(n: int, q: int = 200, L: int = 48) -> SphereSetup:
     coeffs = derive_coefficients(data)
     rule = build_quadrature(data, q)
     basis = build_basis(rule, L)
-    return SphereSetup(
-        data=data,
-        coeffs=coeffs,
-        rule=rule,
-        basis=basis,
-        A_diag=assemble_stiffness(coeffs, basis),
-    )
+    A_diag = assemble_stiffness(coeffs, basis)
+    for a in (basis.table, basis.eigs, A_diag):
+        a.flags.writeable = False
+    return SphereSetup(data=data, coeffs=coeffs, rule=rule, basis=basis, A_diag=A_diag)
 
 
 def solve_density(

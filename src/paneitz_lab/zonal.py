@@ -79,6 +79,13 @@ def _rows(x: np.ndarray, b0: float, sqrt_beta: np.ndarray):
         yield cur
 
 
+# The largest rule ``build_quadrature`` builds: four times the largest in use
+# (q = 1600).  The build takes 0.08 s at q = 1600, 0.54 s at 3200 and 3.5 s at
+# 6400 (one CPU, one BLAS thread); at q = 100000 its odd block alone would
+# need 18.6 GiB.
+MAX_QUADRATURE_NODES = 6400
+
+
 def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     """Gauss rule with q nodes, exact for x-polynomials of degree <= 2q-1.
 
@@ -96,11 +103,18 @@ def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     weights exactly symmetric.
 
     Rules are memoized per process on (n, q) and shared, so their arrays
-    are read-only.  Raises ValueError when a weight underflows to zero, as
+    are read-only.  Raises ValueError for q above ``MAX_QUADRATURE_NODES``,
+    before anything is allocated, and when a weight underflows to zero, as
     at (n, q) = (200, 1600) or (340, 200).
     """
     if q < 2:
         raise ValueError("need at least 2 quadrature nodes")
+    if q > MAX_QUADRATURE_NODES:
+        raise ValueError(
+            f"q={q} exceeds the cap of {MAX_QUADRATURE_NODES} quadrature nodes: the "
+            f"node solve holds a dense (q/2)x(q/2) matrix ({8 * (q // 2) ** 2 / 2**30:.1f} GiB "
+            "here) and its time grows like q^3"
+        )
     return _gauss_rule(data.n, q)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import paneitz_lab.spectral as spectral
+import paneitz_lab.zonal as zonal
 
 from paneitz_lab.bubbles import (
     DEFAULT_EPS_GRID,
@@ -134,6 +135,21 @@ def test_lemma3_bound_structure():
     assert not lemma3_bound(8, sharp_constant_oracle(8), (0.1, 0.2)).hypothesis_ok
 
 
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_lemma3_ladder_descends_to_the_target(n):
+    # the two-plane bound approaches 2^(4/n) K2^(-2) from above as the basis
+    # resolves a narrower bubble: non-increasing in L, never below the target
+    # (ratio - 1 runs from 3.3e-2 to 1.8e-5 at n = 12, 7.1e-2 to 1.7e-7 at n = 30)
+    ratios = []
+    for L in (24, 48, 96, 192, 400):
+        q = max(200, 4 * L)
+        eps = np.geomspace(1.05 * 3 * math.pi / q, 0.45, 14)
+        ratios.append(lemma3_bound(n, sharp_constant_oracle(n), eps, q=q, L=L).ratio)
+    ratios = np.array(ratios)
+    assert np.all(np.diff(ratios) <= 0), ratios
+    assert np.all(ratios >= 1 - 1e-9), ratios
+
+
 @pytest.mark.parametrize("mu1", [-1.0, 0.0, math.nan, math.inf])
 def test_lemma3_bound_refuses_a_meaningless_mu1(mu1):
     # mu1 = -1 and 0 once gave ratios 1149 and 1072 at n = 12, without an error
@@ -155,6 +171,23 @@ def test_lemma3_bound_forms_no_full_mass(monkeypatch):
     monkeypatch.setattr(spectral, "mass_from_values", counted)
     lemma3_bound(12, sharp_constant_oracle(12), DEFAULT_EPS_GRID, q=200, L=48)
     assert shapes == [(2, 2)] * len(DEFAULT_EPS_GRID)
+
+
+def test_lemma3_bound_reuses_the_callers_basis(monkeypatch):
+    # the job's own setup is held, so the bound builds no second basis table
+    spectral.round_setup(12, q=400, L=96)
+    builds = []
+    build = zonal.build_basis
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(zonal, "build_basis", counted)
+    lemma3_bound(12, sharp_constant_oracle(12), DEFAULT_EPS_GRID, q=400, L=96)
+    assert builds == []
+    spectral.round_setup(12, q=400, L=48)  # the counter sees a build that does happen
+    assert len(builds) == 1
 
 
 def test_elementary_inequality_cases():

@@ -262,6 +262,11 @@ def test_round_is_refused(tmp_path, capsys):
             "error: eps=150000.0 is too large at n=30: the L^N mass of phi_eps "
             "underflows to 1.27e-320, below the normal double range",
         ),
+        (
+            "",
+            ["spectrum", "--n", "12", "--q", "100000", "--L", "5"],
+            "error: q=100000 exceeds the cap of 6400 quadrature nodes",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

@@ -231,6 +231,62 @@ def test_stacked_kernel_refuses_the_whole_stack(setup5):
         pencil_eigen(-setup5.A_diag, np.array([B, B]), 1)
 
 
+def _general_mass(rule, table, values, N):
+    """The mass form as the general product, the reference for the
+    symmetric one."""
+    wdens = rule.weights * values ** (N - 2)
+    return (table * wdens[..., None, :]) @ table.T
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_large_mass_is_the_symmetric_product(n):
+    # above the gate the form is X X^T: exactly symmetric, and within 16 ulp
+    # of max|B| of the general product (measured: <= 3 ulp for the constant
+    # and random densities, 8 for the two-bubble one)
+    from paneitz_lab.optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
+
+    setup = round_setup(n, q=1600, L=400)
+    assert setup.basis.dim >= spectral.KRYLOV_MIN_DIM
+    N = setup.coeffs.N
+    densities = {
+        "constant": constant_density(setup.basis, N),
+        "random": random_density(setup.basis, N, np.random.default_rng(n)),
+        "two-bubble": density_from_sqrt_field(
+            two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis), N
+        ),
+    }
+    for name, u in densities.items():
+        B = mass_from_values(setup.rule, setup.basis.table, u.values, u.N)
+        ref = _general_mass(setup.rule, setup.basis.table, u.values, u.N)
+        assert np.array_equal(B, B.T), name
+        assert np.max(np.abs(B - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), name
+
+
+def test_small_mass_keeps_the_general_product(setup12):
+    # below the gate, a stack of eight densities on the descent's 17-row
+    # table and one on the default 49-row table keep the general product's bits
+    setup = round_setup(12, q=200, L=16)
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density(setup.basis, setup.coeffs.N, rng).values for _ in range(8)])
+    one = random_density(setup12.basis, setup12.coeffs.N, rng).values
+    for s, values in ((setup, stack), (setup12, one)):
+        B = mass_from_values(s.rule, s.basis.table, values, s.coeffs.N)
+        ref = _general_mass(s.rule, s.basis.table, values, s.coeffs.N)
+        assert B.shape[-1] < spectral.KRYLOV_MIN_DIM
+        assert B.tobytes() == ref.tobytes()
+
+
+def test_round_setup_is_held_and_read_only():
+    setup = round_setup(12, 200, 16)
+    assert round_setup(12, q=200, L=16) is setup
+    for a in (setup.basis.table, setup.basis.eigs, setup.A_diag):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    other = round_setup(5, q=200, L=16)  # a different discretization replaces it
+    assert round_setup(5, q=200, L=16) is other
+    assert round_setup(12, q=200, L=16) is not setup
+
+
 @pytest.mark.parametrize("dim", [17, 49, 401])
 def test_kernel_reproduces_scipy_eigh(dim):
     # scipy is the oracle for the symmetrized pencil C = A^(-1/2) B A^(-1/2);

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import roots_gegenbauer
 
+import paneitz_lab.zonal as zonal
 from paneitz_lab.einstein import (
     euclidean_sphere_area,
     round_sphere,
@@ -18,6 +19,7 @@ from paneitz_lab.spectral import (
     solve_density,
 )
 from paneitz_lab.zonal import (
+    MAX_QUADRATURE_NODES,
     ZonalField,
     _recurrence,
     _rows,
@@ -136,6 +138,20 @@ def test_rule_is_memoized_and_read_only():
     for a in (rule.nodes, rule.weights, rule.theta):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_oversized_quadrature_is_refused_before_any_allocation(monkeypatch):
+    # at q = 100000 the node solve's odd block alone would take 18.6 GiB; the
+    # refusal must come before the rule is built
+    def unreachable(n, q):
+        raise AssertionError(f"rule (n={n}, q={q}) was built")
+
+    monkeypatch.setattr(zonal, "_gauss_rule", unreachable)
+    for q in (MAX_QUADRATURE_NODES + 1, 100000):
+        with pytest.raises(ValueError, match=rf"q={q} exceeds the cap of 6400 quadrature nodes"):
+            build_quadrature(round_sphere(12), q)
+    monkeypatch.setattr(zonal, "_gauss_rule", lambda n, q: (n, q))
+    assert build_quadrature(round_sphere(12), MAX_QUADRATURE_NODES) == (12, 6400)
 
 
 def test_recurrence_b0_matches_gamma_form():

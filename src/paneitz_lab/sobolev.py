@@ -29,7 +29,7 @@ from .spectral import (
     restricted_mass,
     solve_generalized_eigen,
 )
-from .zonal import ZonalField
+from .zonal import ZonalField, gauss_rule
 
 REFINED_EPS = 0.1   # slack (1+eps)^(-1) in the second-eigenvalue form of the refined inequality
 RADIAL_NODES = 400  # Gauss nodes in the core of the radial grid, half as many in its tail
@@ -176,6 +176,14 @@ class EuclideanRadialGrid:
         return tail / total
 
 
+def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: the package's zonal rule
+    of S^2, whose x-weight is 1, without the measure Vol(S^1) its weights
+    carry."""
+    rule = gauss_rule(2, q)
+    return rule.nodes, rule.weights / euclidean_sphere_area(2)
+
+
 def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
     """RADIAL_NODES-node core on (0, R) and a tail panel of half as many
     nodes, less the nodes where the measure r^(n-1) overflows double precision.
@@ -190,9 +198,9 @@ def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
         raise ValueError("need R > 0")
     q = RADIAL_NODES
     area = euclidean_sphere_area(n)
-    x, w = np.polynomial.legendre.leggauss(q)
+    x, w = _legendre(q)
     r_core = 0.5 * R * (x + 1.0)
-    s, ws = np.polynomial.legendre.leggauss(q // 2)
+    s, ws = _legendre(q // 2)
     s = 0.5 * (s + 1.0)
     ws = 0.5 * ws
     r_tail = R / s
@@ -255,6 +263,23 @@ def flat_laplacian(profile: RadialProfile, r: np.ndarray, n: int) -> np.ndarray:
     return -(profile.d2f(r) + (n - 1) / r * profile.df(r))
 
 
+def _normal_power(
+    grid: EuclideanRadialGrid, values: np.ndarray, N: float
+) -> tuple[float, np.ndarray]:
+    """(c, |c f|^N at the nodes) from the node values of f, where c is 1, or
+    the power of two that lifts a subnormal L^N mass of f into the normal
+    double range: a subnormal mass has lost digits, and the standard
+    bubble's is subnormal from n = 327 on.  Scaling by c is exact at every
+    node, so the values of f are kept up to the factor."""
+    power = np.abs(values) ** N
+    mass = grid.integrate(power)
+    tiny = np.finfo(float).tiny
+    if not 0 < mass < tiny:
+        return 1.0, power
+    amplitude = 2.0 ** math.ceil(1 + (math.log2(tiny) - math.log2(mass)) / N)
+    return amplitude, np.abs(amplitude * values) ** N
+
+
 def euclidean_corollary_check(
     grid: EuclideanRadialGrid, u: RadialProfile, v: RadialProfile
 ) -> InequalityReport:
@@ -263,12 +288,15 @@ def euclidean_corollary_check(
     The stated volume exponent 2/N is not scale-consistent in u; the
     inequality is applied in the unit-mass regime, so u is rescaled to
     int u^N = 1 before evaluation (both exponent readings then coincide).
+    Both sides are homogeneous of degree 2 in v, so v is evaluated at the
+    amplitude of ``_normal_power``: 1, unless its L^N mass is subnormal.
     Profiles must essentially decay inside the core radius: the tail-panel
     mass fraction of the u^N integrand must stay below 1e-8.
     """
     n = grid.n
     N = _critical_exponent(n)
-    uN = u.f(grid.r) ** N
+    u_values = u.f(grid.r)
+    amplitude, uN = _normal_power(grid, u_values, N)
     frac = grid.tail_fraction(uN)
     if frac > 1e-8:
         raise ValueError(
@@ -276,19 +304,19 @@ def euclidean_corollary_check(
         )
     mass = grid.integrate(uN)
     if not mass >= np.finfo(float).tiny:
-        # from n = 327 on, the standard bubble's mass is subnormal
         raise ValueError(
             f"euclidean-corollary: the L^N mass of u, {mass:.3g}, is below the "
             f"normal double range at n = {n}"
         )
-    u_scale = mass ** (-1.0 / N)
-    lap = flat_laplacian(v, grid.r, n)
-    lhs = grid.integrate((u_scale * u.f(grid.r)) ** (N - 2) * v.f(grid.r) ** 2)
+    u_scale = amplitude * mass ** (-1.0 / N)
+    v_values = v.f(grid.r)
+    v_amplitude, vN = _normal_power(grid, v_values, N)
+    v_values = v_amplitude * v_values
+    lap = v_amplitude * flat_laplacian(v, grid.r, n)
+    lhs = grid.integrate((u_scale * u_values) ** (N - 2) * v_values**2)
     K2_sq = 1.0 / sharp_constant_oracle(n)
     rhs = 2.0 ** (-4.0 / n) * K2_sq * grid.integrate(lap**2)
-    sharp_quotient = grid.integrate(lap**2) / grid.integrate(
-        np.abs(v.f(grid.r)) ** N
-    ) ** (2.0 / N)
+    sharp_quotient = grid.integrate(lap**2) / grid.integrate(vN) ** (2.0 / N)
     return make_report(
         "euclidean-corollary",
         lhs,

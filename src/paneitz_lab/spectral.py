@@ -73,16 +73,17 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 
 # A pencil of at least this dimension is large: it is solved by
 # ``_block_krylov``, a smaller one by a full eigh, and its mass form is
-# assembled as a symmetric product.  Measured crossovers (one pinned CPU, one
-# BLAS thread):
+# summed over the mirror half of the rule (``_mirror_mass``).  Measured
+# crossovers (one pinned CPU, one BLAS thread):
 # - solve (n = 12, a smooth random density, k = 2): eigh 1.8 ms against
 #   2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
 #   against 2.4 ms at 193 and 20 against 5.6 ms at 401;
-# - mass form: ``mass_from_values`` as the symmetric product X X^T (BLAS
-#   syrk) takes 7.2 ms against 11.7 ms as the general one (gemm) for a
-#   401x1600 table, 45 against 44 us for 49x200, and 103 against 78 us for
-#   the descent's stack of eight densities on a 17x200 table, so the descent
-#   and the default L = 48 runs stay on gemm.
+# - mass form, the whole ``mass_from_values`` at n = 12: the mirror sum takes
+#   4.6 ms against 12.4 ms for the general product (gemm) and 7.3 ms for the
+#   symmetric product X X^T over every node (syrk) on a 401x1600 table, 1.2
+#   against 2.6 ms on 151x1600, 52-60 against 53-55 us on 49x200, and
+#   103-112 against 57-62 us for the descent's stack of eight densities on a
+#   17x200 table, so the descent and the default L = 48 runs stay on gemm.
 KRYLOV_MIN_DIM = 150
 
 
@@ -96,14 +97,44 @@ def mass_from_values(
     Leading axes of values are a stack of densities, and give a stack of
     forms.
 
-    A table of ``KRYLOV_MIN_DIM`` rows or more gives X X^T with
-    X = table * sqrt(w u^(N-2)): numpy sends it to BLAS syrk, which does half
-    the flops of the general product and returns an exactly symmetric form."""
+    A table of ``KRYLOV_MIN_DIM`` rows or more is summed over the nonnegative
+    nodes alone (``_mirror_mass``), a quarter of the general product's
+    multiply-adds, and gives an exactly symmetric form.  That branch needs a
+    basis table on a mirrored rule: row l must be Z_l, of parity (-1)^l, on
+    nodes and weights that are exactly symmetric about x = 0, as
+    ``build_quadrature`` and ``build_basis`` make them."""
     wdens = rule.weights * values ** (N - 2)
     if len(table) >= KRYLOV_MIN_DIM:
-        X = table * np.sqrt(wdens)[..., None, :]
-        return X @ X.swapaxes(-1, -2)
+        return _mirror_mass(table, wdens)
     return (table * wdens[..., None, :]) @ table.T
+
+
+def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
+    """Sum_j wdens_j Z_a(x_j) Z_b(x_j) over a rule whose node x_j has the
+    mirror -x_j, for the basis table Z and a density row or stack of rows.
+
+    Z_l(-x) = (-1)^l Z_l(x), so each pair (x, -x) adds
+    Z_a(x) Z_b(x) (wdens(x) + (-1)^(a+b) wdens(-x)): the even-even and
+    odd-odd blocks are symmetric products (BLAS syrk) weighted by the sum,
+    the even-odd block one general product weighted by the difference, and
+    its transpose is the odd-even block.  A node x = 0, its own mirror,
+    counts once, and only in the even block: every odd row vanishes there.
+    """
+    q = table.shape[-1]
+    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
+    even, odd = table[0::2, m:], table[1::2, m:]  # at the nonnegative nodes
+    plus = wdens[..., m:]
+    minus = wdens[..., q - 1 - m :: -1]  # wdens at the mirrors -x of those nodes
+    a, b = plus + minus, plus - minus
+    a[..., : q % 2] = plus[..., : q % 2]  # x = 0 counts once
+    root = np.sqrt(a)[..., None, :]
+    X, Y = even * root, odd * root
+    B = np.empty((*wdens.shape[:-1], len(table), len(table)))
+    B[..., 0::2, 0::2] = X @ X.swapaxes(-1, -2)
+    B[..., 1::2, 1::2] = Y @ Y.swapaxes(-1, -2)
+    B[..., 0::2, 1::2] = (even * b[..., None, :]) @ odd.T
+    B[..., 1::2, 0::2] = B[..., 0::2, 1::2].swapaxes(-1, -2)
+    return B
 
 
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:

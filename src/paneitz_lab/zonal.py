@@ -115,11 +115,15 @@ def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
             f"node solve holds a dense (q/2)x(q/2) matrix ({8 * (q // 2) ** 2 / 2**30:.1f} GiB "
             "here) and its time grows like q^3"
         )
-    return _gauss_rule(data.n, q)
+    return gauss_rule(data.n, q)
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss_rule(n: int, q: int) -> QuadratureRule:
+def gauss_rule(n: int, q: int) -> QuadratureRule:
+    """The memoized q-node rule of ``build_quadrature`` for the weight
+    (1-x^2)^((n-2)/2), without its checks on q, for any n >= 2; at n = 2
+    the weight is 1, and the rule is Gauss-Legendre with every weight scaled
+    by Vol(S^1) = 2 pi."""
     b0, sqrt_beta = _recurrence(n, q - 1)
     m = q // 2
     s = np.append(sqrt_beta, 0.0)  # s[i] = J[i, i+1], zero past the end

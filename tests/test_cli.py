@@ -267,6 +267,8 @@ def test_round_is_refused(tmp_path, capsys):
             ["spectrum", "--n", "12", "--q", "100000", "--L", "5"],
             "error: q=100000 exceeds the cap of 6400 quadrature nodes",
         ),
+        ("", ["audit", "--n", "335"], "error: Gauss weights underflow to zero at n=335, q=200"),
+        ("", ["audit", "--n", "342"], "error: Gauss weights underflow to zero at n=342, q=200"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -345,14 +347,20 @@ def test_audit_runs_in_low_dimensions(out_root, n):
     assert main(["audit", "--n", str(n)]) == 0
 
 
-@pytest.mark.parametrize("n", [51, 52, 60])
+@pytest.mark.parametrize("n", [51, 52, 60, 326, 327, 334])
 def test_audit_records_hold_no_nan(out_root, n):
-    # a NaN side once reached the record as a "violated" verdict from n = 52 on
+    # a NaN side once reached the record as a "violated" verdict from n = 52
+    # on; from n = 327 on the bubble's L^N mass is subnormal, and the
+    # corollary is evaluated at a power-of-two amplitude (the ratio's error
+    # is the radial grid's: 1.6e-10 at n = 334, and 1.1e-10 at n = 326,
+    # where the amplitude is 1)
     assert main(["audit", "--n", str(n)]) == 0
     (record,) = out_root.glob("*/record.json")
     doc = json.loads(record.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in record"))
     for rep in doc["payload"]["reports"]:
         assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "ratio"))
+    (corollary,) = [r for r in doc["payload"]["reports"] if r["name"] == "euclidean-corollary"]
+    assert corollary["ratio"] == pytest.approx(2 ** (4 / n), rel=1e-9)
 
 
 def _fresh_python(code, *args):

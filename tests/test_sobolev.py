@@ -83,10 +83,10 @@ def test_non_finite_sides_are_refused():
         make_report("x", math.nan, 1.0)
     with pytest.raises(ValueError, match="x: non-finite side"):
         make_report("x", 1.0, math.inf)
-    # past n = 326 the bubble's mass leaves the normal double range
-    grid = build_radial_grid(330, R=bubble_radius(330))
+    # a profile whose L^N mass underflows to zero cannot be normalized
+    zero = RadialProfile(f=np.zeros_like, df=np.zeros_like, d2f=np.zeros_like)
     with pytest.raises(ValueError, match="below the normal double range at n = 330"):
-        euclidean_corollary_check(grid, standard_bubble(330), standard_bubble(330))
+        euclidean_corollary_check(build_radial_grid(330), zero, standard_bubble(330))
 
 
 def test_euclidean_decay_guard():

@@ -232,17 +232,17 @@ def test_stacked_kernel_refuses_the_whole_stack(setup5):
 
 
 def _general_mass(rule, table, values, N):
-    """The mass form as the general product, the reference for the
-    symmetric one."""
+    """The mass form as the general product over every node, the reference
+    for the mirror sum of large tables."""
     wdens = rule.weights * values ** (N - 2)
     return (table * wdens[..., None, :]) @ table.T
 
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_large_mass_is_the_symmetric_product(n):
-    # above the gate the form is X X^T: exactly symmetric, and within 16 ulp
-    # of max|B| of the general product (measured: <= 3 ulp for the constant
-    # and random densities, 8 for the two-bubble one)
+    # above the gate the form is exactly symmetric, and within 16 ulp of
+    # max|B| of the general product (measured: <= 8 ulp for the constant
+    # density, 10 for the random one and 11 for the two-bubble one)
     from paneitz_lab.optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
 
     setup = round_setup(n, q=1600, L=400)
@@ -260,6 +260,62 @@ def test_large_mass_is_the_symmetric_product(n):
         ref = _general_mass(setup.rule, setup.basis.table, u.values, u.N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), name
+
+
+@pytest.mark.parametrize("n, q, L", [(5, 1600, 400), (12, 1600, 400), (30, 1600, 400), (12, 401, 200)])
+def test_large_mass_is_the_mirror_sum(n, q, L):
+    # the parity-split sum over the nonnegative nodes against the general
+    # product over all of them: the asymmetric two-bubble density has a
+    # large even-odd block, and the odd q puts a node at x = 0 (measured:
+    # <= 27 ulp of max|B|, at n = 5 for the random density); a stack of
+    # densities gives each row the bits of its own call
+    from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
+
+    setup = round_setup(n, q=q, L=L)
+    assert setup.basis.dim >= spectral.KRYLOV_MIN_DIM
+    N = setup.coeffs.N
+    densities = {
+        "constant": constant_density(setup.basis, N),
+        "random": random_density(setup.basis, N, np.random.default_rng(n)),
+        "two-bubble": density_from_sqrt_field(two_bubble_initializer(INIT_EPS, 0.3, setup.basis), N),
+    }
+    for name, u in densities.items():
+        B = mass_from_values(setup.rule, setup.basis.table, u.values, N)
+        ref = _general_mass(setup.rule, setup.basis.table, u.values, N)
+        assert np.array_equal(B, B.T), name
+        assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref))), name
+    values = np.array([u.values for u in densities.values()])
+    stack = mass_from_values(setup.rule, setup.basis.table, values, N)
+    for row, u in zip(stack, values):
+        assert row.tobytes() == mass_from_values(setup.rule, setup.basis.table, u, N).tobytes()
+
+
+def _mobius_density(setup, eps):
+    """u_t = psi_t^((n-4)/2), psi_t(x) = sqrt(1-t^2)/(1-tx): the conformal
+    factor of an axial Moebius dilation, a bubble of width
+    eps = sqrt((1-t)/(1+t)) at the pole x = 1."""
+    t = (1 - eps**2) / (1 + eps**2)
+    psi = math.sqrt(1 - t * t) / (1 - t * setup.rule.nodes)
+    return ConformalDensity(setup.basis, psi ** ((setup.basis.n - 4) / 2), setup.coeffs.N)
+
+
+@pytest.mark.parametrize(
+    "q, L, n, eps",
+    [(1600, 400, n, eps) for n in (5, 7, 12, 20, 30) for eps in (0.229, 0.071)]
+    + [(400, 96, n, 0.229) for n in (5, 6, 8, 12)],
+)
+def test_moebius_density_has_the_round_spectrum(q, L, n, eps):
+    # P is conformally covariant, and u_t pulls the round metric back by a
+    # Moebius map: the pencil (P, u_t^(N-2)) has the round eigenvalues, scaled
+    # by the volume, and lambda_bar_1(u_t) is the sharp constant K2^(-2)
+    # (measured: <= 1.6e-14 at (1600, 400), where eps = 0.071 makes a large
+    # even-odd mass block, and 2.2e-15 on the dense path at (400, 96))
+    setup = round_setup(n, q=q, L=L)
+    u = _mobius_density(setup, eps)
+    spec = solve_density(setup, u, 3)
+    scale = (u.lN_mass() / setup.rule.weights.sum()) ** (4 / n)
+    assert np.max(np.abs(spec.eigenvalues * scale / setup.A_diag[:3] - 1)) <= 1e-12
+    assert normalized_invariant(spec, u, 1) / sharp_constant_oracle(n) - 1 == pytest.approx(0, abs=1e-12)
 
 
 def test_small_mass_keeps_the_general_product(setup12):

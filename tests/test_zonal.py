@@ -146,11 +146,11 @@ def test_oversized_quadrature_is_refused_before_any_allocation(monkeypatch):
     def unreachable(n, q):
         raise AssertionError(f"rule (n={n}, q={q}) was built")
 
-    monkeypatch.setattr(zonal, "_gauss_rule", unreachable)
+    monkeypatch.setattr(zonal, "gauss_rule", unreachable)
     for q in (MAX_QUADRATURE_NODES + 1, 100000):
         with pytest.raises(ValueError, match=rf"q={q} exceeds the cap of 6400 quadrature nodes"):
             build_quadrature(round_sphere(12), q)
-    monkeypatch.setattr(zonal, "_gauss_rule", lambda n, q: (n, q))
+    monkeypatch.setattr(zonal, "gauss_rule", lambda n, q: (n, q))
     assert build_quadrature(round_sphere(12), MAX_QUADRATURE_NODES) == (12, 6400)
 
 

@@ -196,7 +196,6 @@ def _run_spectrum(config: ExperimentConfig):
         "eigenvalues": spec.eigenvalues,
         "normalized_invariants": lam_bar,
         "residuals": spec.residuals,
-        "shift": spec.shift,
     }
     rows = list(zip(range(1, len(spec) + 1), spec.eigenvalues, lam_bar, spec.residuals))
     tables = {"spectrum": (["k", "lambda", "lambda_bar", "residual"], rows)}

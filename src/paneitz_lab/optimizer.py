@@ -56,6 +56,11 @@ class OptimizerConfig:
             raise ValueError("k must be >= 1")
         if self.L_opt < 2 or self.L_opt > self.L_final:
             raise ValueError("need 2 <= L_opt <= L_final")
+        if self.k > self.L_opt + 1:
+            raise ValueError(
+                f"k = {self.k} exceeds the dimension {self.L_opt + 1} "
+                f"of the descent basis (L_opt = {self.L_opt})"
+            )
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:
@@ -106,7 +111,7 @@ def _solve_rows(
     stack of rows, solved in one call."""
     qvals = np.matmul(setup.basis.table.T, c[..., None])[..., 0]
     B = mass_from_values(setup.basis.rule, setup.basis.table, qvals**2, setup.coeffs.N)
-    lams, V, _ = pencil_eigen(setup.A_diag, B, kmax)
+    lams, V = pencil_eigen(setup.A_diag, B, kmax)
     return qvals, lams, V
 
 

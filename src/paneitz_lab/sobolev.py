@@ -33,6 +33,11 @@ from .zonal import ZonalField, gauss_rule
 
 REFINED_EPS = 0.1   # slack (1+eps)^(-1) in the second-eigenvalue form of the refined inequality
 RADIAL_NODES = 400  # Gauss nodes in the core of the radial grid, half as many in its tail
+# From this dimension on the core takes twice RADIAL_NODES nodes: the u^N
+# peak of the standard bubble, of width about 1/sqrt(n) near r = 1, needs
+# them (the euclidean-corollary ratio misses 2^(4/n) by 2.7e-11 at n = 300
+# and 1.6e-10 at n = 334 on 400 nodes, by at most 5.1e-14 on 800).
+RADIAL_DOUBLING_DIM = 200
 
 
 @dataclass
@@ -185,8 +190,10 @@ def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
-    """RADIAL_NODES-node core on (0, R) and a tail panel of half as many
-    nodes, less the nodes where the measure r^(n-1) overflows double precision.
+    """RADIAL_NODES-node core on (0, R), twice as many from
+    n = RADIAL_DOUBLING_DIM on, and a tail panel of half as many nodes as
+    the core, less the nodes where the measure r^(n-1) overflows double
+    precision.
 
     That happens at the outermost tail nodes (r near 1e6) from n = 52 on, and
     inside the core from n = 183 on.  The profiles the grid is for decay at
@@ -196,7 +203,7 @@ def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
     """
     if R <= 0:
         raise ValueError("need R > 0")
-    q = RADIAL_NODES
+    q = RADIAL_NODES if n < RADIAL_DOUBLING_DIM else 2 * RADIAL_NODES
     area = euclidean_sphere_area(n)
     x, w = _legendre(q)
     r_core = 0.5 * R * (x + 1.0)

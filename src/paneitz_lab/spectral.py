@@ -169,7 +169,9 @@ class GeneralizedSpectrum:
     eigenvalues: np.ndarray
     eigenfields: list[ZonalField]
     residuals: np.ndarray
-    shift: float  # regularization actually added to B (0.0 if none)
+    # not a field: the trace probe ``_probe_solve`` in perfbench/spans.py
+    # still counts the solves with shift > 0; no solve shifts B any more
+    shift = 0.0
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -183,29 +185,26 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def pencil_eigen(
-    A_diag: np.ndarray, B: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest k eigenpairs of A v = lambda B v as plain arrays.
 
-    Returns (eigenvalues, V, shift): the ascending eigenvalues, their
+    Returns (eigenvalues, V): the ascending eigenvalues and their
     B-normalized coefficient vectors as the columns of V, with no sign
-    convention, and the regularization added to B (0.0 if none).
+    convention.
 
     A must be positive definite (refused otherwise; that is the S <= 0
-    regime).  B may be singular: a fixed relative shift
-    delta = 1e-12 * trace(B)/dim is then added.  The solve inverts the
-    pencil through A^(-1/2), which keeps near-null directions of B
-    harmless: they correspond to huge Rayleigh quotients and never pollute
-    the bottom of the spectrum.  A pencil of dimension ``KRYLOV_MIN_DIM`` or
-    more is solved for its k pairs alone (``_block_krylov``), or by the full
-    eigh when that solve gives up; a smaller one by the full eigh.
+    regime).  B need only be positive semidefinite, as the mass form of a
+    density with zeros is: the solve takes the largest eigenvalues of
+    C = A^(-1/2) B A^(-1/2), the reciprocals of the pencil's smallest, and
+    a null direction of B is an eigenvalue 0 of C, far from the top, so
+    singular and regular B take one path.  A pencil of dimension
+    ``KRYLOV_MIN_DIM`` or more is solved for its k pairs alone
+    (``_block_krylov``), or by the full eigh when that solve gives up; a
+    smaller one by the full eigh.
 
     Leading axes of B are a stack of pencils sharing A, solved in one call
     (large pencils one after another); every row gets the bits of its own
-    two-dimensional call, the shift is probed and applied row by row (a
-    float for one pencil, an array of the stack's shape for a stack), and
-    any refusal refuses the whole stack.
+    two-dimensional call, and any refusal refuses the whole stack.
     """
     dim = len(A_diag)
     if not 1 <= k <= dim:
@@ -214,24 +213,13 @@ def pencil_eigen(
         raise DegeneratePencilError(
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
-    shift = np.zeros(B.shape[:-2])  # one pencil is a stack of shape ()
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        B = B.copy()
-        for i in np.ndindex(shift.shape):
-            try:
-                np.linalg.cholesky(B[i])
-            except np.linalg.LinAlgError:
-                shift[i] = 1e-12 * np.trace(B[i]) / dim
-                B[i] = B[i] + shift[i] * np.eye(dim)
     s = 1.0 / np.sqrt(A_diag)
     C = np.asarray_chkfinite((B * s).swapaxes(-1, -2) * s)
     mass, top = _top_eigenpairs(C, k)
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
     V = (top * s / np.sqrt(mass)[..., None]).swapaxes(-1, -2)
-    return 1.0 / mass, V, shift[()]
+    return 1.0 / mass, V
 
 
 RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, relative to ||C||
@@ -307,10 +295,8 @@ def solve_generalized_eigen(
     A_diag: np.ndarray, B: np.ndarray, k: int, basis: ZonalBasis
 ) -> GeneralizedSpectrum:
     """``pencil_eigen`` with sign-fixed eigenfields and relative residuals
-    ||A v - lambda B v|| / ||A v|| (B including any shift)."""
-    lams, V, shift = pencil_eigen(A_diag, B, k)
-    if shift > 0:
-        B = B + shift * np.eye(len(A_diag))
+    ||A v - lambda B v|| / ||A v||."""
+    lams, V = pencil_eigen(A_diag, B, k)
     fields, residuals = [], []
     for lam, v in zip(lams, V.T):
         v = _fix_sign(v)
@@ -321,7 +307,6 @@ def solve_generalized_eigen(
         eigenvalues=lams,
         eigenfields=fields,
         residuals=np.array(residuals),
-        shift=shift,
     )
 
 

@@ -269,6 +269,16 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         ("", ["audit", "--n", "335"], "error: Gauss weights underflow to zero at n=335, q=200"),
         ("", ["audit", "--n", "342"], "error: Gauss weights underflow to zero at n=342, q=200"),
+        (
+            "",
+            ["minimize", "--n", "12", "--k", "18"],
+            "error: k = 18 exceeds the dimension 17 of the descent basis (L_opt = 16)",
+        ),
+        (
+            "",
+            ["minimize", "--n", "5", "--k", "5", "--L-opt", "3", "--L", "3"],
+            "error: k = 5 exceeds the dimension 4 of the descent basis (L_opt = 3)",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -305,7 +315,7 @@ def test_float_keys_hash_by_value(typed, argv):
 # dataclass changes the records and must change this table too
 PAYLOAD_KEYS = {
     "coeffs": {"n", "S", "alpha", "alpha_bar", "a", "b", "N", "K2_inv_sq", "Q", "sharp_constant"},
-    "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals", "shift"},
+    "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals"},
     "minimize": {
         "n", "k", "best_coeffs", "best_objective", "final_objective", "diagnostics", "restarts"
     },
@@ -352,15 +362,14 @@ def test_audit_records_hold_no_nan(out_root, n):
     # a NaN side once reached the record as a "violated" verdict from n = 52
     # on; from n = 327 on the bubble's L^N mass is subnormal, and the
     # corollary is evaluated at a power-of-two amplitude (the ratio's error
-    # is the radial grid's: 1.6e-10 at n = 334, and 1.1e-10 at n = 326,
-    # where the amplitude is 1)
+    # is the radial grid's: at most 5.1e-14 here)
     assert main(["audit", "--n", str(n)]) == 0
     (record,) = out_root.glob("*/record.json")
     doc = json.loads(record.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in record"))
     for rep in doc["payload"]["reports"]:
         assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "ratio"))
     (corollary,) = [r for r in doc["payload"]["reports"] if r["name"] == "euclidean-corollary"]
-    assert corollary["ratio"] == pytest.approx(2 ** (4 / n), rel=1e-9)
+    assert corollary["ratio"] == pytest.approx(2 ** (4 / n), rel=1e-13)
 
 
 def _fresh_python(code, *args):

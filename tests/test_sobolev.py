@@ -78,6 +78,17 @@ def test_radial_grid_stays_finite_in_high_dimensions(n):
     assert rep.details["v_sharp_quotient"] == pytest.approx(sharp_constant_oracle(n), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [250, 300, 334])
+def test_radial_grid_resolves_the_bubble_in_high_dimensions(n):
+    # the bubble's u^N peak narrows like 1/sqrt(n); the doubled core keeps
+    # the corollary at 2^(4/n) and the bubble's quotient at K_2^-2 (errors
+    # up to 1.6e-10 on the 400-node core)
+    grid = build_radial_grid(n, R=bubble_radius(n))
+    rep = euclidean_corollary_check(grid, standard_bubble(n), standard_bubble(n))
+    assert abs(rep.ratio / 2 ** (4 / n) - 1) <= 1e-13
+    assert abs(rep.details["v_sharp_quotient"] / sharp_constant_oracle(n) - 1) <= 1e-13
+
+
 def test_non_finite_sides_are_refused():
     with pytest.raises(ValueError, match="x: non-finite side"):
         make_report("x", math.nan, 1.0)

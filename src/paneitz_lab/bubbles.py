@@ -195,8 +195,12 @@ def epsilon_sweep(eps_grid, n: int, q: int = 200) -> SweepReport:
     if n <= 6:
         raise ValueError("sweep fit requires n > 6")
     eps = np.sort(np.asarray(eps_grid, dtype=float))
-    if len(eps) < 3:
-        raise ValueError("need at least 3 grid points to fit two parameters")
+    if len(np.unique(eps)) < 3:
+        # two distinct points fit the two parameters exactly, one leaves them
+        # undetermined: either way the residual would claim a fit it lacks
+        raise ValueError(
+            f"need at least 3 distinct grid points to fit two parameters, got {eps.tolist()}"
+        )
     data = round_sphere(n)
     coeffs = derive_coefficients(data)
     from .zonal import build_quadrature

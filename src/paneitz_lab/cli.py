@@ -14,10 +14,13 @@ start without it.
 import argparse
 import csv
 import datetime
+import gc
 import hashlib
 import json
 import math
 import sys
+import time
+import types
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -53,6 +56,8 @@ class ExperimentConfig:
         self.S = None if self.S is None else float(self.S)
         if self.S is not None and not math.isfinite(self.S):
             raise SystemExit(f"invalid value for S: {self.S!r} (must be finite)")
+        if self.seed < 0:
+            raise SystemExit(f"invalid value for seed: {self.seed!r} (must be >= 0)")
         self.mu1 = float(self.mu1)
         if not 0 <= self.mu1 < math.inf:
             raise SystemExit(
@@ -340,7 +345,9 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     runner = RUNNERS[config.command]
     if config.command == "report":
         return runner(config)
+    t0 = time.perf_counter()
     payload, tables, summary = runner(config)
+    t1 = time.perf_counter()
     record = RunRecord(
         config_hash=config.config_hash,
         version=ARTIFACT_VERSION,
@@ -354,16 +361,21 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     (run_dir / "record.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
-    # wall-clock data lives outside the deterministic record
-    (run_dir / "meta.json").write_text(
-        json.dumps(
-            {"written": datetime.datetime.now(datetime.timezone.utc).isoformat()},
-            indent=2,
-        )
-        + "\n"
-    )
     for name, (header, rows) in tables.items():
         _write_csv(run_dir / f"{name}.csv", header, rows)
+    # wall-clock data lives outside the deterministic record, written last
+    # so that write_s covers the record and the CSVs
+    meta = {
+        "written": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "run_s": t1 - t0,
+        "write_s": time.perf_counter() - t1,
+        "python": ".".join(map(str, sys.version_info[:3])),
+    }
+    # a module, not merely a key: a run may map numpy to None to keep it out
+    numpy = sys.modules.get("numpy")
+    if isinstance(numpy, types.ModuleType):
+        meta["numpy"] = numpy.__version__
+    (run_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"[{config.command}] {summary}")
     print(f"run directory: {run_dir}")
     return record
@@ -501,5 +513,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Process entry of `paneitz-lab` and `python -m paneitz_lab.cli`.
+
+    Runs main(), then freezes every object left alive, so the full garbage
+    collections of interpreter shutdown skip numpy's, argparse's and the
+    package's objects.  Normal finalization still runs: stdio flush, atexit,
+    file closes.  Kept out of main() so that in-process callers see no
+    process-wide change.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

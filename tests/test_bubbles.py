@@ -98,6 +98,9 @@ def test_sweep_guards():
         epsilon_sweep(DEFAULT_EPS_GRID, 5)  # n must exceed 6
     with pytest.raises(ValueError):
         epsilon_sweep((0.1, 0.2), 12)  # too few points
+    for grid in ((0.1, 0.1, 0.1), (0.1, 0.1, 0.2)):  # too few distinct points
+        with pytest.raises(ValueError, match="need at least 3 distinct grid points"):
+            epsilon_sweep(grid, 12)
 
 
 @pytest.mark.parametrize("n, eps, mass", [(12, 2e13, "4.94e-322"), (30, 1.5e5, "1.27e-320")])

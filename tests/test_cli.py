@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -133,7 +134,33 @@ def test_report_empty(out_root, capsys):
 
 
 def test_main_entry(out_root):
+    frozen = gc.get_freeze_count()
     assert main(["coeffs", "--n", "5"]) == 0
+    # only the process entry freezes the heap; in-process callers keep theirs
+    assert gc.get_freeze_count() == frozen
+
+
+def test_meta_records_phase_times_beside_an_unchanged_record(out_root):
+    config = ExperimentConfig(command="spectrum", n=5, k=3)
+    run_dir = out_root / config.config_hash
+    dispatch(config)
+    record = (run_dir / "record.json").read_bytes()
+    meta = json.loads((run_dir / "meta.json").read_text())
+    assert {"written", "run_s", "write_s", "python", "numpy"} <= set(meta)
+    assert meta["run_s"] >= 0 and meta["write_s"] >= 0
+    assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
+    dispatch(config)
+    assert (run_dir / "record.json").read_bytes() == record
+    assert not set(meta) & set(json.loads(record))
+
+
+@pytest.mark.parametrize(
+    "typed",
+    [dict(command="coeffs", seed=-1), dict(command="spectrum", n=5, seed=-3)],
+)
+def test_negative_seed_is_refused_by_the_api(typed):
+    with pytest.raises(SystemExit, match=re.escape(f"invalid value for seed: {typed['seed']}")):
+        ExperimentConfig(**typed)
 
 
 def test_out_flag_alone_sets_the_output_root(tmp_path, monkeypatch):
@@ -279,6 +306,20 @@ def test_round_is_refused(tmp_path, capsys):
             ["minimize", "--n", "5", "--k", "5", "--L-opt", "3", "--L", "3"],
             "error: k = 5 exceeds the dimension 4 of the descent basis (L_opt = 3)",
         ),
+        ("", ["audit", "--n", "5", "--seed", "-1"], "invalid value for seed: -1 (must be >= 0)"),
+        ("", ["minimize", "--n", "5", "--seed", "-1"], "invalid value for seed: -1 (must be >= 0)"),
+        ("seed = -1\n", ["coeffs", "--n", "5"], "invalid value for seed: -1 (must be >= 0)"),
+        ("", ["spectrum", "--n", "5", "--seed", "-2"], "invalid value for seed: -2 (must be >= 0)"),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "0.1,0.1,0.1"],
+            "error: need at least 3 distinct grid points to fit two parameters, got [0.1, 0.1, 0.1]",
+        ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--eps-grid", "0.1,0.2,0.1"],
+            "error: need at least 3 distinct grid points to fit two parameters, got [0.1, 0.1, 0.2]",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -372,18 +413,49 @@ def test_audit_records_hold_no_nan(out_root, n):
     assert corollary["ratio"] == pytest.approx(2 ** (4 / n), rel=1e-13)
 
 
-def _fresh_python(code, *args):
-    """Run code in a new interpreter that imports this checkout's package."""
+def _fresh_python(*args):
+    """Run a new interpreter with args that imports this checkout's package."""
     src = str(Path(paneitz_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 
+def test_module_entry_writes_its_record(tmp_path):
+    done = _fresh_python("-m", "paneitz_lab.cli", "coeffs", "--n", "5", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    (run_dir,) = [
+        line.removeprefix("run directory: ")
+        for line in done.stdout.splitlines()
+        if line.startswith("run directory: ")
+    ]
+    assert (Path(run_dir) / "record.json").is_file()
+
+
+def test_module_entry_refuses_without_a_traceback(out_root):
+    done = _fresh_python("-m", "paneitz_lab.cli", "coeffs", "--n", "343")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: dimension n = 343 is too large")
+    assert "Traceback" not in done.stderr
+    assert not out_root.exists()
+
+
+def test_process_entry_freezes_the_heap_for_shutdown(tmp_path):
+    code = """
+import gc, sys
+from paneitz_lab.cli import entry
+assert gc.get_freeze_count() == 0
+assert entry() == 0
+assert gc.get_freeze_count() > 0
+"""
+    done = _fresh_python("-c", code, "coeffs", "--n", "5", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_import_leaves_scipy_out():
-    done = _fresh_python("import paneitz_lab.cli, sys; assert 'scipy' not in sys.modules")
+    done = _fresh_python("-c", "import paneitz_lab.cli, sys; assert 'scipy' not in sys.modules")
     assert done.returncode == 0, done.stderr
 
 
@@ -404,7 +476,7 @@ for argv in (
 ):
     assert main([*argv, "--n", "12", "--out", sys.argv[1]]) == 0, argv
 """
-    done = _fresh_python(code, str(tmp_path))
+    done = _fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*/record.json"))) == 6
 
@@ -423,13 +495,16 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
     outputs = {}
     for mode in ("blocked", "unblocked"):
         out = tmp_path / mode
-        done = _fresh_python(code, str(out), mode)
+        done = _fresh_python("-c", code, str(out), mode)
         assert done.returncode == 0, done.stderr
         outputs[mode] = {
             path.relative_to(out): path.read_bytes()
             for path in sorted(out.rglob("*"))
             if path.is_file() and path.name != "meta.json"
         }
+    # numpy maps to None there, which is a key of sys.modules but no version
+    metas = [json.loads(path.read_text()) for path in (tmp_path / "blocked").glob("*/meta.json")]
+    assert len(metas) == 2 and all("numpy" not in meta and "python" in meta for meta in metas)
     assert len(outputs["blocked"]) == 2 * 2 + 2  # record.json and a CSV per run, the report's two
     assert outputs["blocked"] == outputs["unblocked"]
 
@@ -441,5 +516,5 @@ from paneitz_lab.cli import main
 assert main(["spectrum", "--density", "const", "--n", "12", "--out", sys.argv[1]]) == 0
 assert "paneitz_lab.optimizer" not in sys.modules
 """
-    done = _fresh_python(code, str(tmp_path))
+    done = _fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr

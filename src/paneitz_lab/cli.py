@@ -3,10 +3,10 @@
 Each invocation resolves to one ExperimentConfig (flat key=value file plus
 command-line overrides), runs one subcommand, and persists a RunRecord as
 runs/<config-hash>/record.json plus CSV tables.  COMMAND_KEYS names the keys
-each subcommand reads besides n and seed; they alone make its flags, its
-config hash and the config in its record.  record.json is a pure function of
-the config — timestamps and wall-clock data go to a sibling meta.json so
-identical configs produce byte-identical records.  numpy is imported by
+each subcommand reads besides n and seed; with n, and seed for the SEEDED
+commands, they alone make its config hash and the config in its record.  record.json is a pure function of the config —
+timestamps and wall-clock data go to a sibling meta.json so identical
+configs produce byte-identical records.  numpy is imported by
 the runners that compute with arrays, never here, so `coeffs` and `report`
 start without it.
 """
@@ -56,8 +56,9 @@ class ExperimentConfig:
         self.S = None if self.S is None else float(self.S)
         if self.S is not None and not math.isfinite(self.S):
             raise SystemExit(f"invalid value for S: {self.S!r} (must be finite)")
-        if self.seed < 0:
-            raise SystemExit(f"invalid value for seed: {self.seed!r} (must be >= 0)")
+        for key, low in (("seed", 0), ("L", 0), ("q", 2)):
+            if getattr(self, key) < low:
+                raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
         self.mu1 = float(self.mu1)
         if not 0 <= self.mu1 < math.inf:
             raise SystemExit(
@@ -68,8 +69,11 @@ class ExperimentConfig:
             raise SystemExit(f"invalid value for eps_grid: {self.eps_grid!r} (entries must be finite)")
 
     def settings(self) -> dict:
-        """command, n, seed and the keys this command reads, sorted."""
-        keys = ("command", "n", "seed", *COMMAND_KEYS[self.command])
+        """command, n, seed where it is read, and the keys this command
+        reads, sorted."""
+        keys = ("command", "n", *COMMAND_KEYS[self.command])
+        if self.command in SEEDED:
+            keys += ("seed",)
         return {key: getattr(self, key) for key in sorted(keys)}
 
     def canonical(self) -> str:
@@ -89,7 +93,7 @@ class ExperimentConfig:
 
 
 # keys each subcommand reads besides n and seed; every subcommand also takes
-# --out, which changes neither the hash nor the record
+# --seed and --out, and only the SEEDED commands read (and hash) the seed
 COMMAND_KEYS = {
     "coeffs": ("S",),
     "spectrum": ("q", "L", "k", "density"),
@@ -100,6 +104,7 @@ COMMAND_KEYS = {
     "report": (),
 }
 _COMMON_KEYS = ("n", "seed", "out")
+SEEDED = ("minimize", "audit")
 
 
 @dataclass
@@ -107,7 +112,7 @@ class RunRecord:
     config_hash: str
     version: str
     payload: dict
-    seed: int
+    seed: int | None          # None for a command that reads no seed
     config: dict = field(default_factory=dict)
 
 
@@ -348,12 +353,13 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     t0 = time.perf_counter()
     payload, tables, summary = runner(config)
     t1 = time.perf_counter()
+    settings = config.settings()
     record = RunRecord(
         config_hash=config.config_hash,
         version=ARTIFACT_VERSION,
         payload=_jsonify(payload),
-        seed=config.seed,
-        config=_jsonify(config.settings()),
+        seed=settings.get("seed"),
+        config=_jsonify(settings),
     )
     run_dir = Path(config.out) / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +421,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
         rows.append(row)
     if not rows:
         print("no runs found under", root)
-        return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload={}, seed=config.seed)
+        return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload={}, seed=None)
     keys = sorted({k for r in rows for k in r})
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -428,7 +434,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
     (report_dir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     for r in rows:
         print("  ".join(f"{k}={r[k]}" for k in keys if k in r and r[k] is not None))
-    return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload=doc, seed=config.seed)
+    return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload=doc, seed=None)
 
 
 RUNNERS = {

@@ -3,8 +3,9 @@
 The density is parameterized as u = q^2 with q a zonal field of moderate
 degree, which keeps u >= 0 while allowing zeros (generalized metrics).
 The objective lambda_bar_k(u) = lambda_k(u) (int u^N)^(4/n) is scale
-invariant; eigenvalue crossings near two-bubble configurations are handled
-by soft-min/soft-max smoothing with an annealed temperature.
+invariant.  Where lambda_{k-1} comes close to lambda_k, as it does near
+two-bubble configurations, the descent follows the soft-max of the two at
+an annealed temperature.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .spectral import (
 from .toolkit import _fixed_point_residual
 from .zonal import ZonalBasis, ZonalField, _float_power, analyze
 
-GAP_TOL = 1e-6      # relative eigenvalue gap below which the gradient is smoothed
+GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
+RIDGE_GAP = 0.02    # relative lambda_k - lambda_{k-1} gap below which the descent smooths
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
 INIT_EPS = 0.1      # bubble scale of the two-bubble start
 INIT_SPLIT = 0.5    # its north-pole mass fraction
@@ -185,55 +187,32 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     return ZonalField(basis, _renormalize(c, basis, N))
 
 
-def _constant_start(basis: ZonalBasis, N: float) -> ZonalField:
-    c = np.zeros(basis.dim)
-    c[0] = 1.0
-    return ZonalField(basis, _renormalize(c, basis, N))
+def _surrogate(lam: np.ndarray, T: list[float], k: int) -> tuple[list[float], np.ndarray]:
+    """Objectives of a stack of spectra (rows of eigenvalues), and the
+    weight each objective puts on each eigenvalue of its row.
 
-
-def _random_start(basis: ZonalBasis, N: float, rng) -> ZonalField:
-    decay = 0.5 ** np.arange(basis.dim)
-    c = rng.standard_normal(basis.dim) * decay
-    c[0] += 1.0  # bias away from heavily degenerate densities
-    return ZonalField(basis, _renormalize(c, basis, N))
-
-
-def _surrogate(spectra: list[list[float]], T: list[float], k: int):
-    """Objectives of a stack of spectra (lists of eigenvalues), smoothed
-    across near-crossings.
-
-    Activation widens with the temperature: early iterations smooth
-    over gaps up to a few T (the two-bubble near-collision), annealing
-    sharpens the surrogate back to the plain eigenvalue.  Returns the
-    objectives, and for each smoothed row its eigenvalue indices and
-    their weights; every other row weighs lambda_k alone.
+    The objective is lambda_k, except where lambda_{k-1} comes within
+    RIDGE_GAP of it.  That lower crossing is a ridge (lambda_k is locally a
+    max), so there the two are replaced by their soft-max at the row's
+    temperature T, never colder than the gap itself: both branches keep real
+    weight, and the descent walks the ridge instead of zigzagging.  The
+    temperature anneals, sharpening the soft-max back toward lambda_k.
     """
-    J, soft = [], {}
-    for r, (spec, t) in enumerate(zip(spectra, T)):
-        lk = spec[k - 1]
-        # the lower crossing is a ridge (lambda_k is locally a max): widen
-        # its activation so the descent walks the ridge instead of zigzagging
-        lo = k > 1 and lk - spec[k - 2] < max(GAP_TOL, 0.02) * abs(lk)
-        hi = len(spec) > k and spec[k] - lk < max(GAP_TOL * abs(lk), 5.0 * t)
-        if not lo and not hi:
+    J, weights = [], np.zeros(lam.shape)
+    weights[:, k - 1] = 1.0
+    for r, (spec, t) in enumerate(zip(lam.tolist(), T)):
+        lo, lk = spec[k - 2] if k > 1 else -math.inf, spec[k - 1]
+        if not lk - lo < RIDGE_GAP * abs(lk):  # a NaN row (a refused trial) too
             J.append(lk)
             continue
-        idx = [k - 2] * lo + [k - 1] + [k] * hi
-        vals = [spec[j] for j in idx]
-        if lo:
-            # top of the colliding cluster: soft-max, never colder than the
-            # gap itself so both branches keep real weight on the ridge
-            t = max(t, max(vals) - min(vals))
-            z = [v / t for v in vals]
-        else:
-            # isolated below, colliding above: soft-min
-            z, t = [-v / t for v in vals], -t
+        t = max(t, lk - lo)
+        z = [lo / t, lk / t]
         zmax = max(z)
         p = np.exp([v - zmax for v in z])
         total = p.sum()
         J.append(t * (zmax + math.log(total)))
-        soft[r] = idx, p / total
-    return J, soft
+        weights[r, k - 2 : k] = p / total
+    return J, weights
 
 
 def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
@@ -273,55 +252,47 @@ def _lockstep_descent(
 
     Each restart keeps its own temperature, surrogate, Armijo step, grow
     flag, 40-trial cap and status; each iteration and each line-search
-    trial round solves all of its still-pending rows in one stacked call.
-    A row that stops leaves the stack.  Returns the final coefficient rows,
-    their lambda_bar_k and the traces.
+    trial round solves all of its still-running rows in one stacked call.
+    A restart stops by setting its status; its row leaves the stack at the
+    next compaction.  Returns the final coefficient rows, their
+    lambda_bar_k and the traces.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
     traces = [RunTrace(start_label=label, pencil_solves=1) for label, _ in starts]
     c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
-    final_c, final_lam = np.empty_like(c), np.empty(len(c))  # filled by stop()
+    final_c, final_lam = np.empty_like(c), np.empty(len(c))
     # row r of the stack is restart live[r], with its Armijo step and grow flag
     live, step, grow = list(range(len(c))), [0.25] * len(c), [False] * len(c)
-
-    def stop(rows: list[int], status: str) -> list[int]:
-        """Take the given rows out of the stack with their final state."""
-        nonlocal live, step, grow, c, qvals, lam, V
-        for r in rows:
-            traces[live[r]].status = status
-            final_c[live[r]], final_lam[live[r]] = c[r], lam[r, k - 1]
-        keep = [r for r in range(len(live)) if r not in rows]
-        live, step, grow = ([x[r] for r in keep] for x in (live, step, grow))
-        c, qvals, lam, V = c[keep], qvals[keep], lam[keep], V[keep]
-        return keep
-
-    for it in range(config.max_iters):
+    for it in range(config.max_iters + 1):
+        if it == config.max_iters:  # the cap stops only the rows still running
+            for i in live:
+                if traces[i].status == "running":
+                    traces[i].status = "max-iters"
+        # compaction: stopped rows leave the stack with their final state
+        keep = []
+        for r, i in enumerate(live):
+            if traces[i].status == "running":
+                keep.append(r)
+            else:
+                final_c[i], final_lam[i] = c[r], lam[r, k - 1]
+        if len(keep) < len(live):
+            live, step, grow = ([x[r] for r in keep] for x in (live, step, grow))
+            c, qvals, lam, V = c[keep], qvals[keep], lam[keep], V[keep]
         if not live:
             break
         lam_k = lam[:, k - 1].tolist()
         T = [max(1e-3 * lk * 0.98**it, 1e-10 * lk) for lk in lam_k]
-        J, soft = _surrogate(lam.tolist(), T, k)
-        # eigenfield node values; the gradient sums those of the eigenvalues
-        # each row's surrogate weighs, in their order, with its weights
+        J, weights = _surrogate(lam, T, k)
         w_vals = _node_values(basis, V)
-        grads = _eig_gradient(qvals[:, None], w_vals, lam, setup)
-        weights = np.zeros((len(live), kmax))
-        weights[:, k - 1] = 1.0
-        used = weights > 0
-        for r, (idx, p) in soft.items():
-            weights[r, idx], used[r, idx] = p, True
-        g = np.zeros_like(c)
-        for j in range(kmax):
-            m = used[:, j]
-            if m.any():
-                g[m] += weights[m, j, None] * grads[m, j]
+        # each row's surrogate gradient: its weighted sum of eigenvalue gradients
+        g = (weights[..., None] * _eig_gradient(qvals[:, None], w_vals, lam, setup)).sum(axis=1)
         gnorm_rows = np.sqrt(np.vecdot(g, g))
         gnorm = gnorm_rows.tolist()
         gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(live)
         residuals = _fixed_point_residual(basis.rule, w_vals[:, k - 1], qvals**2, N).tolist()
-        converged = []
+        pending = []
         for r, i in enumerate(live):
             trace = traces[i]
             trace.objectives.append(J[r])
@@ -330,29 +301,25 @@ def _lockstep_descent(
             trace.gaps.append(gaps[r])
             trace.residuals.append(residuals[r])
             if gnorm[r] <= GRAD_TOL * max(abs(J[r]), 1.0):
-                converged.append(r)
+                trace.status = "gradient-converged"
+            else:
+                pending.append(r)
         # Armijo backtracking along the normalized direction; the step is a
         # displacement in coefficient space, comparable across iterations.
         # Each iteration starts from the last accepted step, doubled (up to
         # 0.25) only if that step was accepted at once and gained at least
         # half its linear prediction (Nocedal & Wright, 2nd ed., sec. 3.5)
-        if converged:
-            keep = stop(converged, "gradient-converged")
-            J, T, gnorm = ([x[r] for r in keep] for x in (J, T, gnorm))
-            g, gnorm_rows = g[keep], gnorm_rows[keep]
-        d = g / gnorm_rows[:, None]
+        d = np.zeros_like(g)  # a converged row takes no step; its gradient may vanish
+        d[pending] = g[pending] / gnorm_rows[pending, None]
         step = [min(s * 2.0, 0.25) if up else s for s, up in zip(step, grow)]
-        pending = list(range(len(live)))
         for trial in range(40):
             if not pending:
                 break
-            # every live row takes the first trial; gather only the rest
-            at = slice(None) if trial == 0 else pending
             c_new, q_new, lam_new, V_new, refused = _solve_trials(
-                c[at] - np.array([step[r] for r in pending])[:, None] * d[at], setup, kmax
+                c[pending] - np.array([step[r] for r in pending])[:, None] * d[pending], setup, kmax
             )
-            J_try, _ = _surrogate(lam_new.tolist(), [T[r] for r in pending], k)
-            won, lost = [], []
+            J_try, _ = _surrogate(lam_new, [T[r] for r in pending], k)
+            lost = []
             for p, r in enumerate(pending):
                 trace = traces[live[r]]
                 exc, solved = refused.get(p, (None, True))
@@ -361,35 +328,33 @@ def _lockstep_descent(
                     trace.annotations.append(f"iter {it}: step rejected ({exc})")
                 elif math.isfinite(J_try[p]) and J_try[p] <= J[r] - 1e-4 * step[r] * gnorm[r]:
                     grow[r] = trial == 0 and J[r] - J_try[p] >= 0.5 * step[r] * gnorm[r]
-                    won.append(p)
+                    c[r], qvals[r], lam[r], V[r] = c_new[p], q_new[p], lam_new[p], V_new[p]
                     continue
                 trace.rejected_trials += 1
                 step[r] *= 0.5
                 lost.append(r)
-            if len(won) == len(live):
-                c, qvals, lam, V = c_new, q_new, lam_new, V_new
-            elif won:
-                rows = [pending[p] for p in won]
-                c[rows], qvals[rows] = c_new[won], q_new[won]
-                lam[rows], V[rows] = lam_new[won], V_new[won]
             pending = lost
-        if pending:
-            stop(pending, "line-search-stalled")
-    stop(list(range(len(live))), "max-iters")
+        for r in pending:
+            traces[live[r]].status = "line-search-stalled"
     return final_c, final_lam.tolist(), traces
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
     """The first config.restarts of: the antipodal two-bubble configuration,
-    the constant, then seeded random coefficient draws."""
-    N = setup.coeffs.N
+    the constant, then seeded random coefficient draws, each normalized."""
+    basis, N = setup.basis, setup.coeffs.N
     rng = np.random.default_rng(config.seed)
+    constant = np.zeros(basis.dim)
+    constant[0] = 1.0
     starts = [
-        ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)),
-        ("constant", _constant_start(setup.basis, N)),
+        ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)),
+        ("constant", ZonalField(basis, _renormalize(constant, basis, N))),
     ][: config.restarts]
+    decay = 0.5 ** np.arange(basis.dim)
     for i in range(config.restarts - len(starts)):
-        starts.append((f"random-{i}", _random_start(setup.basis, N, rng)))
+        c = rng.standard_normal(basis.dim) * decay
+        c[0] += 1.0  # bias away from heavily degenerate densities
+        starts.append((f"random-{i}", ZonalField(basis, _renormalize(c, basis, N))))
     return starts
 
 

@@ -14,6 +14,7 @@ import paneitz_lab
 from paneitz_lab.cli import (
     COMMAND_KEYS,
     RUNNERS,
+    SEEDED,
     ExperimentConfig,
     build_parser,
     config_from_args,
@@ -163,6 +164,16 @@ def test_negative_seed_is_refused_by_the_api(typed):
         ExperimentConfig(**typed)
 
 
+def test_seed_is_hashed_only_where_it_is_read(out_root):
+    # spectrum reads no seed: two seeds are one run with one record
+    for seed in ("0", "1"):
+        assert main(["spectrum", "--n", "5", "--seed", seed]) == 0
+    (record,) = out_root.glob("*/record.json")
+    assert json.loads(record.read_text())["seed"] is None
+    for command in ("minimize", "audit"):
+        assert ExperimentConfig(command, seed=1).config_hash != ExperimentConfig(command).config_hash
+
+
 def test_out_flag_alone_sets_the_output_root(tmp_path, monkeypatch):
     # no environment variable overrides --out
     monkeypatch.setenv("PANEITZ_LAB_OUT", str(tmp_path / "env"))
@@ -180,9 +191,9 @@ def test_each_subparser_takes_only_its_keys():
         options = {a.dest for a in sub._actions} - {"help"}
         assert options == {"n", "seed", "out", *COMMAND_KEYS[name]}, name
         assert options <= fields
-        assert set(ExperimentConfig(command=name).settings()) == {
-            "command", "n", "seed", *COMMAND_KEYS[name]
-        }
+        # --seed is taken by every command, but hashed only where it is read
+        hashed = {"command", "n", *COMMAND_KEYS[name], *(("seed",) if name in SEEDED else ())}
+        assert set(ExperimentConfig(command=name).settings()) == hashed
 
 
 def test_key_read_only_by_another_command_leaves_hash_unchanged(tmp_path):
@@ -202,7 +213,8 @@ def test_coeffs_off_the_round_sphere(out_root):
     doc = json.loads(record.read_text())
     assert doc["payload"]["alpha"] == pytest.approx(8.25)
     assert doc["payload"]["S"] == 30.0
-    assert doc["config"] == {"command": "coeffs", "n": 5, "seed": 0, "S": 30.0}
+    assert doc["config"] == {"command": "coeffs", "n": 5, "S": 30.0}
+    assert doc["seed"] is None
 
 
 def test_round_is_refused(tmp_path, capsys):
@@ -320,6 +332,10 @@ def test_round_is_refused(tmp_path, capsys):
             ["bubble-sweep", "--n", "12", "--eps-grid", "0.1,0.2,0.1"],
             "error: need at least 3 distinct grid points to fit two parameters, got [0.1, 0.1, 0.2]",
         ),
+        ("", ["spectrum", "--n", "5", "--L", "-1"], "invalid value for L: -1 (must be >= 0)"),
+        ("", ["audit", "--n", "5", "--L", "-2"], "invalid value for L: -2 (must be >= 0)"),
+        ("", ["spectrum", "--n", "5", "--q", "-4"], "invalid value for q: -4 (must be >= 2)"),
+        ("q = 1\n", ["minimize", "--n", "5"], "invalid value for q: 1 (must be >= 2)"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

@@ -8,6 +8,7 @@ from paneitz_lab.optimizer import (
     _lockstep_descent,
     _renormalize,
     _starts,
+    _surrogate,
     gradient,
     minimize,
     objective,
@@ -147,20 +148,50 @@ def _trace_bits(trace):
     ]
 
 
-@pytest.mark.parametrize("n", [12, 5])
-def test_each_restart_descends_as_if_alone(n, request):
+@pytest.mark.parametrize(
+    "n, restarts, max_iters",
+    [(12, 8, 500), (5, 8, 500), (8, 3, 200), (8, 3, 58)],
+    ids=["12", "5", "8", "8-stalls-at-cap"],
+)
+def test_each_restart_descends_as_if_alone(n, restarts, max_iters, request):
     # the lockstep descent is bookkeeping: a start descended as a stack of
-    # one gives the bits it gives inside the default stack of eight
-    cfg = OptimizerConfig(n=n, k=2, seed=0)
+    # one gives the bits it gives inside the stack of all starts
+    cfg = OptimizerConfig(n=n, k=2, seed=0, restarts=restarts, max_iters=max_iters)
     res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
     assert len(alone) == len(res.traces) == cfg.restarts
+    if n == 8:
+        # its constant restart stalls in the line search on iteration 58, and
+        # keeps that status when the cap falls on the same iteration
+        assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
+            ("max-iters", max_iters), ("line-search-stalled", 58), ("max-iters", max_iters)
+        ]
     for trace, (_, _, (trace_alone,)) in zip(res.traces, alone):
         assert _trace_bits(trace) == _trace_bits(trace_alone)
     winner = min(range(len(alone)), key=lambda i: alone[i][1][0])
     assert res.best.coeffs.tobytes() == alone[winner][0][0].tobytes()
     assert res.best_objective == alone[winner][1][0]
+
+
+def test_surrogate_is_lambda_k_but_on_the_lower_ridge():
+    # rows of (lambda_{k-1}, lambda_k, lambda_{k+1}) at k = 2 and temperature 1
+    lam = np.array([
+        [50.0, 100.0, 200.0],          # no crossing
+        [99.0, 100.0, 200.0],          # lambda_1 within 2 % of lambda_2: the ridge
+        [50.0, 100.0, 100.0 + 1e-7],   # an upper near-crossing only
+    ])
+    J, weights = _surrogate(lam, [1.0] * 3, 2)
+    assert J[0] == 100.0 and weights[0].tolist() == [0.0, 1.0, 0.0]
+    # a soft-max lies above its largest entry, weights summing to 1
+    assert J[1] >= 100.0 and J[1] == pytest.approx(100.0 + np.log1p(np.exp(-1.0)))
+    assert weights[1, 2] == 0.0 and weights[1, :2].sum() == pytest.approx(1.0, abs=1e-15)
+    assert weights[1, 0] == pytest.approx(1.0 / (1.0 + np.e))
+    # nothing smooths across the gap above lambda_k
+    assert J[2] == 100.0 and weights[2].tolist() == [0.0, 1.0, 0.0]
+    # k = 1 has no ridge below it, and a NaN row (a refused trial) stays NaN
+    J, weights = _surrogate(np.array([[100.0, 100.5], [np.nan, np.nan]]), [1.0, 1.0], 1)
+    assert J[0] == 100.0 and np.isnan(J[1]) and weights[:, 0].tolist() == [1.0, 1.0]
 
 
 def test_a_refused_row_costs_the_other_rows_nothing(monkeypatch):

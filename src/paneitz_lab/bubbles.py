@@ -31,20 +31,19 @@ from .spectral import (
 )
 from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze, constant_field
 
+CUTOFF_RADIUS = 0.5  # delta of the cutoff eta: 1 on [0, delta], 0 from 2 delta on
+
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """One concentrated profile: scale eps, cutoff radius delta, pole."""
+    """One concentrated profile: scale eps and pole."""
 
     eps: float
-    delta: float = 0.5
     center: str = "north"
 
     def __post_init__(self):
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not 0 < self.delta <= math.pi / 2:
-            raise ValueError("cutoff radius must lie in (0, pi/2]")
         if self.center not in ("north", "south"):
             raise ValueError("center must be 'north' or 'south'")
 
@@ -66,6 +65,17 @@ def _cutoff(theta: np.ndarray, delta: float):
     return eta, deta, d2eta
 
 
+def _bubble_power(r: np.ndarray, eps2: float, n: int):
+    """(r^2 + eps2)^(-(n-4)/2) and its first two r-derivatives."""
+    m = (n - 4) / 2.0
+    base = r * r + eps2
+    return (
+        base**-m,
+        -2 * m * r * base ** (-m - 1),
+        -2 * m * base ** (-m - 1) + 4 * m * (m + 1) * r * r * base ** (-m - 2),
+    )
+
+
 def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
     """phi, phi', phi'' of the cutoff bubble at the given colatitudes.
 
@@ -75,15 +85,12 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
     """
     r = theta if spec.center == "north" else math.pi - theta
     sgn = 1.0 if spec.center == "north" else -1.0
-    m = (n - 4) / 2.0
     try:  # math.pow raises on overflow for a Python and a numpy float alike
-        base = r * r + math.pow(spec.eps, 2)
+        eps2 = math.pow(spec.eps, 2)
     except OverflowError:
         raise ValueError(f"eps={spec.eps} is too large at n={n}: eps^2 overflows") from None
-    g = base**-m
-    dg = -2 * m * r * base ** (-m - 1)
-    d2g = -2 * m * base ** (-m - 1) + 4 * m * (m + 1) * r * r * base ** (-m - 2)
-    eta, deta, d2eta = _cutoff(r, spec.delta)
+    g, dg, d2g = _bubble_power(r, eps2, n)
+    eta, deta, d2eta = _cutoff(r, CUTOFF_RADIUS)
     phi = eta * g
     dphi = deta * g + eta * dg
     d2phi = d2eta * g + 2 * deta * dg + eta * d2g

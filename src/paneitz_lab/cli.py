@@ -56,7 +56,7 @@ class ExperimentConfig:
         self.S = None if self.S is None else float(self.S)
         if self.S is not None and not math.isfinite(self.S):
             raise SystemExit(f"invalid value for S: {self.S!r} (must be finite)")
-        for key, low in (("seed", 0), ("L", 0), ("q", 2)):
+        for key, low in (("seed", 0), ("L", 0), ("q", 2), ("k", 1)):
             if getattr(self, key) < low:
                 raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
         self.mu1 = float(self.mu1)

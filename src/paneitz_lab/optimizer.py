@@ -253,34 +253,19 @@ def _lockstep_descent(
     Each restart keeps its own temperature, surrogate, Armijo step, grow
     flag, 40-trial cap and status; each iteration and each line-search
     trial round solves all of its still-running rows in one stacked call.
-    A restart stops by setting its status; its row leaves the stack at the
-    next compaction.  Returns the final coefficient rows, their
-    lambda_bar_k and the traces.
+    A restart keeps its row for the whole descent: stopping only sets its
+    status, and a stopped row takes no further trial.  Returns the final
+    coefficient rows, their lambda_bar_k and the traces.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
     traces = [RunTrace(start_label=label, pencil_solves=1) for label, _ in starts]
     c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
-    final_c, final_lam = np.empty_like(c), np.empty(len(c))
-    # row r of the stack is restart live[r], with its Armijo step and grow flag
-    live, step, grow = list(range(len(c))), [0.25] * len(c), [False] * len(c)
-    for it in range(config.max_iters + 1):
-        if it == config.max_iters:  # the cap stops only the rows still running
-            for i in live:
-                if traces[i].status == "running":
-                    traces[i].status = "max-iters"
-        # compaction: stopped rows leave the stack with their final state
-        keep = []
-        for r, i in enumerate(live):
-            if traces[i].status == "running":
-                keep.append(r)
-            else:
-                final_c[i], final_lam[i] = c[r], lam[r, k - 1]
-        if len(keep) < len(live):
-            live, step, grow = ([x[r] for r in keep] for x in (live, step, grow))
-            c, qvals, lam, V = c[keep], qvals[keep], lam[keep], V[keep]
-        if not live:
+    step, grow = [0.25] * len(c), [False] * len(c)  # each row's Armijo step and grow flag
+    for it in range(config.max_iters):
+        running = [r for r, trace in enumerate(traces) if trace.status == "running"]
+        if not running:
             break
         lam_k = lam[:, k - 1].tolist()
         T = [max(1e-3 * lk * 0.98**it, 1e-10 * lk) for lk in lam_k]
@@ -290,11 +275,11 @@ def _lockstep_descent(
         g = (weights[..., None] * _eig_gradient(qvals[:, None], w_vals, lam, setup)).sum(axis=1)
         gnorm_rows = np.sqrt(np.vecdot(g, g))
         gnorm = gnorm_rows.tolist()
-        gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(live)
+        gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(c)
         residuals = _fixed_point_residual(basis.rule, w_vals[:, k - 1], qvals**2, N).tolist()
         pending = []
-        for r, i in enumerate(live):
-            trace = traces[i]
+        for r in running:
+            trace = traces[r]
             trace.objectives.append(J[r])
             trace.lambda_bars.append(lam_k[r])
             trace.grad_norms.append(gnorm[r])
@@ -321,7 +306,7 @@ def _lockstep_descent(
             J_try, _ = _surrogate(lam_new, [T[r] for r in pending], k)
             lost = []
             for p, r in enumerate(pending):
-                trace = traces[live[r]]
+                trace = traces[r]
                 exc, solved = refused.get(p, (None, True))
                 trace.pencil_solves += solved
                 if exc is not None:
@@ -335,8 +320,11 @@ def _lockstep_descent(
                 lost.append(r)
             pending = lost
         for r in pending:
-            traces[live[r]].status = "line-search-stalled"
-    return final_c, final_lam.tolist(), traces
+            traces[r].status = "line-search-stalled"
+    for trace in traces:  # the cap stops only the restarts still running
+        if trace.status == "running":
+            trace.status = "max-iters"
+    return c, lam[:, k - 1].tolist(), traces
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:

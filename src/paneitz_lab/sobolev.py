@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bubbles import _bubble_power
 from .einstein import (
     OperatorCoefficients,
     _critical_exponent,
@@ -238,19 +239,11 @@ class RadialProfile:
 
 def standard_bubble(n: int) -> RadialProfile:
     """(1 + r^2)^(-(n-4)/2): the extremal of the flat Sobolev embedding."""
-    m = (n - 4) / 2.0
 
-    def f(r):
-        return (1.0 + r * r) ** -m
+    def derivative(order):
+        return lambda r: _bubble_power(r, 1.0, n)[order]
 
-    def df(r):
-        return -2 * m * r * (1.0 + r * r) ** (-m - 1)
-
-    def d2f(r):
-        b = 1.0 + r * r
-        return -2 * m * b ** (-m - 1) + 4 * m * (m + 1) * r * r * b ** (-m - 2)
-
-    return RadialProfile(f=f, df=df, d2f=d2f)
+    return RadialProfile(f=derivative(0), df=derivative(1), d2f=derivative(2))
 
 
 def bubble_radius(n: int) -> float:

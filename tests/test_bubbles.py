@@ -26,8 +26,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BubbleSpec(eps=0.0)
     with pytest.raises(ValueError):
-        BubbleSpec(eps=0.1, delta=2.0)
-    with pytest.raises(ValueError):
         BubbleSpec(eps=0.1, center="equator")
     for eps in (math.nan, math.inf):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
@@ -35,7 +33,7 @@ def test_spec_validation():
 
 
 def test_profile_plateau_and_cutoff(setup12):
-    spec = BubbleSpec(eps=0.1, delta=0.5)
+    spec = BubbleSpec(eps=0.1)
     theta = setup12.rule.theta
     phi, _, _ = bubble_profile(theta, spec, 12)
     inner = theta <= 0.5
@@ -45,7 +43,7 @@ def test_profile_plateau_and_cutoff(setup12):
 
 
 def test_profile_derivatives_match_fd():
-    spec = BubbleSpec(eps=0.15, delta=0.5)
+    spec = BubbleSpec(eps=0.15)
     theta = np.linspace(0.05, 1.3, 200)
     h = 1e-6
     phi, dphi, d2phi = bubble_profile(theta, spec, 12)

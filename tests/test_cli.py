@@ -72,6 +72,21 @@ def test_config_file_rejects_garbage(tmp_path):
         config_from_args(["--config", str(bad), "coeffs"])
 
 
+def test_descent_defaults_have_one_value():
+    from dataclasses import fields
+
+    from paneitz_lab.optimizer import OptimizerConfig
+
+    # two homes of the descent defaults, since cli imports no numpy-backed module
+    defaults = {f.name: f.default for f in fields(OptimizerConfig)}
+    config = ExperimentConfig(command="minimize")
+    names = {"k": "k", "L_opt": "L_opt", "restarts": "restarts", "seed": "seed",
+             "iterations": "max_iters", "q": "q_nodes", "L": "L_final"}
+    assert {key: getattr(config, key) for key in names} == {
+        key: defaults[name] for key, name in names.items()
+    }
+
+
 def test_record_json_schema(out_root):
     from paneitz_lab.bubbles import DEFAULT_EPS_GRID
 
@@ -232,8 +247,8 @@ def test_round_is_refused(tmp_path, capsys):
     [
         ("n = abc\n", ["coeffs"], "invalid value for n: 'abc'"),
         ("", ["bubble-sweep", "--eps-grid", "0.1,abc"], "invalid value for eps_grid: '0.1,abc'"),
-        ("", ["spectrum", "--n", "5", "--k", "0"], "error: requested 0 eigenvalues"),
-        ("", ["spectrum", "--n", "5", "--k", "-1"], "error: requested -1 eigenvalues"),
+        ("", ["spectrum", "--n", "5", "--k", "0"], "invalid value for k: 0 (must be >= 1)"),
+        ("", ["spectrum", "--n", "5", "--k", "-1"], "invalid value for k: -1 (must be >= 1)"),
         ("", ["coeffs", "--n", "343"], "error: dimension n = 343 is too large"),
         ("command = coeffs\n", ["coeffs"], "unknown key 'command'"),
         ("", ["spectrum", "--n", "5", "--density", "fancy"], "invalid value for density: 'fancy'"),
@@ -336,6 +351,7 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["audit", "--n", "5", "--L", "-2"], "invalid value for L: -2 (must be >= 0)"),
         ("", ["spectrum", "--n", "5", "--q", "-4"], "invalid value for q: -4 (must be >= 2)"),
         ("q = 1\n", ["minimize", "--n", "5"], "invalid value for q: 1 (must be >= 2)"),
+        ("", ["minimize", "--n", "5", "--k", "0"], "invalid value for k: 0 (must be >= 1)"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

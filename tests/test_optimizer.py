@@ -149,14 +149,14 @@ def _trace_bits(trace):
 
 
 @pytest.mark.parametrize(
-    "n, restarts, max_iters",
-    [(12, 8, 500), (5, 8, 500), (8, 3, 200), (8, 3, 58)],
-    ids=["12", "5", "8", "8-stalls-at-cap"],
+    "n, k, restarts, max_iters",
+    [(12, 2, 8, 500), (5, 2, 8, 500), (8, 2, 3, 200), (8, 2, 3, 58), (5, 1, 3, 120)],
+    ids=["12", "5", "8", "8-stalls-at-cap", "5-k1-converged"],
 )
-def test_each_restart_descends_as_if_alone(n, restarts, max_iters, request):
+def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     # the lockstep descent is bookkeeping: a start descended as a stack of
     # one gives the bits it gives inside the stack of all starts
-    cfg = OptimizerConfig(n=n, k=2, seed=0, restarts=restarts, max_iters=max_iters)
+    cfg = OptimizerConfig(n=n, k=k, seed=0, restarts=restarts, max_iters=max_iters)
     res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
@@ -166,6 +166,12 @@ def test_each_restart_descends_as_if_alone(n, restarts, max_iters, request):
         # keeps that status when the cap falls on the same iteration
         assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
             ("max-iters", max_iters), ("line-search-stalled", 58), ("max-iters", max_iters)
+        ]
+    if k == 1:
+        # its constant restart converges on iteration 1 and keeps its row,
+        # untouched, for the rest of the descent
+        assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
+            ("max-iters", max_iters), ("gradient-converged", 1), ("max-iters", max_iters)
         ]
     for trace, (_, _, (trace_alone,)) in zip(res.traces, alone):
         assert _trace_bits(trace) == _trace_bits(trace_alone)

@@ -257,7 +257,7 @@ def lemma3_bound(
     2x2 mass, from the node values of u_eps, v_eps and the constant, so
     no (L+1)x(L+1) mass form is assembled.  mu1 must be positive and
     finite: it is a first eigenvalue invariant, and the bound means
-    nothing otherwise.
+    nothing otherwise.  A non-finite bound is refused.
     """
     if not 0.0 < best_mu1 < math.inf:
         raise ValueError(f"mu1 must be positive and finite, got {best_mu1}")
@@ -277,10 +277,16 @@ def lemma3_bound(
         # only needs to be nonnegative
         u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
         sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
-        bounds.append(sup * u.lN_mass() ** (4.0 / n))
+        with np.errstate(over="ignore"):  # refused just below, by name
+            bound = sup * u.lN_mass() ** (4.0 / n)
+        if not math.isfinite(bound):
+            raise ValueError(f"the two-plane bound at n={n}, eps={e:g} is not finite ({bound})")
+        bounds.append(bound)
     bounds = np.array(bounds)
-    K2_inv_sq = sharp_constant_oracle(n)
-    rhs = (best_mu1 ** (n / 4.0) + K2_inv_sq ** (n / 4.0)) ** (4.0 / n)
+    # the target in scaled form: the n/4-th powers of mu1 and K2^(-2)
+    # overflow from n = 210 on, that of their ratio (at most 1) never does
+    hi, lo = sorted((best_mu1, sharp_constant_oracle(n)), reverse=True)
+    rhs = hi * (1.0 + (lo / hi) ** (n / 4.0)) ** (4.0 / n)
     i = int(np.argmin(bounds))
     return BoundReport(
         n=n,

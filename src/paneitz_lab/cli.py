@@ -59,6 +59,8 @@ class ExperimentConfig:
         for key, low in (("seed", 0), ("L", 0), ("q", 2), ("k", 1)):
             if getattr(self, key) < low:
                 raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
+        if self.command == "spectrum" and self.k > self.L + 1:
+            raise SystemExit(f"invalid value for k: {self.k} (must be <= L + 1 = {self.L + 1})")
         self.mu1 = float(self.mu1)
         if not 0 <= self.mu1 < math.inf:
             raise SystemExit(
@@ -235,9 +237,7 @@ def _run_minimize(config: ExperimentConfig):
         [ridx, tr.start_label, it, *cols]
         for ridx, tr in enumerate(res.traces)
         for it, cols in enumerate(
-            zip_longest(
-                tr.objectives, tr.lambda_bars, tr.grad_norms, tr.gaps, tr.residuals, fillvalue=""
-            )
+            zip_longest(tr.objectives, tr.grad_norms, tr.gaps, tr.residuals, fillvalue="")
         )
     ]
     payload = {
@@ -252,7 +252,7 @@ def _run_minimize(config: ExperimentConfig):
                 "label": tr.start_label,
                 "status": tr.status,
                 "iterations": len(tr.objectives),
-                "terminal_lambda_bar": tr.lambda_bars[-1] if tr.lambda_bars else None,
+                "terminal_lambda_bar": tr.objectives[-1],
                 "pencil_solves": tr.pencil_solves,
                 "rejected_trials": tr.rejected_trials,
             }
@@ -261,7 +261,7 @@ def _run_minimize(config: ExperimentConfig):
     }
     tables = {
         "trace": (
-            ["restart", "label", "iter", "objective", "lambda_bar", "grad_norm", "gap", "residual"],
+            ["restart", "label", "iter", "objective", "grad_norm", "gap", "residual"],
             rows,
         )
     }

@@ -3,9 +3,10 @@
 The density is parameterized as u = q^2 with q a zonal field of moderate
 degree, which keeps u >= 0 while allowing zeros (generalized metrics).
 The objective lambda_bar_k(u) = lambda_k(u) (int u^N)^(4/n) is scale
-invariant.  Where lambda_{k-1} comes close to lambda_k, as it does near
-two-bubble configurations, the descent follows the soft-max of the two at
-an annealed temperature.
+invariant.  The descent follows it unsmoothed: where lambda_{k-1} meets
+lambda_k, as it does near two-bubble configurations, lambda_k has a kink,
+and the Armijo line search steps across it without a smoothing rule
+(Lewis & Overton, Math. Program. 141 (2013)).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .toolkit import _fixed_point_residual
 from .zonal import ZonalBasis, ZonalField, _float_power, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
-RIDGE_GAP = 0.02    # relative lambda_k - lambda_{k-1} gap below which the descent smooths
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
 INIT_EPS = 0.1      # bubble scale of the two-bubble start
 INIT_SPLIT = 0.5    # its north-pole mass fraction
@@ -74,8 +74,7 @@ class RunTrace:
     """Per-iteration history of one restart."""
 
     start_label: str
-    objectives: list[float] = field(default_factory=list)   # accepted surrogate values
-    lambda_bars: list[float] = field(default_factory=list)  # raw lambda_bar_k
+    objectives: list[float] = field(default_factory=list)   # lambda_bar_k at each iteration
     grad_norms: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)         # lambda_{k+1} - lambda_k
     residuals: list[float] = field(default_factory=list)    # |w|/||w||_N vs u distance
@@ -149,12 +148,6 @@ def _eig_gradient(
     return np.asarray(2 * lam * (N - 2))[..., None] * synth
 
 
-def _node_values(basis: ZonalBasis, V: np.ndarray) -> np.ndarray:
-    """Node values of each coefficient column of V (..., dim, m), as rows
-    (..., m, q); one matrix-vector product per column."""
-    return np.matmul(basis.table.T, V.swapaxes(-1, -2)[..., None])[..., 0]
-
-
 def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
     """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
     c = _renormalize(q.coeffs, setup.basis, setup.coeffs.N)
@@ -165,7 +158,8 @@ def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
         raise DegenerateGapError("eigenvalue crossing above k")
-    return _eig_gradient(qvals, _node_values(setup.basis, V)[k - 1], lam[k - 1], setup)
+    w = setup.basis.table.T @ V[:, k - 1]
+    return _eig_gradient(qvals, w, lam[k - 1], setup)
 
 
 def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> ZonalField:
@@ -185,34 +179,6 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     c = analyze(basis, qvals).coeffs
     N = _critical_exponent(n)
     return ZonalField(basis, _renormalize(c, basis, N))
-
-
-def _surrogate(lam: np.ndarray, T: list[float], k: int) -> tuple[list[float], np.ndarray]:
-    """Objectives of a stack of spectra (rows of eigenvalues), and the
-    weight each objective puts on each eigenvalue of its row.
-
-    The objective is lambda_k, except where lambda_{k-1} comes within
-    RIDGE_GAP of it.  That lower crossing is a ridge (lambda_k is locally a
-    max), so there the two are replaced by their soft-max at the row's
-    temperature T, never colder than the gap itself: both branches keep real
-    weight, and the descent walks the ridge instead of zigzagging.  The
-    temperature anneals, sharpening the soft-max back toward lambda_k.
-    """
-    J, weights = [], np.zeros(lam.shape)
-    weights[:, k - 1] = 1.0
-    for r, (spec, t) in enumerate(zip(lam.tolist(), T)):
-        lo, lk = spec[k - 2] if k > 1 else -math.inf, spec[k - 1]
-        if not lk - lo < RIDGE_GAP * abs(lk):  # a NaN row (a refused trial) too
-            J.append(lk)
-            continue
-        t = max(t, lk - lo)
-        z = [lo / t, lk / t]
-        zmax = max(z)
-        p = np.exp([v - zmax for v in z])
-        total = p.sum()
-        J.append(t * (zmax + math.log(total)))
-        weights[r, k - 2 : k] = p / total
-    return J, weights
 
 
 def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
@@ -250,9 +216,9 @@ def _lockstep_descent(
 ) -> tuple[np.ndarray, list[float], list[RunTrace]]:
     """Descend every start together, as rows of stacked arrays.
 
-    Each restart keeps its own temperature, surrogate, Armijo step, grow
-    flag, 40-trial cap and status; each iteration and each line-search
-    trial round solves all of its still-running rows in one stacked call.
+    Each restart keeps its own Armijo step, grow flag, 40-trial cap and
+    status; each iteration and each line-search trial round solves all of
+    its still-running rows in one stacked call.
     A restart keeps its row for the whole descent: stopping only sets its
     status, and a stopped row takes no further trial.  Returns the final
     coefficient rows, their lambda_bar_k and the traces.
@@ -267,21 +233,17 @@ def _lockstep_descent(
         running = [r for r, trace in enumerate(traces) if trace.status == "running"]
         if not running:
             break
-        lam_k = lam[:, k - 1].tolist()
-        T = [max(1e-3 * lk * 0.98**it, 1e-10 * lk) for lk in lam_k]
-        J, weights = _surrogate(lam, T, k)
-        w_vals = _node_values(basis, V)
-        # each row's surrogate gradient: its weighted sum of eigenvalue gradients
-        g = (weights[..., None] * _eig_gradient(qvals[:, None], w_vals, lam, setup)).sum(axis=1)
+        J = lam[:, k - 1].tolist()
+        w_k = np.matmul(basis.table.T, V[..., k - 1, None])[..., 0]  # each row's k-th eigenfield
+        g = _eig_gradient(qvals, w_k, lam[:, k - 1], setup)
         gnorm_rows = np.sqrt(np.vecdot(g, g))
         gnorm = gnorm_rows.tolist()
         gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(c)
-        residuals = _fixed_point_residual(basis.rule, w_vals[:, k - 1], qvals**2, N).tolist()
+        residuals = _fixed_point_residual(basis.rule, w_k, qvals**2, N).tolist()
         pending = []
         for r in running:
             trace = traces[r]
             trace.objectives.append(J[r])
-            trace.lambda_bars.append(lam_k[r])
             trace.grad_norms.append(gnorm[r])
             trace.gaps.append(gaps[r])
             trace.residuals.append(residuals[r])
@@ -303,7 +265,7 @@ def _lockstep_descent(
             c_new, q_new, lam_new, V_new, refused = _solve_trials(
                 c[pending] - np.array([step[r] for r in pending])[:, None] * d[pending], setup, kmax
             )
-            J_try, _ = _surrogate(lam_new, [T[r] for r in pending], k)
+            J_try = lam_new[:, k - 1].tolist()
             lost = []
             for p, r in enumerate(pending):
                 trace = traces[r]
@@ -363,7 +325,6 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
         for trace, val in zip(traces, values):
             trace.status = "no-iterations"
             trace.objectives.append(val)
-            trace.lambda_bars.append(val)
     best_val = min(values)
     best = ZonalField(setup.basis, rows[values.index(best_val)])
 

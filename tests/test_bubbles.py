@@ -151,6 +151,16 @@ def test_lemma3_ladder_descends_to_the_target(n):
     assert np.all(ratios >= 1 - 1e-9), ratios
 
 
+@pytest.mark.parametrize("n", [5, 12, 100])
+def test_lemma3_target_is_the_round_pair_value(n):
+    # the target in scaled form: exactly 2^(4/n) K2^(-2) when mu1 = K2^(-2),
+    # and the closed form wherever its n/4-th powers stay finite
+    K = sharp_constant_oracle(n)
+    assert lemma3_bound(n, K, (0.1, 0.2)).rhs == 2.0 ** (4.0 / n) * K
+    rhs = lemma3_bound(n, 3.0 * K, (0.1, 0.2)).rhs
+    assert rhs == pytest.approx(((3.0 * K) ** (n / 4) + K ** (n / 4)) ** (4 / n), rel=1e-13)
+
+
 @pytest.mark.parametrize("mu1", [-1.0, 0.0, math.nan, math.inf])
 def test_lemma3_bound_refuses_a_meaningless_mu1(mu1):
     # mu1 = -1 and 0 once gave ratios 1149 and 1072 at n = 12, without an error

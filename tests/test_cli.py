@@ -352,6 +352,17 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["spectrum", "--n", "5", "--q", "-4"], "invalid value for q: -4 (must be >= 2)"),
         ("q = 1\n", ["minimize", "--n", "5"], "invalid value for q: 1 (must be >= 2)"),
         ("", ["minimize", "--n", "5", "--k", "0"], "invalid value for k: 0 (must be >= 1)"),
+        ("", ["spectrum", "--n", "5", "--k", "60"], "invalid value for k: 60 (must be <= L + 1 = 49)"),
+        (
+            "",
+            ["lemma3-bound", "--n", "200"],
+            "error: the two-plane bound at n=200, eps=0.05 is not finite (inf)",
+        ),
+        (
+            "",
+            ["lemma3-bound", "--n", "210"],
+            "error: the two-plane bound at n=210, eps=0.05 is not finite (inf)",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -421,6 +432,8 @@ def test_record_payload_keys(out_root, command):
                 "pencil_solves", "rejected_trials",
             }
             assert (restart["pencil_solves"], restart["rejected_trials"]) == (1, 0)
+        header = (out_root / record.config_hash / "trace.csv").read_text().splitlines()[0]
+        assert header == "restart,label,iter,objective,grad_norm,gap,residual"
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from paneitz_lab.optimizer import (
     _lockstep_descent,
     _renormalize,
     _starts,
-    _surrogate,
     gradient,
     minimize,
     objective,
@@ -111,7 +112,7 @@ def test_minimize_k2_trace_and_ordering():
     res = minimize(cfg)
     for tr in res.traces:
         assert np.all(np.diff(tr.objectives) <= 1e-9)  # accepted-step monotone
-    start_val = res.traces[0].lambda_bars[0]
+    start_val = res.traces[0].objectives[0]
     assert res.best_objective <= start_val
     assert res.diagnostics["round_pair_bound"] == pytest.approx(
         2 ** (1 / 3) * sharp_constant_oracle(12)
@@ -142,7 +143,7 @@ def test_step_grows_only_after_an_easy_acceptance(monkeypatch):
 
 def _trace_bits(trace):
     """Everything a trace records but its wall times, as comparable bits."""
-    lists = (trace.objectives, trace.lambda_bars, trace.grad_norms, trace.gaps, trace.residuals)
+    lists = (trace.objectives, trace.grad_norms, trace.gaps, trace.residuals)
     return [np.asarray(v).tobytes() for v in lists] + [
         trace.status, trace.annotations, trace.pencil_solves, trace.rejected_trials
     ]
@@ -151,7 +152,7 @@ def _trace_bits(trace):
 @pytest.mark.parametrize(
     "n, k, restarts, max_iters",
     [(12, 2, 8, 500), (5, 2, 8, 500), (8, 2, 3, 200), (8, 2, 3, 58), (5, 1, 3, 120)],
-    ids=["12", "5", "8", "8-stalls-at-cap", "5-k1-converged"],
+    ids=["12", "5", "8", "8-short", "5-k1-converged"],
 )
 def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     # the lockstep descent is bookkeeping: a start descended as a stack of
@@ -161,12 +162,6 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
     assert len(alone) == len(res.traces) == cfg.restarts
-    if n == 8:
-        # its constant restart stalls in the line search on iteration 58, and
-        # keeps that status when the cap falls on the same iteration
-        assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
-            ("max-iters", max_iters), ("line-search-stalled", 58), ("max-iters", max_iters)
-        ]
     if k == 1:
         # its constant restart converges on iteration 1 and keeps its row,
         # untouched, for the rest of the descent
@@ -180,24 +175,59 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     assert res.best_objective == alone[winner][1][0]
 
 
-def test_surrogate_is_lambda_k_but_on_the_lower_ridge():
-    # rows of (lambda_{k-1}, lambda_k, lambda_{k+1}) at k = 2 and temperature 1
-    lam = np.array([
-        [50.0, 100.0, 200.0],          # no crossing
-        [99.0, 100.0, 200.0],          # lambda_1 within 2 % of lambda_2: the ridge
-        [50.0, 100.0, 100.0 + 1e-7],   # an upper near-crossing only
-    ])
-    J, weights = _surrogate(lam, [1.0] * 3, 2)
-    assert J[0] == 100.0 and weights[0].tolist() == [0.0, 1.0, 0.0]
-    # a soft-max lies above its largest entry, weights summing to 1
-    assert J[1] >= 100.0 and J[1] == pytest.approx(100.0 + np.log1p(np.exp(-1.0)))
-    assert weights[1, 2] == 0.0 and weights[1, :2].sum() == pytest.approx(1.0, abs=1e-15)
-    assert weights[1, 0] == pytest.approx(1.0 / (1.0 + np.e))
-    # nothing smooths across the gap above lambda_k
-    assert J[2] == 100.0 and weights[2].tolist() == [0.0, 1.0, 0.0]
-    # k = 1 has no ridge below it, and a NaN row (a refused trial) stays NaN
-    J, weights = _surrogate(np.array([[100.0, 100.5], [np.nan, np.nan]]), [1.0, 1.0], 1)
-    assert J[0] == 100.0 and np.isnan(J[1]) and weights[:, 0].tolist() == [1.0, 1.0]
+@pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])
+def test_a_forced_stall_stops_only_its_row(stall, max_iters, monkeypatch):
+    # every trial of the last restart is refused on one iteration: it stops
+    # as stalled after 40 rejected trials, also on the cap iteration, is
+    # never solved again, and the other restarts descend as if it never had
+    cfg = OptimizerConfig(n=8, k=2, seed=0, restarts=3, max_iters=max_iters)
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
+    starts = _starts(cfg, setup)
+    *_, clean = _lockstep_descent(starts, cfg, setup)
+    *_, before = _lockstep_descent(starts, replace(cfg, max_iters=stall), setup)
+    iteration, solved, refused = -1, 0, 0
+    eig_gradient, solve = optimizer._eig_gradient, optimizer._solve_rows
+
+    def counting(*args):  # the descent takes one gradient per iteration
+        nonlocal iteration
+        iteration += 1
+        return eig_gradient(*args)
+
+    def refusing(c, *args):
+        nonlocal solved, refused
+        solved += len(c)
+        qvals, lam, V = solve(c, *args)
+        if iteration == stall:  # the last restart is the last row of every stack
+            lam[-1] = np.nan
+            refused += 1
+        return qvals, lam, V
+
+    monkeypatch.setattr(optimizer, "_eig_gradient", counting)
+    monkeypatch.setattr(optimizer, "_solve_rows", refusing)
+    *_, traces = _lockstep_descent(starts, cfg, setup)
+    hit = traces[-1]
+    assert refused == 40
+    assert (hit.status, len(hit.objectives)) == ("line-search-stalled", stall + 1)
+    assert hit.objectives == clean[-1].objectives[: stall + 1]
+    assert hit.rejected_trials == before[-1].rejected_trials + 40
+    # every solve after the stall is another restart's
+    assert hit.pencil_solves == before[-1].pencil_solves + 40
+    assert solved == sum(tr.pencil_solves for tr in traces)
+    for trace, trace_clean in zip(traces[:-1], clean[:-1]):
+        assert _trace_bits(trace) == _trace_bits(trace_clean)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_descent_takes_the_checked_gradient(n):
+    # each restart's first step follows gradient(), the function that the
+    # finite-difference criterion checks
+    cfg = OptimizerConfig(n=n, k=2, max_iters=1)
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
+    starts = _starts(cfg, setup)
+    *_, traces = _lockstep_descent(starts, cfg, setup)
+    for (_, start), trace in zip(starts, traces):
+        norm = np.linalg.norm(gradient(start, cfg.k, setup))
+        assert trace.grad_norms[0] == pytest.approx(norm, rel=1e-12)
 
 
 def test_a_refused_row_costs_the_other_rows_nothing(monkeypatch):

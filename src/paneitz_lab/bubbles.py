@@ -272,13 +272,16 @@ def lemma3_bound(
     for e in eps:
         bf = bubble_field(BubbleSpec(eps=float(e)), setup.basis)
         Yv = functional_Y(bf.v, coeffs)
-        u_nodes = Yv**expo * bf.v.values + best_mu1**expo * vconst.values
-        # truncation ripple can dip below zero in the tail; clip, the density
-        # only needs to be nonnegative
-        u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
-        sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
-        with np.errstate(over="ignore"):  # refused just below, by name
-            bound = sup * u.lN_mass() ** (4.0 / n)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            u_nodes = Yv**expo * bf.v.values + best_mu1**expo * vconst.values
+        bound = math.nan  # u_eps itself overflows (from n = 284 on at eps = 0.05)
+        if np.isfinite(u_nodes).all():
+            # truncation ripple can dip below zero in the tail; clip, the
+            # density only needs to be nonnegative
+            u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
+            sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
+            with np.errstate(over="ignore"):  # refused just below, by name
+                bound = sup * u.lN_mass() ** (4.0 / n)
         if not math.isfinite(bound):
             raise ValueError(f"the two-plane bound at n={n}, eps={e:g} is not finite ({bound})")
         bounds.append(bound)

@@ -41,7 +41,7 @@ class ExperimentConfig:
     k: int = 2
     L_opt: int = 16
     restarts: int = 8
-    iterations: int = 500
+    iterations: int = 60
     seed: int = 0
     eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)  # bubbles.DEFAULT_EPS_GRID
     density: typing.Literal["const", "two-bubble"] = "const"

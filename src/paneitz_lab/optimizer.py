@@ -3,10 +3,11 @@
 The density is parameterized as u = q^2 with q a zonal field of moderate
 degree, which keeps u >= 0 while allowing zeros (generalized metrics).
 The objective lambda_bar_k(u) = lambda_k(u) (int u^N)^(4/n) is scale
-invariant.  The descent follows it unsmoothed: where lambda_{k-1} meets
-lambda_k, as it does near two-bubble configurations, lambda_k has a kink,
-and the Armijo line search steps across it without a smoothing rule
-(Lewis & Overton, Math. Program. 141 (2013)).
+invariant.  The descent is BFGS with an Armijo line search, one restart per
+row of stacked arrays, and follows lambda_k unsmoothed: where lambda_{k-1}
+meets lambda_k, as it does near two-bubble configurations, lambda_k has a
+kink, and BFGS steps across it without a smoothing rule (Lewis & Overton,
+Math. Program. 141 (2013)).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class OptimizerConfig:
     k: int = 2
     L_opt: int = 16
     restarts: int = 8
-    max_iters: int = 500
+    max_iters: int = 60
     seed: int = 0
     q_nodes: int = 200
     L_final: int = 48
@@ -95,13 +96,14 @@ class MinimizeResult:
 
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
-    """c scaled so that u = q^2 has unit L^N mass; leading axes of c are a
-    stack of coefficient rows, each scaled on its own."""
+    """c scaled so that u = q^2 has unit L^N mass, each row of a stack on its
+    own; the mass is taken of q / max|q|, whose 2N-th power cannot overflow."""
     qvals = np.matmul(basis.table.T, c[..., None])[..., 0]
-    mass = np.asarray(basis.rule.lN_mass(qvals, 2 * N))
-    if (mass <= 0).any() or not np.isfinite(mass).all():
+    scale = np.abs(qvals).max(axis=-1)
+    if (scale <= 0).any() or not np.isfinite(scale).all():
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
-    return c * _float_power(mass, -1.0 / (2 * N))[..., None]
+    mass = np.asarray(basis.rule.lN_mass(qvals / scale[..., None], 2 * N))
+    return c * (_float_power(mass, -1.0 / (2 * N)) / scale)[..., None]
 
 
 def _solve_rows(
@@ -216,9 +218,10 @@ def _lockstep_descent(
 ) -> tuple[np.ndarray, list[float], list[RunTrace]]:
     """Descend every start together, as rows of stacked arrays.
 
-    Each restart keeps its own Armijo step, grow flag, 40-trial cap and
-    status; each iteration and each line-search trial round solves all of
-    its still-running rows in one stacked call.
+    Each restart keeps its own BFGS inverse Hessian (one layer of a stacked
+    (restarts, dim, dim) array), Armijo step, 40-trial cap and status; each
+    iteration and each line-search trial round solves all of its
+    still-running rows in one stacked call.
     A restart keeps its row for the whole descent: stopping only sets its
     status, and a stopped row takes no further trial.  Returns the final
     coefficient rows, their lambda_bar_k and the traces.
@@ -228,7 +231,7 @@ def _lockstep_descent(
     traces = [RunTrace(start_label=label, pencil_solves=1) for label, _ in starts]
     c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
-    step, grow = [0.25] * len(c), [False] * len(c)  # each row's Armijo step and grow flag
+    H = np.zeros((len(c), basis.dim, basis.dim))  # all-zero: the row has no H yet
     for it in range(config.max_iters):
         running = [r for r, trace in enumerate(traces) if trace.status == "running"]
         if not running:
@@ -251,19 +254,34 @@ def _lockstep_descent(
                 trace.status = "gradient-converged"
             else:
                 pending.append(r)
-        # Armijo backtracking along the normalized direction; the step is a
-        # displacement in coefficient space, comparable across iterations.
-        # Each iteration starts from the last accepted step, doubled (up to
-        # 0.25) only if that step was accepted at once and gained at least
-        # half its linear prediction (Nocedal & Wright, 2nd ed., sec. 3.5)
-        d = np.zeros_like(g)  # a converged row takes no step; its gradient may vanish
-        d[pending] = g[pending] / gnorm_rows[pending, None]
-        step = [min(s * 2.0, 0.25) if up else s for s, up in zip(step, grow)]
-        for trial in range(40):
+        if it:
+            # BFGS update of each pending row's inverse Hessian from its last
+            # accepted step, H <- E H E^T + rho s s^T with E = I - rho s y^T,
+            # skipped unless s'y > 0; a row's first update starts from
+            # H0 = (s'y / y'y) I (Nocedal & Wright, 2nd ed., 6.1)
+            s, y = c - c_old, g - g_old
+            sy = np.vecdot(s, y)
+            upd = [r for r in pending if sy[r] > 0]
+            fresh = [r for r in upd if not H[r].any()]
+            H[fresh] = (sy[fresh] / np.vecdot(y[fresh], y[fresh]))[:, None, None] * np.eye(basis.dim)
+            s, y, rho = s[upd], y[upd], (1.0 / sy[upd])[:, None, None]
+            E = np.eye(basis.dim) - rho * s[:, :, None] * y[:, None, :]
+            H[upd] = E @ H[upd] @ E.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
+        c_old, g_old = c.copy(), g
+        # d = -H g from t = 1; a row without H, or whose d does not descend,
+        # drops its H and takes a displacement of 0.25 along -g/|g|
+        d = -np.matmul(H, g[..., None])[..., 0]
+        slope = np.vecdot(g, d)
+        reset = [r for r in pending if slope[r] >= 0]
+        H[reset] = 0.0
+        d[reset] = -0.25 * g[reset] / gnorm_rows[reset, None]
+        slope[reset] = -0.25 * gnorm_rows[reset]
+        t = [1.0] * len(c)
+        for _ in range(40):
             if not pending:
                 break
             c_new, q_new, lam_new, V_new, refused = _solve_trials(
-                c[pending] - np.array([step[r] for r in pending])[:, None] * d[pending], setup, kmax
+                c[pending] + np.array([t[r] for r in pending])[:, None] * d[pending], setup, kmax
             )
             J_try = lam_new[:, k - 1].tolist()
             lost = []
@@ -273,12 +291,11 @@ def _lockstep_descent(
                 trace.pencil_solves += solved
                 if exc is not None:
                     trace.annotations.append(f"iter {it}: step rejected ({exc})")
-                elif math.isfinite(J_try[p]) and J_try[p] <= J[r] - 1e-4 * step[r] * gnorm[r]:
-                    grow[r] = trial == 0 and J[r] - J_try[p] >= 0.5 * step[r] * gnorm[r]
+                elif math.isfinite(J_try[p]) and J_try[p] <= J[r] + 1e-4 * t[r] * slope[r]:
                     c[r], qvals[r], lam[r], V[r] = c_new[p], q_new[p], lam_new[p], V_new[p]
                     continue
                 trace.rejected_trials += 1
-                step[r] *= 0.5
+                t[r] *= 0.5
                 lost.append(r)
             pending = lost
         for r in pending:

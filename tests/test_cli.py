@@ -458,6 +458,31 @@ def test_audit_records_hold_no_nan(out_root, n):
     assert corollary["ratio"] == pytest.approx(2 ** (4 / n), rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [258, 334])
+def test_minimize_in_high_dimensions(out_root, n):
+    # the two-bubble start's |q|^(2N) overflows from n = 258 on unless the
+    # L^N mass is taken of q / max|q|
+    assert main(["minimize", "--n", str(n), "--restarts", "2", "--iterations", "5"]) == 0
+    (record,) = out_root.glob("*/record.json")
+    doc = json.loads(record.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in record"))
+    payload = doc["payload"]
+    assert all(math.isfinite(v) for v in payload["best_coeffs"])
+    assert math.isfinite(payload["best_objective"]) and math.isfinite(payload["final_objective"])
+    assert payload["diagnostics"]["attainment_product"] >= 1 - 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [300, 334])
+def test_overflowing_two_plane_density_is_refused_quietly(out_root, n):
+    # u_eps overflows at the nodes: refused by name before the plane's
+    # minimax runs, with no numpy warning on the way
+    message = f"error: the two-plane bound at n={n}, eps=0.05 is not finite (nan)"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["lemma3-bound", "--n", str(n)])
+    assert not list(out_root.glob("*/record.json"))
+
+
 def _fresh_python(*args):
     """Run a new interpreter with args that imports this checkout's package."""
     src = str(Path(paneitz_lab.__file__).resolve().parents[1])

@@ -2,7 +2,8 @@
 
 Each invocation resolves to one ExperimentConfig (flat key=value file plus
 command-line overrides), runs one subcommand, and persists a RunRecord as
-runs/<config-hash>/record.json plus CSV tables.  COMMAND_KEYS names the keys
+runs/<config-hash>/record.json; minimize adds its per-state descent trace as
+trace.csv.  COMMAND_KEYS names the keys
 each subcommand reads besides n and seed; with n, and seed for the SEEDED
 commands, they alone make its config hash and the config in its record.  record.json is a pure function of the config —
 timestamps and wall-clock data go to a sibling meta.json so identical
@@ -61,6 +62,10 @@ class ExperimentConfig:
                 raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
         if self.command == "spectrum" and self.k > self.L + 1:
             raise SystemExit(f"invalid value for k: {self.k} (must be <= L + 1 = {self.L + 1})")
+        if self.command == "minimize" and not 2 <= self.L_opt <= self.L:
+            raise SystemExit(f"invalid value for L_opt: {self.L_opt} (must be 2 <= L_opt <= L = {self.L})")
+        if {"q", "L"} <= set(COMMAND_KEYS[self.command]) and self.q <= self.L:
+            raise SystemExit(f"invalid value for q: {self.q} (must be > L = {self.L})")
         self.mu1 = float(self.mu1)
         if not 0 <= self.mu1 < math.inf:
             raise SystemExit(
@@ -133,16 +138,6 @@ def _jsonify(obj):
     return obj
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommand payloads
 
@@ -169,18 +164,12 @@ def _run_coeffs(config: ExperimentConfig):
         "Q": q_curvature_einstein(data),
         "sharp_constant": sharp_constant,
     }
-    tables = {
-        "coeffs": (
-            ["quantity", "value"],
-            [[k, v] for k, v in payload.items() if isinstance(v, float)],
-        )
-    }
     summary = (
         f"n={data.n} alpha={coeffs.alpha:.6g} alpha_bar={coeffs.alpha_bar:.6g} "
         f"a={coeffs.a:.6g} b={coeffs.b:.6g} K2^-2={coeffs.K2_inv_sq:.6g} "
         f"(printed-formula ratio {report.ratios['paper_over_oracle']:.4g})"
     )
-    return payload, tables, summary
+    return payload, summary
 
 
 def _density_for(config: ExperimentConfig, setup):
@@ -209,10 +198,8 @@ def _run_spectrum(config: ExperimentConfig):
         "normalized_invariants": lam_bar,
         "residuals": spec.residuals,
     }
-    rows = list(zip(range(1, len(spec) + 1), spec.eigenvalues, lam_bar, spec.residuals))
-    tables = {"spectrum": (["k", "lambda", "lambda_bar", "residual"], rows)}
     summary = "lambda_bar = " + ", ".join(f"{v:.6g}" for v in lam_bar)
-    return payload, tables, summary
+    return payload, summary
 
 
 def _run_minimize(config: ExperimentConfig):
@@ -251,7 +238,7 @@ def _run_minimize(config: ExperimentConfig):
             {
                 "label": tr.start_label,
                 "status": tr.status,
-                "iterations": len(tr.objectives),
+                "iterations": len(tr.objectives) - 1,  # steps taken
                 "terminal_lambda_bar": tr.objectives[-1],
                 "pencil_solves": tr.pencil_solves,
                 "rejected_trials": tr.rejected_trials,
@@ -259,17 +246,12 @@ def _run_minimize(config: ExperimentConfig):
             for tr in res.traces
         ],
     }
-    tables = {
-        "trace": (
-            ["restart", "label", "iter", "objective", "grad_norm", "gap", "residual"],
-            rows,
-        )
-    }
     summary = (
         f"mu_{config.k} estimate: {res.final_objective:.8g} "
         f"(engine value {res.best_objective:.8g})"
     )
-    return payload, tables, summary
+    header = ["restart", "label", "iter", "objective", "grad_norm", "gap", "residual"]
+    return payload, summary, (header, rows)
 
 
 def _run_bubble_sweep(config: ExperimentConfig):
@@ -280,12 +262,11 @@ def _run_bubble_sweep(config: ExperimentConfig):
     rep = epsilon_sweep(config.eps_grid, config.n, q=config.q)
     oracle = sharp_constant_oracle(config.n)
     payload = {**asdict(rep), "oracle": oracle, "A_rel_error": rep.A / oracle - 1.0}
-    tables = {"sweep": (["eps", "Y"], list(zip(rep.eps, rep.Y)))}
     summary = (
         f"fit A={rep.A:.8g} (oracle {oracle:.8g}, rel err {payload['A_rel_error']:.3g}), "
         f"C={rep.C:.6g}, residual {rep.residual:.3g}"
     )
-    return payload, tables, summary
+    return payload, summary
 
 
 def _run_lemma3_bound(config: ExperimentConfig):
@@ -296,9 +277,8 @@ def _run_lemma3_bound(config: ExperimentConfig):
     mu1 = config.mu1 if config.mu1 > 0 else sharp_constant_oracle(config.n)
     rep = lemma3_bound(config.n, mu1, config.eps_grid, q=config.q, L=config.L)
     payload = {"mu1": mu1, **asdict(rep)}
-    tables = {"bounds": (["eps", "bound"], list(zip(rep.eps, rep.bounds)))}
     summary = f"best bound {rep.best_bound:.8g} vs target {rep.rhs:.8g} (ratio {rep.ratio:.6g})"
-    return payload, tables, summary
+    return payload, summary
 
 
 def _run_audit(config: ExperimentConfig):
@@ -339,10 +319,8 @@ def _run_audit(config: ExperimentConfig):
         "reports": [asdict(r) for r in reports],
         "elementary_inequality_violations": violations,
     }
-    header = ["name", "lhs", "rhs", "ratio", "verdict"]
-    tables = {"audits": (header, [[getattr(r, key) for key in header] for r in reports])}
     summary = "; ".join(f"{r.name}: {r.verdict} (ratio {r.ratio:.6g})" for r in reports[:3])
-    return payload, tables, summary
+    return payload, summary
 
 
 def dispatch(config: ExperimentConfig) -> RunRecord:
@@ -351,7 +329,7 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     if config.command == "report":
         return runner(config)
     t0 = time.perf_counter()
-    payload, tables, summary = runner(config)
+    payload, summary, *trace = runner(config)  # only minimize returns a trace table
     t1 = time.perf_counter()
     settings = config.settings()
     record = RunRecord(
@@ -367,10 +345,13 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     (run_dir / "record.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
-    for name, (header, rows) in tables.items():
-        _write_csv(run_dir / f"{name}.csv", header, rows)
+    for header, rows in trace:  # per-state rows that no record holds
+        with open(run_dir / "trace.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
     # wall-clock data lives outside the deterministic record, written last
-    # so that write_s covers the record and the CSVs
+    # so that write_s covers the record and the trace
     meta = {
         "written": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "run_s": t1 - t0,
@@ -425,11 +406,6 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
     keys = sorted({k for r in rows for k in r})
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        report_dir / "summary.csv",
-        keys,
-        [[("" if r.get(k) is None else r.get(k)) for k in keys] for r in rows],
-    )
     doc = {"schema": SCHEMA, "version": ARTIFACT_VERSION, "rows": _jsonify(rows)}
     (report_dir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     for r in rows:

@@ -58,7 +58,7 @@ class OptimizerConfig:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.L_opt < 2 or self.L_opt > self.L_final:
-            raise ValueError("need 2 <= L_opt <= L_final")
+            raise ValueError(f"need 2 <= L_opt <= L_final, got L_opt = {self.L_opt}, L_final = {self.L_final}")
         if self.k > self.L_opt + 1:
             raise ValueError(
                 f"k = {self.k} exceeds the dimension {self.L_opt + 1} "
@@ -72,10 +72,10 @@ class OptimizerConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration history of one restart."""
+    """Per-state history of one restart, its start first and its returned state last."""
 
     start_label: str
-    objectives: list[float] = field(default_factory=list)   # lambda_bar_k at each iteration
+    objectives: list[float] = field(default_factory=list)   # lambda_bar_k of each state
     grad_norms: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)         # lambda_{k+1} - lambda_k
     residuals: list[float] = field(default_factory=list)    # |w|/||w||_N vs u distance
@@ -194,10 +194,10 @@ def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
     """
     basis, N = setup.basis, setup.coeffs.N
     try:
-        c = _renormalize(c, basis, N)
-        return (c, *_solve_rows(c, setup, kmax), {})
+        rows = _renormalize(c, basis, N)
+        return (rows, *_solve_rows(rows, setup, kmax), {})
     except (ValueError, ArithmeticError):
-        pass
+        pass  # redone below from the rows as given
     out = [np.zeros_like(c), np.zeros((len(c), len(basis.rule.nodes))),
            np.full((len(c), kmax), np.nan), np.zeros((len(c), basis.dim, kmax))]
     refused = {}
@@ -215,7 +215,7 @@ def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
 
 def _lockstep_descent(
     starts: list[tuple[str, ZonalField]], config: OptimizerConfig, setup: SphereSetup
-) -> tuple[np.ndarray, list[float], list[RunTrace]]:
+) -> tuple[np.ndarray, list[RunTrace]]:
     """Descend every start together, as rows of stacked arrays.
 
     Each restart keeps its own BFGS inverse Hessian (one layer of a stacked
@@ -223,8 +223,9 @@ def _lockstep_descent(
     iteration and each line-search trial round solves all of its
     still-running rows in one stacked call.
     A restart keeps its row for the whole descent: stopping only sets its
-    status, and a stopped row takes no further trial.  Returns the final
-    coefficient rows, their lambda_bar_k and the traces.
+    status, and a stopped row takes no further trial.  Up to max_iters + 1
+    rounds record each running row's state, and no step follows the last,
+    so a trace ends on its returned row.  Returns those rows and the traces.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
@@ -232,7 +233,7 @@ def _lockstep_descent(
     c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
     H = np.zeros((len(c), basis.dim, basis.dim))  # all-zero: the row has no H yet
-    for it in range(config.max_iters):
+    for it in range(config.max_iters + 1):
         running = [r for r, trace in enumerate(traces) if trace.status == "running"]
         if not running:
             break
@@ -254,6 +255,8 @@ def _lockstep_descent(
                 trace.status = "gradient-converged"
             else:
                 pending.append(r)
+        if it == config.max_iters:
+            break
         if it:
             # BFGS update of each pending row's inverse Hessian from its last
             # accepted step, H <- E H E^T + rho s s^T with E = I - rho s y^T,
@@ -269,13 +272,15 @@ def _lockstep_descent(
             H[upd] = E @ H[upd] @ E.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
         c_old, g_old = c.copy(), g
         # d = -H g from t = 1; a row without H, or whose d does not descend,
-        # drops its H and takes a displacement of 0.25 along -g/|g|
+        # drops its H and steps 0.25 |c| along -g/|g|: unit-mass coefficients scale
+        # with Vol(S^n), and a fixed length stalls every row at its start from n ~ 150 on
         d = -np.matmul(H, g[..., None])[..., 0]
         slope = np.vecdot(g, d)
         reset = [r for r in pending if slope[r] >= 0]
         H[reset] = 0.0
-        d[reset] = -0.25 * g[reset] / gnorm_rows[reset, None]
-        slope[reset] = -0.25 * gnorm_rows[reset]
+        length = 0.25 * np.sqrt(np.vecdot(c[reset], c[reset]))
+        d[reset] = -length[:, None] * g[reset] / gnorm_rows[reset, None]
+        slope[reset] = -length * gnorm_rows[reset]
         t = [1.0] * len(c)
         for _ in range(40):
             if not pending:
@@ -303,47 +308,41 @@ def _lockstep_descent(
     for trace in traces:  # the cap stops only the restarts still running
         if trace.status == "running":
             trace.status = "max-iters"
-    return c, lam[:, k - 1].tolist(), traces
+    return c, traces
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
     """The first config.restarts of: the antipodal two-bubble configuration,
-    the constant, then seeded random coefficient draws, each normalized."""
-    basis, N = setup.basis, setup.coeffs.N
+    the constant, then seeded random coefficient draws; the descent
+    normalizes them."""
+    basis = setup.basis
     rng = np.random.default_rng(config.seed)
     constant = np.zeros(basis.dim)
     constant[0] = 1.0
     starts = [
         ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)),
-        ("constant", ZonalField(basis, _renormalize(constant, basis, N))),
+        ("constant", ZonalField(basis, constant)),
     ][: config.restarts]
     decay = 0.5 ** np.arange(basis.dim)
     for i in range(config.restarts - len(starts)):
         c = rng.standard_normal(basis.dim) * decay
         c[0] += 1.0  # bias away from heavily degenerate densities
-        starts.append((f"random-{i}", ZonalField(basis, _renormalize(c, basis, N))))
+        starts.append((f"random-{i}", ZonalField(basis, c)))
     return starts
 
 
 def minimize(config: OptimizerConfig) -> MinimizeResult:
     """Multi-start descent; returns the best density with full traces.
 
-    The starts (see _starts) descend in lockstep.  The winner is
-    re-evaluated on the finer L_final basis (a variational improvement,
-    never an increase).
+    The starts (see _starts) descend in lockstep.  The winner is the
+    restart whose trace ends lowest; it is re-evaluated on the finer L_final
+    basis (a variational improvement, never an increase).
     """
     setup = round_setup(config.n, q=config.q_nodes, L=config.L_opt)
     N = setup.coeffs.N
-    starts = _starts(config, setup)
-    rows, values, traces = _lockstep_descent(starts, config, setup)
-    if config.max_iters == 0:
-        # the starts themselves, each solved once
-        rows = [start.coeffs for _, start in starts]
-        for trace, val in zip(traces, values):
-            trace.status = "no-iterations"
-            trace.objectives.append(val)
-    best_val = min(values)
-    best = ZonalField(setup.basis, rows[values.index(best_val)])
+    rows, traces = _lockstep_descent(_starts(config, setup), config, setup)
+    values = [trace.objectives[-1] for trace in traces]
+    best = ZonalField(setup.basis, rows[values.index(min(values))])
 
     # final evaluation on the finer basis over the same (memoized) rule: q is
     # exact at the nodes, only the eigenproblem subspace grows
@@ -363,7 +362,7 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
     return MinimizeResult(
         config=config,
         best=best,
-        best_objective=best_val,
+        best_objective=min(values),
         final_objective=final,
         traces=traces,
         diagnostics=diagnostics,

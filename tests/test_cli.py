@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import json
 import math
@@ -35,9 +36,7 @@ def test_coeffs_command(out_root, capsys):
     assert record.payload["alpha"] == pytest.approx(5.5)
     assert record.payload["alpha_bar"] == pytest.approx(6.5625)
     run_dir = out_root / record.config_hash
-    assert (run_dir / "record.json").exists()
-    assert (run_dir / "coeffs.csv").exists()
-    assert (run_dir / "meta.json").exists()
+    assert {p.name for p in run_dir.iterdir()} == {"record.json", "meta.json"}
     assert "alpha" in capsys.readouterr().out
 
 
@@ -99,13 +98,20 @@ def test_record_json_schema(out_root):
     assert doc["payload"]["A"] == pytest.approx(record.payload["A"])
 
 
-def test_csv_full_precision(out_root):
-    record = dispatch(ExperimentConfig(command="spectrum", n=5, k=1))
-    text = (out_root / record.config_hash / "spectrum.csv").read_text()
-    header, row = text.strip().splitlines()
-    assert header == "k,lambda,lambda_bar,residual"
-    lam = float(row.split(",")[1])
-    assert lam == record.payload["eigenvalues"][0]  # round-trips exactly
+@pytest.mark.parametrize("iterations", [60, 0])
+def test_minimize_record_ends_on_its_trace(out_root, iterations):
+    # trace.csv holds one full-precision row per state; each restart's
+    # terminal value is its last row, iterations counts the steps between
+    # its rows, and the winner's terminal value is best_objective
+    record = dispatch(ExperimentConfig(command="minimize", n=12, iterations=iterations))
+    with open(out_root / record.config_hash / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    restarts = record.payload["restarts"]
+    for i, restart in enumerate(restarts):
+        mine = [row for row in rows if row["restart"] == str(i)]
+        assert restart["iterations"] == len(mine) - 1 == int(mine[-1]["iter"])
+        assert restart["terminal_lambda_bar"] == float(mine[-1]["objective"])  # round-trips exactly
+    assert record.payload["best_objective"] == min(r["terminal_lambda_bar"] for r in restarts)
 
 
 def test_report_consolidation(out_root, capsys):
@@ -120,7 +126,7 @@ def test_report_consolidation(out_root, capsys):
     assert "skipping corrupted record" in captured.err
     summary = json.loads((out_root / "report" / "summary.json").read_text())
     assert len(summary["rows"]) == 2
-    assert (out_root / "report" / "summary.csv").exists()
+    assert [p.name for p in (out_root / "report").iterdir()] == ["summary.json"]
 
 
 @pytest.mark.parametrize(
@@ -363,6 +369,12 @@ def test_round_is_refused(tmp_path, capsys):
             ["lemma3-bound", "--n", "210"],
             "error: the two-plane bound at n=210, eps=0.05 is not finite (inf)",
         ),
+        (
+            "",
+            ["minimize", "--n", "12", "--L", "10"],
+            "invalid value for L_opt: 16 (must be 2 <= L_opt <= L = 10)",
+        ),
+        ("", ["minimize", "--n", "12", "--q", "16"], "invalid value for q: 16 (must be > L = 48)"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -415,7 +427,12 @@ PAYLOAD_KEYS = {
 def test_record_payload_keys(out_root, command):
     extra = {"iterations": 0, "restarts": 2} if command == "minimize" else {}
     record = dispatch(ExperimentConfig(command=command, n=12, **extra))
-    doc = json.loads((out_root / record.config_hash / "record.json").read_text())
+    run_dir = out_root / record.config_hash
+    # each number once: no file repeats the record's arrays
+    assert {p.name for p in run_dir.iterdir()} == {"record.json", "meta.json"} | (
+        {"trace.csv"} if command == "minimize" else set()
+    )
+    doc = json.loads((run_dir / "record.json").read_text())
     assert set(doc) == {"schema", "config_hash", "version", "payload", "seed", "config"}
     assert set(doc["payload"]) == PAYLOAD_KEYS[command]
     if command == "coeffs":
@@ -432,7 +449,7 @@ def test_record_payload_keys(out_root, command):
                 "pencil_solves", "rejected_trials",
             }
             assert (restart["pencil_solves"], restart["rejected_trials"]) == (1, 0)
-        header = (out_root / record.config_hash / "trace.csv").read_text().splitlines()[0]
+        header = (run_dir / "trace.csv").read_text().splitlines()[0]
         assert header == "restart,label,iter,objective,grad_norm,gap,residual"
 
 
@@ -575,7 +592,7 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
     # numpy maps to None there, which is a key of sys.modules but no version
     metas = [json.loads(path.read_text()) for path in (tmp_path / "blocked").glob("*/meta.json")]
     assert len(metas) == 2 and all("numpy" not in meta and "python" in meta for meta in metas)
-    assert len(outputs["blocked"]) == 2 * 2 + 2  # record.json and a CSV per run, the report's two
+    assert len(outputs["blocked"]) == 2 + 1  # record.json per run, the report's summary.json
     assert outputs["blocked"] == outputs["unblocked"]
 
 

@@ -86,9 +86,14 @@ def test_two_bubble_initializer_limits(engine12):
 
 
 def test_zero_iterations_returns_initializer():
-    res = minimize(OptimizerConfig(n=12, k=2, restarts=2, max_iters=0))
-    assert all(tr.status == "no-iterations" for tr in res.traces)
+    # the same loop with one round and no step: each trace is its start
+    cfg = OptimizerConfig(n=12, k=2, restarts=2, max_iters=0)
+    res = minimize(cfg)
+    assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [("max-iters", 1)] * 2
     assert res.best_objective == min(tr.objectives[0] for tr in res.traces)
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
+    _, start = _starts(cfg, setup)[[tr.objectives[0] for tr in res.traces].index(res.best_objective)]
+    assert res.best.coeffs.tobytes() == _renormalize(start.coeffs, setup.basis, setup.coeffs.N).tobytes()
 
 
 def test_minimize_k1_does_not_beat_round_value():
@@ -138,7 +143,7 @@ def test_default_descent_is_cheap_and_monotone(monkeypatch):
     assert res.diagnostics["attainment_product"] <= 1.0047
     for tr in res.traces:
         assert np.all(np.diff(tr.objectives) <= 0)
-        assert tr.pencil_solves <= 1 + len(tr.objectives) + tr.rejected_trials
+        assert tr.pencil_solves <= len(tr.objectives) + tr.rejected_trials
 
 
 @pytest.mark.parametrize("n, excess", [(7, 2.5987e-2), (12, 4.6212e-3), (20, 1.8556e-3)])
@@ -174,13 +179,13 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
         # its constant restart converges on iteration 1 and keeps its row,
         # untouched, for the rest of the descent
         assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
-            ("max-iters", max_iters), ("gradient-converged", 1), ("max-iters", max_iters)
+            ("max-iters", max_iters + 1), ("gradient-converged", 1), ("max-iters", max_iters + 1)
         ]
-    for trace, (_, _, (trace_alone,)) in zip(res.traces, alone):
+    for trace, (_, (trace_alone,)) in zip(res.traces, alone):
         assert _trace_bits(trace) == _trace_bits(trace_alone)
-    winner = min(range(len(alone)), key=lambda i: alone[i][1][0])
+    winner = min(range(len(alone)), key=lambda i: alone[i][1][0].objectives[-1])
     assert res.best.coeffs.tobytes() == alone[winner][0][0].tobytes()
-    assert res.best_objective == alone[winner][1][0]
+    assert res.best_objective == alone[winner][1][0].objectives[-1]
 
 
 @pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])
@@ -238,8 +243,11 @@ def test_descent_takes_the_checked_gradient(n):
         assert trace.grad_norms[0] == pytest.approx(norm, rel=1e-12)
 
 
-def test_a_refused_row_costs_the_other_rows_nothing(monkeypatch):
-    cfg = OptimizerConfig(n=12, k=2, restarts=3, max_iters=30)
+@pytest.mark.parametrize("n, seed", [(12, 0), (20, 1)])
+def test_a_refused_row_costs_the_other_rows_nothing(n, seed, monkeypatch):
+    # the redo solves each row from its trial as given: a row renormalized
+    # twice drifts in its last bits, as row 2 does at n = 20, seed 1
+    cfg = OptimizerConfig(n=n, k=2, seed=seed, restarts=3, max_iters=30)
     baseline = minimize(cfg)
     calls = []
     solve = optimizer._solve_rows
@@ -261,8 +269,18 @@ def test_a_refused_row_costs_the_other_rows_nothing(monkeypatch):
     assert hit.annotations == ["iter 0: step rejected (injected)"] and not clean.annotations
     assert hit.objectives[0] == clean.objectives[0]
     # the refused trial was solved (its renormalization passed) and rejected
-    assert hit.pencil_solves == 1 + len(hit.objectives) + hit.rejected_trials
+    assert hit.pencil_solves == len(hit.objectives) + hit.rejected_trials
     assert hit.rejected_trials >= 1
+
+
+@pytest.mark.parametrize("n", [150, 258])
+def test_first_step_scales_with_the_coefficients(n):
+    # the coefficients of a unit-mass q scale with Vol(S^n), so a first step
+    # of fixed length stalls every restart at its start from n ~ 150 on
+    res = minimize(OptimizerConfig(n=n, k=2))
+    for tr in res.traces:
+        assert (tr.status, len(tr.objectives)) != ("line-search-stalled", 1)
+    assert res.diagnostics["attainment_product"] - 1 <= 1e-4
 
 
 def test_restarts_are_run_exactly():

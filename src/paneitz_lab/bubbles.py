@@ -202,7 +202,7 @@ def epsilon_sweep(eps_grid, n: int, q: int = 200) -> SweepReport:
     if n <= 6:
         raise ValueError("sweep fit requires n > 6")
     eps = np.sort(np.asarray(eps_grid, dtype=float))
-    if len(np.unique(eps)) < 3:
+    if len(set(eps.tolist())) < 3:  # np.unique would import numpy.ma
         # two distinct points fit the two parameters exactly, one leaves them
         # undetermined: either way the residual would claim a fit it lacks
         raise ValueError(

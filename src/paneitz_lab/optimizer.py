@@ -46,7 +46,7 @@ class OptimizerConfig:
     n: int
     k: int = 2
     L_opt: int = 16
-    restarts: int = 8
+    restarts: int = 2
     max_iters: int = 60
     seed: int = 0
     q_nodes: int = 200
@@ -314,20 +314,21 @@ def _lockstep_descent(
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
     """The first config.restarts of: the antipodal two-bubble configuration,
     the constant, then seeded random coefficient draws; the descent
-    normalizes them."""
+    normalizes them.  The seed is read only when a random start is drawn."""
     basis = setup.basis
-    rng = np.random.default_rng(config.seed)
     constant = np.zeros(basis.dim)
     constant[0] = 1.0
     starts = [
         ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)),
         ("constant", ZonalField(basis, constant)),
     ][: config.restarts]
-    decay = 0.5 ** np.arange(basis.dim)
-    for i in range(config.restarts - len(starts)):
-        c = rng.standard_normal(basis.dim) * decay
-        c[0] += 1.0  # bias away from heavily degenerate densities
-        starts.append((f"random-{i}", ZonalField(basis, c)))
+    if config.restarts > len(starts):
+        rng = np.random.default_rng(config.seed)  # imports numpy.random
+        decay = 0.5 ** np.arange(basis.dim)
+        for i in range(config.restarts - len(starts)):
+            c = rng.standard_normal(basis.dim) * decay
+            c[0] += 1.0  # bias away from heavily degenerate densities
+            starts.append((f"random-{i}", ZonalField(basis, c)))
     return starts
 
 

@@ -21,10 +21,11 @@ def setup5_opt():
 
 @pytest.fixture(scope="session")
 def minimize12():
-    """One full default k=2 run at n=12, shared by the bound and nodal checks."""
+    """One full k=2 run at n=12 with all eight starts, six of them random,
+    shared by the bound, nodal and lockstep checks."""
     from paneitz_lab.optimizer import OptimizerConfig, minimize
 
-    return minimize(OptimizerConfig(n=12, k=2))
+    return minimize(OptimizerConfig(n=12, k=2, restarts=8))
 
 
 def random_density(basis, N, rng, degree=8, bias=1.0):

@@ -103,7 +103,9 @@ def test_minimize_record_ends_on_its_trace(out_root, iterations):
     # trace.csv holds one full-precision row per state; each restart's
     # terminal value is its last row, iterations counts the steps between
     # its rows, and the winner's terminal value is best_objective
-    record = dispatch(ExperimentConfig(command="minimize", n=12, iterations=iterations))
+    record = dispatch(
+        ExperimentConfig(command="minimize", n=12, restarts=8, iterations=iterations)
+    )
     with open(out_root / record.config_hash / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     restarts = record.payload["restarts"]
@@ -566,6 +568,21 @@ for argv in (
     done = _fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*/record.json"))) == 6
+
+
+def test_cold_commands_leave_numpy_random_and_ma_unloaded(tmp_path):
+    # numpy.random is read only for a random start and numpy.ma not at all:
+    # with both blocked, bubble-sweep and the two-start minimize still run
+    code = """
+import sys
+sys.modules["numpy.random"] = sys.modules["numpy.ma"] = None
+from paneitz_lab.cli import main
+for argv in (["bubble-sweep"], ["minimize", "--k", "2", "--restarts", "2", "--iterations", "5"]):
+    assert main([*argv, "--n", "12", "--out", sys.argv[1]]) == 0, argv
+"""
+    done = _fresh_python("-c", code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*/record.json"))) == 2
 
 
 def test_closed_form_commands_run_without_numpy(tmp_path):

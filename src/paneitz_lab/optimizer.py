@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import BubbleSpec, bubble_profile
 from .einstein import _critical_exponent, sharp_constant_oracle
 from .spectral import (
     SphereSetup,
@@ -46,7 +45,7 @@ class OptimizerConfig:
     n: int
     k: int = 2
     L_opt: int = 16
-    restarts: int = 2
+    restarts: int = 1
     max_iters: int = 60
     seed: int = 0
     q_nodes: int = 200
@@ -172,6 +171,8 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     """
     if not 0 <= split <= 1:
         raise ValueError("split must lie in [0, 1]")
+    from .bubbles import BubbleSpec, bubble_profile  # only this start needs it
+
     n = basis.n
     theta = basis.rule.theta
     # sqrt of the bubble density profile: exponent (n-4)/4 in q-space
@@ -312,16 +313,16 @@ def _lockstep_descent(
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
-    """The first config.restarts of: the antipodal two-bubble configuration,
-    the constant, then seeded random coefficient draws; the descent
-    normalizes them.  The seed is read only when a random start is drawn."""
+    """The first config.restarts of: the constant, the antipodal two-bubble
+    configuration, then seeded random coefficient draws; the descent
+    normalizes them.  The two-bubble start is built only when it is
+    descended, and the seed is read only when a random start is drawn."""
     basis = setup.basis
     constant = np.zeros(basis.dim)
     constant[0] = 1.0
-    starts = [
-        ("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)),
-        ("constant", ZonalField(basis, constant)),
-    ][: config.restarts]
+    starts = [("constant", ZonalField(basis, constant))]
+    if config.restarts >= 2:
+        starts.append(("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)))
     if config.restarts > len(starts):
         rng = np.random.default_rng(config.seed)  # imports numpy.random
         decay = 0.5 ** np.arange(basis.dim)

@@ -23,7 +23,7 @@ def _float_power(x: float | np.ndarray, p: float) -> float | np.ndarray:
     must keep the bits of the one-row calls."""
     if isinstance(x, float):
         return x**p
-    return np.reshape([v**p for v in x.ravel().tolist()], x.shape)
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)

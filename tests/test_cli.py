@@ -585,6 +585,20 @@ for argv in (["bubble-sweep"], ["minimize", "--k", "2", "--restarts", "2", "--it
     assert len(list(tmp_path.glob("*/record.json"))) == 2
 
 
+def test_default_minimize_leaves_bubbles_unloaded(tmp_path):
+    # the default descends the constant start alone, so only a two-bubble
+    # start or density imports paneitz_lab.bubbles
+    code = """
+import sys
+sys.modules["paneitz_lab.bubbles"] = None
+from paneitz_lab.cli import main
+assert main(["minimize", "--k", "2", "--iterations", "5", "--n", "12", "--out", sys.argv[1]]) == 0
+"""
+    done = _fresh_python("-c", code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*/record.json"))) == 1
+
+
 def test_closed_form_commands_run_without_numpy(tmp_path):
     # coeffs and report compute nothing with arrays: with numpy blocked they
     # write the same bytes as an unblocked run

@@ -125,7 +125,7 @@ def test_minimize_k2_trace_and_ordering():
 
 
 def test_default_descent_is_cheap_and_monotone(monkeypatch):
-    # the default n = 12 run makes at most 250 pencil solves, every
+    # the default n = 12 run makes at most 120 pencil solves, every
     # restart's objective never rises, and the product stays at or below
     # the value the steepest descent with a 500-iteration cap reached
     solves = 0
@@ -139,7 +139,7 @@ def test_default_descent_is_cheap_and_monotone(monkeypatch):
     monkeypatch.setattr(optimizer, "_solve_rows", counting)
     res = minimize(OptimizerConfig(n=12, k=2, seed=0))
     # the record's counters are the solves made
-    assert solves == sum(tr.pencil_solves for tr in res.traces) <= 250
+    assert solves == sum(tr.pencil_solves for tr in res.traces) <= 120
     assert res.diagnostics["attainment_product"] <= 1.0047
     for tr in res.traces:
         assert np.all(np.diff(tr.objectives) <= 0)
@@ -153,15 +153,17 @@ def test_default_product_is_no_worse_than_steepest_descent(n, excess, request):
     assert res.diagnostics["attainment_product"] - 1 <= excess
 
 
-@pytest.mark.parametrize("n", [5, 12, 20])
-def test_default_starts_return_the_eight_start_winner(n, request):
-    # the six seeded random starts never win: the default descends the
-    # two-bubble and constant starts alone and returns the same bits
-    res = minimize(OptimizerConfig(n=n, k=2, seed=0))
-    assert [tr.start_label for tr in res.traces] == ["two-bubble", "constant"]
+@pytest.mark.parametrize(
+    "n, k", [(5, 2), (12, 2), (20, 2), (12, 1), (12, 3)], ids=["5", "12", "20", "12-k1", "12-k3"]
+)
+def test_default_starts_return_the_eight_start_winner(n, k, request):
+    # the two-bubble and six seeded random starts never win: the default
+    # descends the constant start alone and returns the same bits
+    res = minimize(OptimizerConfig(n=n, k=k, seed=0))
+    assert [tr.start_label for tr in res.traces] == ["constant"]
     eight = (
-        request.getfixturevalue("minimize12") if n == 12
-        else minimize(OptimizerConfig(n=n, k=2, seed=0, restarts=8))
+        request.getfixturevalue("minimize12") if (n, k) == (12, 2)
+        else minimize(OptimizerConfig(n=n, k=k, seed=0, restarts=8))
     )
     assert eight.config.restarts == 8
     assert res.best.coeffs.tobytes() == eight.best.coeffs.tobytes()
@@ -195,7 +197,7 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
         # its constant restart converges on iteration 1 and keeps its row,
         # untouched, for the rest of the descent
         assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
-            ("max-iters", max_iters + 1), ("gradient-converged", 1), ("max-iters", max_iters + 1)
+            ("gradient-converged", 1), ("max-iters", max_iters + 1), ("max-iters", max_iters + 1)
         ]
     for trace, (_, (trace_alone,)) in zip(res.traces, alone):
         assert _trace_bits(trace) == _trace_bits(trace_alone)
@@ -301,9 +303,9 @@ def test_first_step_scales_with_the_coefficients(n):
 
 def test_restarts_are_run_exactly():
     for restarts, labels in [
-        (1, ["two-bubble"]),
-        (2, ["two-bubble", "constant"]),
-        (3, ["two-bubble", "constant", "random-0"]),
+        (1, ["constant"]),
+        (2, ["constant", "two-bubble"]),
+        (3, ["constant", "two-bubble", "random-0"]),
     ]:
         res = minimize(OptimizerConfig(n=12, k=2, restarts=restarts, max_iters=0))
         assert [tr.start_label for tr in res.traces] == labels

@@ -3,10 +3,10 @@
 The density is parameterized as u = q^2 with q a zonal field of moderate
 degree, which keeps u >= 0 while allowing zeros (generalized metrics).
 The objective lambda_bar_k(u) = lambda_k(u) (int u^N)^(4/n) is scale
-invariant.  The descent is BFGS with an Armijo line search, one restart per
-row of stacked arrays, and follows lambda_k unsmoothed: where lambda_{k-1}
-meets lambda_k, as it does near two-bubble configurations, lambda_k has a
-kink, and BFGS steps across it without a smoothing rule (Lewis & Overton,
+invariant.  Each start is descended on its own by BFGS with an Armijo line
+search, which follows lambda_k unsmoothed: where lambda_{k-1} meets
+lambda_k, as it does near two-bubble configurations, lambda_k has a kink,
+and BFGS steps across it without a smoothing rule (Lewis & Overton,
 Math. Program. 141 (2013)).
 """
 
@@ -28,7 +28,7 @@ from .spectral import (
     solve_density,
 )
 from .toolkit import _fixed_point_residual
-from .zonal import ZonalBasis, ZonalField, _float_power, analyze
+from .zonal import ZonalBasis, ZonalField, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
@@ -58,6 +58,10 @@ class OptimizerConfig:
             raise ValueError("k must be >= 1")
         if self.L_opt < 2 or self.L_opt > self.L_final:
             raise ValueError(f"need 2 <= L_opt <= L_final, got L_opt = {self.L_opt}, L_final = {self.L_final}")
+        if self.q_nodes <= self.L_final:
+            raise ValueError(
+                f"need q_nodes > L_final (aliasing), got q_nodes = {self.q_nodes}, L_final = {self.L_final}"
+            )
         if self.k > self.L_opt + 1:
             raise ValueError(
                 f"k = {self.k} exceeds the dimension {self.L_opt + 1} "
@@ -95,23 +99,22 @@ class MinimizeResult:
 
 
 def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
-    """c scaled so that u = q^2 has unit L^N mass, each row of a stack on its
-    own; the mass is taken of q / max|q|, whose 2N-th power cannot overflow."""
-    qvals = np.matmul(basis.table.T, c[..., None])[..., 0]
-    scale = np.abs(qvals).max(axis=-1)
-    if (scale <= 0).any() or not np.isfinite(scale).all():
+    """c scaled so that u = q^2 has unit L^N mass; the mass is taken of
+    q / max|q|, whose 2N-th power cannot overflow."""
+    qvals = basis.table.T @ c
+    scale = np.abs(qvals).max()
+    if scale <= 0 or not math.isfinite(scale):
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
-    mass = np.asarray(basis.rule.lN_mass(qvals / scale[..., None], 2 * N))
-    return c * (_float_power(mass, -1.0 / (2 * N)) / scale)[..., None]
+    mass = basis.rule.lN_mass(qvals / scale, 2 * N)
+    return c * (mass ** (-1.0 / (2 * N)) / scale)
 
 
 def _solve_rows(
     c: np.ndarray, setup: SphereSetup, kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node values q of c, then the kernel's eigenvalues and B-normalized
-    coefficient columns for the pencil of u = q^2; leading axes of c are a
-    stack of rows, solved in one call."""
-    qvals = np.matmul(setup.basis.table.T, c[..., None])[..., 0]
+    coefficient columns for the pencil of u = q^2."""
+    qvals = setup.basis.table.T @ c
     B = mass_from_values(setup.basis.rule, setup.basis.table, qvals**2, setup.coeffs.N)
     lams, V = pencil_eigen(setup.A_diag, B, kmax)
     return qvals, lams, V
@@ -134,8 +137,7 @@ def _eig_gradient(
 
         grad_m = 2 lambda_j (N-2) sum_j w_j q Z_m (u^(N-1) - u^(N-3) w^2).
 
-    Only w^2 enters, so the sign of the eigenvector does not matter.  The
-    arguments broadcast: leading axes give a stack of gradients.
+    Only w^2 enters, so the sign of the eigenvector does not matter.
     """
     basis = setup.basis
     N = setup.coeffs.N
@@ -145,8 +147,7 @@ def _eig_gradient(
         core = u ** (N - 1) - u ** (N - 3) * w**2
     else:
         core = u ** (N - 1) - np.where(u > 0, u, 1.0) ** (N - 3) * w**2 * (u > 0)
-    synth = np.matmul(basis.table, (basis.rule.weights * qvals * core)[..., None])[..., 0]
-    return np.asarray(2 * lam * (N - 2))[..., None] * synth
+    return 2 * lam * (N - 2) * (basis.table @ (basis.rule.weights * qvals * core))
 
 
 def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
@@ -184,132 +185,83 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     return ZonalField(basis, _renormalize(c, basis, N))
 
 
-def _solve_trials(c: np.ndarray, setup: SphereSetup, kmax: int):
-    """Renormalize and solve a stack of trial rows in one call.
+def _descend(
+    label: str, start: ZonalField, config: OptimizerConfig, setup: SphereSetup
+) -> tuple[np.ndarray, RunTrace]:
+    """BFGS descent of one start, with an Armijo line search of at most 40
+    trials per iteration.
 
-    If the stack is refused, every row is redone alone through the same
-    kernel, so a degenerate row costs the others nothing.  Returns the
-    renormalized rows, their node values, eigenvalues (NaN for a refused
-    row) and eigenvector columns, then for each refused row the error and
-    whether its pencil was solved (its renormalization passed).
-    """
-    basis, N = setup.basis, setup.coeffs.N
-    try:
-        rows = _renormalize(c, basis, N)
-        return (rows, *_solve_rows(rows, setup, kmax), {})
-    except (ValueError, ArithmeticError):
-        pass  # redone below from the rows as given
-    out = [np.zeros_like(c), np.zeros((len(c), len(basis.rule.nodes))),
-           np.full((len(c), kmax), np.nan), np.zeros((len(c), basis.dim, kmax))]
-    refused = {}
-    for i in range(len(c)):
-        solved = False
-        try:
-            row = _renormalize(c[i : i + 1], basis, N)
-            solved = True
-            for arr, value in zip(out, (row, *_solve_rows(row, setup, kmax))):
-                arr[i] = value[0]
-        except (ValueError, ArithmeticError) as exc:
-            refused[i] = exc, solved
-    return (*out, refused)
-
-
-def _lockstep_descent(
-    starts: list[tuple[str, ZonalField]], config: OptimizerConfig, setup: SphereSetup
-) -> tuple[np.ndarray, list[RunTrace]]:
-    """Descend every start together, as rows of stacked arrays.
-
-    Each restart keeps its own BFGS inverse Hessian (one layer of a stacked
-    (restarts, dim, dim) array), Armijo step, 40-trial cap and status; each
-    iteration and each line-search trial round solves all of its
-    still-running rows in one stacked call.
-    A restart keeps its row for the whole descent: stopping only sets its
-    status, and a stopped row takes no further trial.  Up to max_iters + 1
-    rounds record each running row's state, and no step follows the last,
-    so a trace ends on its returned row.  Returns those rows and the traces.
+    Up to max_iters + 1 iterations record the state, and no step follows
+    the last, so the trace ends on the returned coefficients.  A trial that
+    raises is annotated and rejected; it counts as a pencil solve only if
+    its renormalization passed.  Returns the coefficients and the trace.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
-    traces = [RunTrace(start_label=label, pencil_solves=1) for label, _ in starts]
-    c = _renormalize(np.array([start.coeffs for _, start in starts]), basis, N)
+    trace = RunTrace(start_label=label, pencil_solves=1)
+    c = _renormalize(start.coeffs, basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
-    H = np.zeros((len(c), basis.dim, basis.dim))  # all-zero: the row has no H yet
+    H = None  # inverse Hessian; None until the first update and after a reset
     for it in range(config.max_iters + 1):
-        running = [r for r, trace in enumerate(traces) if trace.status == "running"]
-        if not running:
-            break
-        J = lam[:, k - 1].tolist()
-        w_k = np.matmul(basis.table.T, V[..., k - 1, None])[..., 0]  # each row's k-th eigenfield
-        g = _eig_gradient(qvals, w_k, lam[:, k - 1], setup)
-        gnorm_rows = np.sqrt(np.vecdot(g, g))
-        gnorm = gnorm_rows.tolist()
-        gaps = (lam[:, k] - lam[:, k - 1]).tolist() if kmax > k else [math.nan] * len(c)
-        residuals = _fixed_point_residual(basis.rule, w_k, qvals**2, N).tolist()
-        pending = []
-        for r in running:
-            trace = traces[r]
-            trace.objectives.append(J[r])
-            trace.grad_norms.append(gnorm[r])
-            trace.gaps.append(gaps[r])
-            trace.residuals.append(residuals[r])
-            if gnorm[r] <= GRAD_TOL * max(abs(J[r]), 1.0):
-                trace.status = "gradient-converged"
-            else:
-                pending.append(r)
+        J = float(lam[k - 1])
+        w_k = basis.table.T @ V[:, k - 1]  # the k-th eigenfield
+        g = _eig_gradient(qvals, w_k, lam[k - 1], setup)
+        gnorm = math.sqrt(np.vecdot(g, g))
+        trace.objectives.append(J)
+        trace.grad_norms.append(gnorm)
+        trace.gaps.append(float(lam[k] - lam[k - 1]) if kmax > k else math.nan)
+        trace.residuals.append(_fixed_point_residual(basis.rule, w_k, qvals**2, N))
+        if gnorm <= GRAD_TOL * max(abs(J), 1.0):
+            trace.status = "gradient-converged"
+            return c, trace
         if it == config.max_iters:
             break
         if it:
-            # BFGS update of each pending row's inverse Hessian from its last
-            # accepted step, H <- E H E^T + rho s s^T with E = I - rho s y^T,
-            # skipped unless s'y > 0; a row's first update starts from
-            # H0 = (s'y / y'y) I (Nocedal & Wright, 2nd ed., 6.1)
+            # BFGS update from the last accepted step, H <- E H E^T + rho s s^T
+            # with E = I - rho s y^T, skipped unless s'y > 0; the first update
+            # starts from H0 = (s'y / y'y) I (Nocedal & Wright, 2nd ed., 6.1)
             s, y = c - c_old, g - g_old
             sy = np.vecdot(s, y)
-            upd = [r for r in pending if sy[r] > 0]
-            fresh = [r for r in upd if not H[r].any()]
-            H[fresh] = (sy[fresh] / np.vecdot(y[fresh], y[fresh]))[:, None, None] * np.eye(basis.dim)
-            s, y, rho = s[upd], y[upd], (1.0 / sy[upd])[:, None, None]
-            E = np.eye(basis.dim) - rho * s[:, :, None] * y[:, None, :]
-            H[upd] = E @ H[upd] @ E.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
-        c_old, g_old = c.copy(), g
-        # d = -H g from t = 1; a row without H, or whose d does not descend,
-        # drops its H and steps 0.25 |c| along -g/|g|: unit-mass coefficients scale
-        # with Vol(S^n), and a fixed length stalls every row at its start from n ~ 150 on
-        d = -np.matmul(H, g[..., None])[..., 0]
-        slope = np.vecdot(g, d)
-        reset = [r for r in pending if slope[r] >= 0]
-        H[reset] = 0.0
-        length = 0.25 * np.sqrt(np.vecdot(c[reset], c[reset]))
-        d[reset] = -length[:, None] * g[reset] / gnorm_rows[reset, None]
-        slope[reset] = -length * gnorm_rows[reset]
-        t = [1.0] * len(c)
+            if sy > 0:
+                if H is None:
+                    H = sy / np.vecdot(y, y) * np.eye(basis.dim)
+                rho = 1.0 / sy
+                E = np.eye(basis.dim) - rho * s[:, None] * y
+                H = E @ H @ E.T + rho * s[:, None] * s
+        c_old, g_old = c, g
+        # d = -H g from t = 1; without H, or where d does not descend, H is
+        # dropped and the step is 0.25 |c| along -g/|g|: unit-mass coefficients
+        # scale with Vol(S^n), and a fixed length stalls at the start from n ~ 150 on
+        if H is not None:
+            d = -(H @ g)
+            slope = np.vecdot(g, d)
+        if H is None or slope >= 0:
+            H = None
+            length = 0.25 * math.sqrt(np.vecdot(c, c))
+            d = -length * g / gnorm
+            slope = -length * gnorm
+        t = 1.0
         for _ in range(40):
-            if not pending:
+            solved = False
+            try:
+                c_try = _renormalize(c + t * d, basis, N)
+                solved = True
+                q_try, lam_try, V_try = _solve_rows(c_try, setup, kmax)
+                J_try = float(lam_try[k - 1])
+            except (ValueError, ArithmeticError) as exc:
+                trace.annotations.append(f"iter {it}: step rejected ({exc})")
+                J_try = math.nan
+            trace.pencil_solves += solved
+            if math.isfinite(J_try) and J_try <= J + 1e-4 * t * slope:
+                c, qvals, lam, V = c_try, q_try, lam_try, V_try
                 break
-            c_new, q_new, lam_new, V_new, refused = _solve_trials(
-                c[pending] + np.array([t[r] for r in pending])[:, None] * d[pending], setup, kmax
-            )
-            J_try = lam_new[:, k - 1].tolist()
-            lost = []
-            for p, r in enumerate(pending):
-                trace = traces[r]
-                exc, solved = refused.get(p, (None, True))
-                trace.pencil_solves += solved
-                if exc is not None:
-                    trace.annotations.append(f"iter {it}: step rejected ({exc})")
-                elif math.isfinite(J_try[p]) and J_try[p] <= J[r] + 1e-4 * t[r] * slope[r]:
-                    c[r], qvals[r], lam[r], V[r] = c_new[p], q_new[p], lam_new[p], V_new[p]
-                    continue
-                trace.rejected_trials += 1
-                t[r] *= 0.5
-                lost.append(r)
-            pending = lost
-        for r in pending:
-            traces[r].status = "line-search-stalled"
-    for trace in traces:  # the cap stops only the restarts still running
-        if trace.status == "running":
-            trace.status = "max-iters"
-    return c, traces
+            trace.rejected_trials += 1
+            t *= 0.5
+        else:
+            trace.status = "line-search-stalled"
+            return c, trace
+    trace.status = "max-iters"
+    return c, trace
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
@@ -336,15 +288,16 @@ def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, Zona
 def minimize(config: OptimizerConfig) -> MinimizeResult:
     """Multi-start descent; returns the best density with full traces.
 
-    The starts (see _starts) descend in lockstep.  The winner is the
+    Each start (see _starts) descends on its own.  The winner is the
     restart whose trace ends lowest; it is re-evaluated on the finer L_final
     basis (a variational improvement, never an increase).
     """
     setup = round_setup(config.n, q=config.q_nodes, L=config.L_opt)
     N = setup.coeffs.N
-    rows, traces = _lockstep_descent(_starts(config, setup), config, setup)
+    runs = [_descend(label, start, config, setup) for label, start in _starts(config, setup)]
+    traces = [trace for _, trace in runs]
     values = [trace.objectives[-1] for trace in traces]
-    best = ZonalField(setup.basis, rows[values.index(min(values))])
+    best = ZonalField(setup.basis, runs[values.index(min(values))][0])
 
     # final evaluation on the finer basis over the same (memoized) rule: q is
     # exact at the nodes, only the eigenproblem subspace grows

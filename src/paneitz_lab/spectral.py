@@ -81,9 +81,9 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 # - mass form, the whole ``mass_from_values`` at n = 12: the mirror sum takes
 #   4.6 ms against 12.4 ms for the general product (gemm) and 7.3 ms for the
 #   symmetric product X X^T over every node (syrk) on a 401x1600 table, 1.2
-#   against 2.6 ms on 151x1600, 52-60 against 53-55 us on 49x200, and
-#   103-112 against 57-62 us for the descent's stack of eight densities on a
-#   17x200 table, so the descent and the default L = 48 runs stay on gemm.
+#   against 2.6 ms on 151x1600, 52-60 against 53-55 us on 49x200, and 22-31
+#   against 8 us for the descent's one density on a 17x200 table, so the
+#   descent and the default L = 48 runs stay on gemm.
 KRYLOV_MIN_DIM = 150
 
 
@@ -94,8 +94,6 @@ def mass_from_values(
     of u and of the functions f_a, the rows of table, unvalidated; the one
     home of the mass formula.  The basis table gives the full form B(u),
     the node values of a few fields the form restricted to their span.
-    Leading axes of values are a stack of densities, and give a stack of
-    forms.
 
     A table of ``KRYLOV_MIN_DIM`` rows or more is summed over the nonnegative
     nodes alone (``_mirror_mass``), a quarter of the general product's
@@ -106,12 +104,12 @@ def mass_from_values(
     wdens = rule.weights * values ** (N - 2)
     if len(table) >= KRYLOV_MIN_DIM:
         return _mirror_mass(table, wdens)
-    return (table * wdens[..., None, :]) @ table.T
+    return (table * wdens) @ table.T
 
 
 def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
     """Sum_j wdens_j Z_a(x_j) Z_b(x_j) over a rule whose node x_j has the
-    mirror -x_j, for the basis table Z and a density row or stack of rows.
+    mirror -x_j, for the basis table Z and the density's node values.
 
     Z_l(-x) = (-1)^l Z_l(x), so each pair (x, -x) adds
     Z_a(x) Z_b(x) (wdens(x) + (-1)^(a+b) wdens(-x)): the even-even and
@@ -123,17 +121,17 @@ def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
     q = table.shape[-1]
     m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
     even, odd = table[0::2, m:], table[1::2, m:]  # at the nonnegative nodes
-    plus = wdens[..., m:]
-    minus = wdens[..., q - 1 - m :: -1]  # wdens at the mirrors -x of those nodes
+    plus = wdens[m:]
+    minus = wdens[q - 1 - m :: -1]  # wdens at the mirrors -x of those nodes
     a, b = plus + minus, plus - minus
-    a[..., : q % 2] = plus[..., : q % 2]  # x = 0 counts once
-    root = np.sqrt(a)[..., None, :]
+    a[: q % 2] = plus[: q % 2]  # x = 0 counts once
+    root = np.sqrt(a)
     X, Y = even * root, odd * root
-    B = np.empty((*wdens.shape[:-1], len(table), len(table)))
-    B[..., 0::2, 0::2] = X @ X.swapaxes(-1, -2)
-    B[..., 1::2, 1::2] = Y @ Y.swapaxes(-1, -2)
-    B[..., 0::2, 1::2] = (even * b[..., None, :]) @ odd.T
-    B[..., 1::2, 0::2] = B[..., 0::2, 1::2].swapaxes(-1, -2)
+    B = np.empty((len(table), len(table)))
+    B[0::2, 0::2] = X @ X.T
+    B[1::2, 1::2] = Y @ Y.T
+    B[0::2, 1::2] = (even * b) @ odd.T
+    B[1::2, 0::2] = B[0::2, 1::2].T
     return B
 
 
@@ -201,10 +199,6 @@ def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray,
     ``KRYLOV_MIN_DIM`` or more is solved for its k pairs alone
     (``_block_krylov``), or by the full eigh when that solve gives up; a
     smaller one by the full eigh.
-
-    Leading axes of B are a stack of pencils sharing A, solved in one call
-    (large pencils one after another); every row gets the bits of its own
-    two-dimensional call, and any refusal refuses the whole stack.
     """
     dim = len(A_diag)
     if not 1 <= k <= dim:
@@ -214,11 +208,11 @@ def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray,
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
     s = 1.0 / np.sqrt(A_diag)
-    C = np.asarray_chkfinite((B * s).swapaxes(-1, -2) * s)
+    C = np.asarray_chkfinite((B * s).T * s)
     mass, top = _top_eigenpairs(C, k)
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    V = (top * s / np.sqrt(mass)[..., None]).swapaxes(-1, -2)
+    V = (top * s / np.sqrt(mass)[:, None]).T
     return 1.0 / mass, V
 
 
@@ -227,22 +221,13 @@ RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, 
 
 def _top_eigenpairs(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the symmetric C, descending, and their
-    unit eigenvectors as rows, for one matrix or a stack.
-
-    A large stack is solved row by row, so that every row keeps the bits of
-    its own two-dimensional call."""
-    dim = C.shape[-1]
-    if dim >= KRYLOV_MIN_DIM:
-        if C.ndim > 2:
-            rows = [_top_eigenpairs(c, k) for c in C.reshape(-1, dim, dim)]
-            mass = np.array([m for m, _ in rows]).reshape(*C.shape[:-2], k)
-            top = np.array([t for _, t in rows]).reshape(*C.shape[:-2], k, dim)
-            return mass, top
+    unit eigenvectors as rows."""
+    if len(C) >= KRYLOV_MIN_DIM:
         pairs = _block_krylov(C, k)
         if pairs is not None:
             return pairs
     w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
-    return w[..., ::-1][..., :k], Y.swapaxes(-1, -2)[..., ::-1, :][..., :k, :]
+    return w[::-1][:k], Y.T[::-1][:k]
 
 
 def _block_krylov(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .einstein import OperatorCoefficients
 from .spectral import ConformalDensity, assemble_stiffness, restricted_mass
-from .zonal import QuadratureRule, ZonalField, _float_power, analyze
+from .zonal import QuadratureRule, ZonalField, analyze
 
 
 @dataclass
@@ -158,15 +158,14 @@ def nodal_profile(
 
 def _fixed_point_residual(
     rule: QuadratureRule, w_vals: np.ndarray, u_vals: np.ndarray, N: float
-) -> float | np.ndarray:
+) -> float:
     """L^N distance between |w|/||w||_N and u, from node values; u must
-    already have unit L^N mass.  Leading axes are a stack of pairs, and
-    give an array of distances."""
+    already have unit L^N mass."""
     wabs = np.abs(w_vals)
-    wnorm = _float_power(rule.lN_mass(wabs, N), 1.0 / N)
-    if np.any(wnorm == 0):
+    wnorm = rule.lN_mass(wabs, N) ** (1.0 / N)
+    if wnorm == 0:
         raise ValueError("field is identically zero")
-    return _float_power(rule.lN_mass(wabs / np.asarray(wnorm)[..., None] - u_vals, N), 1.0 / N)
+    return rule.lN_mass(wabs / wnorm - u_vals, N) ** (1.0 / N)
 
 
 def fixed_point_residual(w: ZonalField, u: ConformalDensity) -> float:

@@ -17,15 +17,6 @@ import numpy as np
 from .einstein import EinsteinData, euclidean_sphere_area
 
 
-def _float_power(x: float | np.ndarray, p: float) -> float | np.ndarray:
-    """x ** p with Python's float power, entry by entry for an array: numpy's
-    vectorized power can differ from it in the last bit, and a stack of rows
-    must keep the bits of the one-row calls."""
-    if isinstance(x, float):
-        return x**p
-    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule in x = cos(theta); weights carry the full surface measure."""
@@ -35,15 +26,12 @@ class QuadratureRule:
     weights: np.ndarray  # positive, sum = Vol(S^n)
     theta: np.ndarray    # arccos(nodes), cached
 
-    def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        """Quadrature sum over the last axis: a float for one row of node
-        values, an array for a stack of rows (each with the row's bits)."""
-        if values.ndim == 1:
-            return float(np.dot(self.weights, values))
-        return np.vecdot(values, self.weights)
+    def integrate(self, values: np.ndarray) -> float:
+        """Quadrature sum of the node values."""
+        return float(np.dot(self.weights, values))
 
-    def lN_mass(self, values: np.ndarray, N: float) -> float | np.ndarray:
-        """Integral of |f|^N from the node values of f, row by row."""
+    def lN_mass(self, values: np.ndarray, N: float) -> float:
+        """Integral of |f|^N from the node values of f."""
         return self.integrate(np.abs(values) ** N)
 
 

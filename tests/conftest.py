@@ -22,7 +22,7 @@ def setup5_opt():
 @pytest.fixture(scope="session")
 def minimize12():
     """One full k=2 run at n=12 with all eight starts, six of them random,
-    shared by the bound, nodal and lockstep checks."""
+    shared by the bound, nodal and per-start descent checks."""
     from paneitz_lab.optimizer import OptimizerConfig, minimize
 
     return minimize(OptimizerConfig(n=12, k=2, restarts=8))

@@ -7,7 +7,7 @@ import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
     OptimizerConfig,
-    _lockstep_descent,
+    _descend,
     _renormalize,
     _starts,
     gradient,
@@ -133,7 +133,7 @@ def test_default_descent_is_cheap_and_monotone(monkeypatch):
 
     def counting(c, *args):
         nonlocal solves
-        solves += len(c)  # the rows of one stacked solve
+        solves += 1
         return solve(c, *args)
 
     monkeypatch.setattr(optimizer, "_solve_rows", counting)
@@ -186,36 +186,35 @@ def _trace_bits(trace):
     ids=["12", "5", "8", "8-short", "5-k1-converged"],
 )
 def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
-    # the lockstep descent is bookkeeping: a start descended as a stack of
-    # one gives the bits it gives inside the stack of all starts
+    # minimize keeps each start's own descent, and its winner is the start
+    # whose trace ends lowest
     cfg = OptimizerConfig(n=n, k=k, seed=0, restarts=restarts, max_iters=max_iters)
     res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
-    alone = [_lockstep_descent([start], cfg, setup) for start in _starts(cfg, setup)]
+    alone = [_descend(label, start, cfg, setup) for label, start in _starts(cfg, setup)]
     assert len(alone) == len(res.traces) == cfg.restarts
     if k == 1:
-        # its constant restart converges on iteration 1 and keeps its row,
-        # untouched, for the rest of the descent
+        # its constant restart converges on iteration 1; the others run to the cap
         assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
             ("gradient-converged", 1), ("max-iters", max_iters + 1), ("max-iters", max_iters + 1)
         ]
-    for trace, (_, (trace_alone,)) in zip(res.traces, alone):
+    for trace, (_, trace_alone) in zip(res.traces, alone):
         assert _trace_bits(trace) == _trace_bits(trace_alone)
-    winner = min(range(len(alone)), key=lambda i: alone[i][1][0].objectives[-1])
-    assert res.best.coeffs.tobytes() == alone[winner][0][0].tobytes()
-    assert res.best_objective == alone[winner][1][0].objectives[-1]
+    winner = min(range(len(alone)), key=lambda i: alone[i][1].objectives[-1])
+    assert res.best.coeffs.tobytes() == alone[winner][0].tobytes()
+    assert res.best_objective == alone[winner][1].objectives[-1]
 
 
 @pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])
 def test_a_forced_stall_stops_only_its_row(stall, max_iters, monkeypatch):
-    # every trial of the last restart is refused on one iteration: it stops
-    # as stalled after 40 rejected trials, also on the cap iteration, is
-    # never solved again, and the other restarts descend as if it never had
+    # every trial on one iteration is refused: the descent stops as stalled
+    # after 40 rejected trials, also on the cap iteration, and is never
+    # solved again
     cfg = OptimizerConfig(n=8, k=2, seed=0, restarts=3, max_iters=max_iters)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
-    starts = _starts(cfg, setup)
-    *_, clean = _lockstep_descent(starts, cfg, setup)
-    *_, before = _lockstep_descent(starts, replace(cfg, max_iters=stall), setup)
+    label, start = _starts(cfg, setup)[-1]
+    _, clean = _descend(label, start, cfg, setup)
+    _, before = _descend(label, start, replace(cfg, max_iters=stall), setup)
     iteration, solved, refused = -1, 0, 0
     eig_gradient, solve = optimizer._eig_gradient, optimizer._solve_rows
 
@@ -226,26 +225,22 @@ def test_a_forced_stall_stops_only_its_row(stall, max_iters, monkeypatch):
 
     def refusing(c, *args):
         nonlocal solved, refused
-        solved += len(c)
+        solved += 1
         qvals, lam, V = solve(c, *args)
-        if iteration == stall:  # the last restart is the last row of every stack
-            lam[-1] = np.nan
+        if iteration == stall:
+            lam[:] = np.nan
             refused += 1
         return qvals, lam, V
 
     monkeypatch.setattr(optimizer, "_eig_gradient", counting)
     monkeypatch.setattr(optimizer, "_solve_rows", refusing)
-    *_, traces = _lockstep_descent(starts, cfg, setup)
-    hit = traces[-1]
+    _, hit = _descend(label, start, cfg, setup)
     assert refused == 40
     assert (hit.status, len(hit.objectives)) == ("line-search-stalled", stall + 1)
-    assert hit.objectives == clean[-1].objectives[: stall + 1]
-    assert hit.rejected_trials == before[-1].rejected_trials + 40
-    # every solve after the stall is another restart's
-    assert hit.pencil_solves == before[-1].pencil_solves + 40
-    assert solved == sum(tr.pencil_solves for tr in traces)
-    for trace, trace_clean in zip(traces[:-1], clean[:-1]):
-        assert _trace_bits(trace) == _trace_bits(trace_clean)
+    assert hit.objectives == clean.objectives[: stall + 1]
+    assert hit.rejected_trials == before.rejected_trials + 40
+    assert hit.pencil_solves == before.pencil_solves + 40
+    assert solved == hit.pencil_solves  # no solve after the stall
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -254,41 +249,63 @@ def test_descent_takes_the_checked_gradient(n):
     # finite-difference criterion checks
     cfg = OptimizerConfig(n=n, k=2, restarts=8, max_iters=1)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
-    starts = _starts(cfg, setup)
-    *_, traces = _lockstep_descent(starts, cfg, setup)
-    for (_, start), trace in zip(starts, traces):
+    for label, start in _starts(cfg, setup):
+        _, trace = _descend(label, start, cfg, setup)
         norm = np.linalg.norm(gradient(start, cfg.k, setup))
         assert trace.grad_norms[0] == pytest.approx(norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, seed", [(12, 0), (20, 1)])
 def test_a_refused_row_costs_the_other_rows_nothing(n, seed, monkeypatch):
-    # the redo solves each row from its trial as given: a row renormalized
-    # twice drifts in its last bits, as row 2 does at n = 20, seed 1
-    cfg = OptimizerConfig(n=n, k=2, seed=seed, restarts=3, max_iters=30)
+    # the first trial's pencil solve raises: that trial is annotated,
+    # counted as solved (its renormalization passed) and rejected
+    cfg = OptimizerConfig(n=n, k=2, seed=seed, max_iters=30)
     baseline = minimize(cfg)
-    calls = []
+    calls = 0
     solve = optimizer._solve_rows
 
     def flaky(c, *args):
-        calls.append(len(c))
-        # the first trial round (all three rows) fails, then its second row
-        # fails again when the round is redone row by row
-        if len(calls) in (2, 4):
+        nonlocal calls
+        calls += 1
+        if calls == 2:  # the start's solve, then the first trial
             raise ValueError("injected")
         return solve(c, *args)
 
     monkeypatch.setattr(optimizer, "_solve_rows", flaky)
-    res = minimize(cfg)
-    assert calls[:5] == [3, 3, 1, 1, 1]
-    for i in (0, 2):
-        assert _trace_bits(res.traces[i]) == _trace_bits(baseline.traces[i])
-    hit, clean = res.traces[1], baseline.traces[1]
+    (hit,), (clean,) = minimize(cfg).traces, baseline.traces
     assert hit.annotations == ["iter 0: step rejected (injected)"] and not clean.annotations
     assert hit.objectives[0] == clean.objectives[0]
-    # the refused trial was solved (its renormalization passed) and rejected
-    assert hit.pencil_solves == len(hit.objectives) + hit.rejected_trials
     assert hit.rejected_trials >= 1
+    assert hit.pencil_solves == len(hit.objectives) + hit.rejected_trials == calls
+
+
+def test_a_trial_refused_before_its_solve_is_not_counted(monkeypatch):
+    # a trial that _renormalize refuses is annotated and rejected, but it
+    # was never solved, so pencil_solves does not count it
+    cfg = OptimizerConfig(n=12, k=2, max_iters=30)
+    baseline = minimize(cfg)
+    calls, solves = 0, 0
+    renormalize, solve = optimizer._renormalize, optimizer._solve_rows
+
+    def flaky(c, *args):
+        nonlocal calls
+        calls += 1
+        if calls == 2:  # the start, then the first trial
+            raise ValueError("injected")
+        return renormalize(c, *args)
+
+    def counting(c, *args):
+        nonlocal solves
+        solves += 1
+        return solve(c, *args)
+
+    monkeypatch.setattr(optimizer, "_renormalize", flaky)
+    monkeypatch.setattr(optimizer, "_solve_rows", counting)
+    (hit,), (clean,) = minimize(cfg).traces, baseline.traces
+    assert hit.annotations == ["iter 0: step rejected (injected)"] and not clean.annotations
+    assert hit.objectives[0] == clean.objectives[0]
+    assert hit.rejected_trials >= 1
+    assert hit.pencil_solves == solves == len(hit.objectives) + hit.rejected_trials - 1
 
 
 @pytest.mark.parametrize("n", [150, 258])
@@ -313,6 +330,16 @@ def test_restarts_are_run_exactly():
         OptimizerConfig(n=12, restarts=0)
     with pytest.raises(ValueError, match=r"max_iters \(--iterations\) must be >= 0, got -3"):
         OptimizerConfig(n=12, max_iters=-3)
+
+
+def test_too_few_quadrature_nodes_are_refused_before_the_descent(monkeypatch):
+    # q_nodes <= L_final would alias the final basis: refused by both keys
+    # before a single pencil is solved
+    calls = []
+    monkeypatch.setattr(optimizer, "_solve_rows", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="need q_nodes > L_final .*got q_nodes = 48, L_final = 48"):
+        minimize(OptimizerConfig(n=12, k=2, q_nodes=48))
+    assert calls == []
 
 
 def test_minimize_determinism():

@@ -188,12 +188,6 @@ def test_kernel_rank_deficient_path(setup5):
     assert np.array_equal(lams, spec.eigenvalues)
     assert np.all(spec.residuals <= 1e-10)  # on B itself
     assert np.max(np.abs(V.T @ B @ V - np.eye(2))) < 1e-12
-    # a stack of two gives each row the bits of its own call
-    lams2, V2 = pencil_eigen(setup5.A_diag, np.array([[B], [B]]), 2)
-    assert lams2.shape == (2, 1, 2) and V2.shape == (2, 1, setup5.basis.dim, 2)
-    for i in range(2):
-        assert lams2[i, 0].tobytes() == lams.tobytes()
-        assert np.ascontiguousarray(V2[i, 0]).tobytes() == np.ascontiguousarray(V).tobytes()
 
 
 def test_kernel_refusals(setup5):
@@ -208,46 +202,15 @@ def test_kernel_refusals(setup5):
         pencil_eigen(np.where(np.arange(dim) == 3, 0.0, setup5.A_diag), B, 1)
     with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
         pencil_eigen(setup5.A_diag, np.zeros((dim, dim)), 1)
-
-
-@pytest.mark.parametrize("n", [5, 12])
-def test_stacked_kernel_matches_row_calls_bit_for_bit(n, setup5, setup12):
-    # a stack of pencils, one of them singular, solves with the bits of the
-    # one-row calls: values and vectors
-    setup = setup5 if n == 5 else setup12
-    rng = np.random.default_rng(20 + n)
-    dens = [random_density(setup.basis, setup.coeffs.N, rng).values for _ in range(3)]
-    dens.insert(1, np.where(setup.rule.nodes > setup.rule.nodes[-9], 1.0, 0.0))
-    values = np.array(dens)
-    B = mass_from_values(setup.rule, setup.basis.table, values, setup.coeffs.N)
-    lams, V = pencil_eigen(setup.A_diag, B, 3)
-    assert lams.shape == (4, 3) and V.shape == (4, setup.basis.dim, 3)
-    for i, u in enumerate(values):
-        B_row = mass_from_values(setup.rule, setup.basis.table, u, setup.coeffs.N)
-        assert B_row.tobytes() == B[i].tobytes()
-        lams_row, V_row = pencil_eigen(setup.A_diag, B_row, 3)
-        assert lams_row.tobytes() == lams[i].tobytes()
-        assert np.ascontiguousarray(V_row).tobytes() == np.ascontiguousarray(V[i]).tobytes()
-
-
-def test_stacked_kernel_refuses_the_whole_stack(setup5):
-    B = assemble_mass(constant_density(setup5.basis, setup5.coeffs.N), setup5.basis)
-    dim = setup5.basis.dim
-    with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
-        pencil_eigen(setup5.A_diag, np.array([B, np.zeros((dim, dim))]), 1)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        pencil_eigen(setup5.A_diag, np.array([B, np.full((dim, dim), np.nan)]), 1)
-    with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
-        pencil_eigen(setup5.A_diag, np.array([B, B]), dim + 1)
-    with pytest.raises(DegeneratePencilError, match="not positive definite"):
-        pencil_eigen(-setup5.A_diag, np.array([B, B]), 1)
+        pencil_eigen(setup5.A_diag, np.full((dim, dim), np.nan), 1)
 
 
 def _general_mass(rule, table, values, N):
     """The mass form as the general product over every node, the reference
     for the mirror sum of large tables."""
     wdens = rule.weights * values ** (N - 2)
-    return (table * wdens[..., None, :]) @ table.T
+    return (table * wdens) @ table.T
 
 
 @pytest.mark.parametrize("n", [12, 30])
@@ -279,8 +242,7 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
     # the parity-split sum over the nonnegative nodes against the general
     # product over all of them: the asymmetric two-bubble density has a
     # large even-odd block, and the odd q puts a node at x = 0 (measured:
-    # <= 27 ulp of max|B|, at n = 5 for the random density); a stack of
-    # densities gives each row the bits of its own call
+    # <= 27 ulp of max|B|, at n = 5 for the random density)
     from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
 
     setup = round_setup(n, q=q, L=L)
@@ -296,10 +258,6 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
         ref = _general_mass(setup.rule, setup.basis.table, u.values, N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref))), name
-    values = np.array([u.values for u in densities.values()])
-    stack = mass_from_values(setup.rule, setup.basis.table, values, N)
-    for row, u in zip(stack, values):
-        assert row.tobytes() == mass_from_values(setup.rule, setup.basis.table, u, N).tobytes()
 
 
 def _mobius_density(setup, eps):
@@ -331,13 +289,12 @@ def test_moebius_density_has_the_round_spectrum(q, L, n, eps):
 
 
 def test_small_mass_keeps_the_general_product(setup12):
-    # below the gate, a stack of eight densities on the descent's 17-row
-    # table and one on the default 49-row table keep the general product's bits
+    # below the gate, a density on the descent's 17-row table and one on the
+    # default 49-row table keep the general product's bits
     setup = round_setup(12, q=200, L=16)
     rng = np.random.default_rng(8)
-    stack = np.array([random_density(setup.basis, setup.coeffs.N, rng).values for _ in range(8)])
-    one = random_density(setup12.basis, setup12.coeffs.N, rng).values
-    for s, values in ((setup, stack), (setup12, one)):
+    for s in (setup, setup12):
+        values = random_density(s.basis, s.coeffs.N, rng).values
         B = mass_from_values(s.rule, s.basis.table, values, s.coeffs.N)
         ref = _general_mass(s.rule, s.basis.table, values, s.coeffs.N)
         assert B.shape[-1] < spectral.KRYLOV_MIN_DIM
@@ -484,30 +441,6 @@ def test_flat_spectrum_takes_the_dense_fallback(monkeypatch):
         assert lams.tobytes() == lams_ref.tobytes()
         assert np.ascontiguousarray(V).tobytes() == np.ascontiguousarray(V_ref).tobytes()
     assert served == [False, False]
-
-
-def test_large_stack_solves_row_by_row(monkeypatch):
-    # a stack of large pencils: a top-k row, a singular row and a dense
-    # fallback row, each with the bits of its own two-dimensional call
-    served = _krylov_served(monkeypatch)
-    setup = round_setup(12, q=1600, L=spectral.KRYLOV_MIN_DIM)
-    N, dim = setup.coeffs.N, setup.basis.dim
-    rng = np.random.default_rng(40)
-    half = np.where(setup.rule.nodes > 0, 1.0, 0.0)
-    B = np.array(
-        [
-            assemble_mass(random_density(setup.basis, N, rng), setup.basis),
-            assemble_mass(ConformalDensity(setup.basis, half, N).normalize(), setup.basis),
-            _pencil_from_spectrum(np.linspace(1.0, 2.0, dim), setup.A_diag, seed=3),
-        ]
-    )
-    lams, V = pencil_eigen(setup.A_diag, B, 3)
-    assert lams.shape == (3, 3) and V.shape == (3, dim, 3)
-    assert served == [True, True, False]
-    for i in range(3):
-        lams_row, V_row = pencil_eigen(setup.A_diag, B[i], 3)
-        assert lams_row.tobytes() == lams[i].tobytes()
-        assert np.ascontiguousarray(V_row).tobytes() == np.ascontiguousarray(V[i]).tobytes()
 
 
 def test_minimax_over_plane_matches_scipy(setup5):

@@ -204,8 +204,6 @@ def _run_spectrum(config: ExperimentConfig):
 
 def _run_minimize(config: ExperimentConfig):
     """Descend the normalized eigenvalue invariant."""
-    from itertools import zip_longest
-
     from .optimizer import OptimizerConfig, minimize
 
     res = minimize(
@@ -223,9 +221,7 @@ def _run_minimize(config: ExperimentConfig):
     rows = [
         [ridx, tr.start_label, it, *cols]
         for ridx, tr in enumerate(res.traces)
-        for it, cols in enumerate(
-            zip_longest(tr.objectives, tr.grad_norms, tr.gaps, tr.residuals, fillvalue="")
-        )
+        for it, cols in enumerate(zip(tr.objectives, tr.grad_norms, tr.gaps, tr.residuals))
     ]
     payload = {
         "n": config.n,

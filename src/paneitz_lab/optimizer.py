@@ -206,7 +206,7 @@ def _descend(
         J = float(lam[k - 1])
         w_k = basis.table.T @ V[:, k - 1]  # the k-th eigenfield
         g = _eig_gradient(qvals, w_k, lam[k - 1], setup)
-        gnorm = math.sqrt(np.vecdot(g, g))
+        gnorm = math.sqrt(g @ g)
         trace.objectives.append(J)
         trace.grad_norms.append(gnorm)
         trace.gaps.append(float(lam[k] - lam[k - 1]) if kmax > k else math.nan)
@@ -221,10 +221,10 @@ def _descend(
             # with E = I - rho s y^T, skipped unless s'y > 0; the first update
             # starts from H0 = (s'y / y'y) I (Nocedal & Wright, 2nd ed., 6.1)
             s, y = c - c_old, g - g_old
-            sy = np.vecdot(s, y)
+            sy = s @ y
             if sy > 0:
                 if H is None:
-                    H = sy / np.vecdot(y, y) * np.eye(basis.dim)
+                    H = sy / (y @ y) * np.eye(basis.dim)
                 rho = 1.0 / sy
                 E = np.eye(basis.dim) - rho * s[:, None] * y
                 H = E @ H @ E.T + rho * s[:, None] * s
@@ -234,10 +234,10 @@ def _descend(
         # scale with Vol(S^n), and a fixed length stalls at the start from n ~ 150 on
         if H is not None:
             d = -(H @ g)
-            slope = np.vecdot(g, d)
+            slope = g @ d
         if H is None or slope >= 0:
             H = None
-            length = 0.25 * math.sqrt(np.vecdot(c, c))
+            length = 0.25 * math.sqrt(c @ c)
             d = -length * g / gnorm
             slope = -length * gnorm
         t = 1.0

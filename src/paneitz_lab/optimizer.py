@@ -32,6 +32,8 @@ from .zonal import ZonalBasis, ZonalField, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
+STALL_WINDOW = 10   # iterations over which the objective's decrease is judged
+STALL_TOL = 1e-6    # relative decrease over STALL_WINDOW below which a descent stops
 INIT_EPS = 0.1      # bubble scale of the two-bubble start
 INIT_SPLIT = 0.5    # its north-pole mass fraction
 
@@ -185,6 +187,17 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     return ZonalField(basis, _renormalize(c, basis, N))
 
 
+def _backtrack(t: float, slope: float, J: float, J_try: float) -> float:
+    """The step after a trial at t is rejected: the minimizer of the quadratic
+    through J, its slope and J_try, kept in [0.1 t, 0.5 t] (Nocedal & Wright,
+    2nd ed., 3.5).  A non-finite J_try, or a quadratic without positive
+    curvature, halves t."""
+    curvature = J_try - J - slope * t
+    if not (math.isfinite(J_try) and curvature > 0):
+        return 0.5 * t
+    return max(0.1 * t, min(-slope * t * t / (2 * curvature), 0.5 * t))
+
+
 def _descend(
     label: str, start: ZonalField, config: OptimizerConfig, setup: SphereSetup
 ) -> tuple[np.ndarray, RunTrace]:
@@ -192,9 +205,12 @@ def _descend(
     trials per iteration.
 
     Up to max_iters + 1 iterations record the state, and no step follows
-    the last, so the trace ends on the returned coefficients.  A trial that
-    raises is annotated and rejected; it counts as a pencil solve only if
-    its renormalization passed.  Returns the coefficients and the trace.
+    the last, so the trace ends on the returned coefficients.  The descent
+    stops early once the gradient is small, or once lambda_bar_k has fallen
+    by at most STALL_TOL relative over the last STALL_WINDOW iterations.  A
+    trial that raises is annotated and rejected; it counts as a pencil solve
+    only if its renormalization passed.  Returns the coefficients and the
+    trace.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
@@ -213,6 +229,9 @@ def _descend(
         trace.residuals.append(_fixed_point_residual(basis.rule, w_k, qvals**2, N))
         if gnorm <= GRAD_TOL * max(abs(J), 1.0):
             trace.status = "gradient-converged"
+            return c, trace
+        if it >= STALL_WINDOW and trace.objectives[-STALL_WINDOW - 1] - J <= STALL_TOL * abs(J):
+            trace.status = "objective-stalled"
             return c, trace
         if it == config.max_iters:
             break
@@ -256,7 +275,7 @@ def _descend(
                 c, qvals, lam, V = c_try, q_try, lam_try, V_try
                 break
             trace.rejected_trials += 1
-            t *= 0.5
+            t = _backtrack(t, slope, J, J_try)
         else:
             trace.status = "line-search-stalled"
             return c, trace

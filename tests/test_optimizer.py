@@ -1,12 +1,17 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
+    STALL_TOL,
+    STALL_WINDOW,
     OptimizerConfig,
+    _backtrack,
     _descend,
     _renormalize,
     _starts,
@@ -125,9 +130,9 @@ def test_minimize_k2_trace_and_ordering():
 
 
 def test_default_descent_is_cheap_and_monotone(monkeypatch):
-    # the default n = 12 run makes at most 120 pencil solves, every
-    # restart's objective never rises, and product - 1 stays at or below
-    # 1.6e-3 (it reads 1.596e-3)
+    # the default n = 12 run stops on a stalled objective after at most 80
+    # pencil solves (it makes 71), every restart's objective never rises,
+    # and product - 1 stays at or below 1.6e-3 (it reads 1.595e-3)
     solves = 0
     solve = optimizer._solve_rows
 
@@ -139,7 +144,8 @@ def test_default_descent_is_cheap_and_monotone(monkeypatch):
     monkeypatch.setattr(optimizer, "_solve_rows", counting)
     res = minimize(OptimizerConfig(n=12, k=2, seed=0))
     # the record's counters are the solves made
-    assert solves == sum(tr.pencil_solves for tr in res.traces) <= 120
+    assert solves == sum(tr.pencil_solves for tr in res.traces) <= 80
+    assert [tr.status for tr in res.traces] == ["objective-stalled"]
     assert res.diagnostics["attainment_product"] - 1 <= 1.6e-3
     for tr in res.traces:
         assert np.all(np.diff(tr.objectives) <= 0)
@@ -192,9 +198,10 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     res = request.getfixturevalue("minimize12") if n == 12 else minimize(cfg)
     assert len(res.traces) == cfg.restarts
     if k == 1:
-        # its constant restart converges on iteration 1; the others run to the cap
+        # its constant restart converges on iteration 1, the two-bubble one
+        # stops on a stalled objective and the random one runs to the cap
         assert [(tr.status, len(tr.objectives)) for tr in res.traces] == [
-            ("gradient-converged", 1), ("max-iters", max_iters + 1), ("max-iters", max_iters + 1)
+            ("gradient-converged", 1), ("objective-stalled", 109), ("max-iters", max_iters + 1)
         ]
     winner = min(range(len(res.traces)), key=lambda i: res.traces[i].objectives[-1])
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
@@ -202,6 +209,46 @@ def test_each_restart_descends_as_if_alone(n, k, restarts, max_iters, request):
     assert _trace_bits(res.traces[winner]) == _trace_bits(trace)
     assert res.best.coeffs.tobytes() == c.tobytes()
     assert res.best_objective == trace.objectives[-1]
+
+
+def test_the_winner_is_the_lowest_start_wherever_it_is_listed(monkeypatch):
+    # the constant start ends lowest; listed second of three, it still wins
+    cfg = OptimizerConfig(n=8, k=2, seed=0, restarts=3, max_iters=20)
+    monkeypatch.setattr(optimizer, "_starts", lambda *args: [_starts(*args)[i] for i in (1, 0, 2)])
+    res = minimize(cfg)
+    assert [tr.start_label for tr in res.traces] == ["two-bubble", "constant", "random-0"]
+    ends = [tr.objectives[-1] for tr in res.traces]
+    assert ends.index(min(ends)) == 1
+    setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
+    c, trace = _descend(*_starts(cfg, setup)[0], cfg, setup)
+    assert res.best.coeffs.tobytes() == c.tobytes()
+    assert res.best_objective == trace.objectives[-1] == min(ends)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(1e-12, 1.0), slope=st.floats(-1e6, -1e-9), J=st.floats(-1e6, 1e6), rise=st.floats(0.0, 1e6),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_a_rejected_trial_shrinks_the_step(t, slope, J, rise, bad):
+    # a finite trial that fails Armijo moves t into [0.1 t, 0.5 t]; a
+    # non-finite one halves it exactly
+    J_try = J + 1e-4 * t * slope + rise
+    if J_try > J + 1e-4 * t * slope:
+        assert 0.1 * t <= _backtrack(t, slope, J, J_try) <= 0.5 * t
+    assert _backtrack(t, slope, J, bad) == 0.5 * t
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_default_descent_stops_on_a_stalled_objective(n):
+    # the default stops before the cap at the first state whose objective
+    # fell by at most STALL_TOL relative over the last STALL_WINDOW states
+    (tr,) = minimize(OptimizerConfig(n=n, k=2)).traces
+    assert tr.status == "objective-stalled"
+    assert len(tr.objectives) <= OptimizerConfig.max_iters
+    J = tr.objectives
+    stalled = [J[i - STALL_WINDOW] - J[i] <= STALL_TOL * abs(J[i]) for i in range(STALL_WINDOW, len(J))]
+    assert stalled[-1] and not any(stalled[:-1])
 
 
 @pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +34,16 @@ from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze, constant_fie
 CUTOFF_RADIUS = 0.5  # delta of the cutoff eta: 1 on [0, delta], 0 from 2 delta on
 
 
-@dataclass(frozen=True)
 class BubbleSpec:
     """One concentrated profile: scale eps and pole."""
 
-    eps: float
-    center: str = "north"
-
-    def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.center not in ("north", "south"):
+    def __init__(self, eps: float, center: str = "north"):
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+        if center not in ("north", "south"):
             raise ValueError("center must be 'north' or 'south'")
+        self.eps = eps
+        self.center = center
 
 
 def _cutoff(theta: np.ndarray, delta: float):
@@ -156,8 +154,7 @@ def _alias_floor(rule: QuadratureRule) -> float:
     return 3.0 * math.pi / len(rule.nodes)
 
 
-@dataclass
-class BubbleField:
+class BubbleField(NamedTuple):
     """Cutoff bubble projected on the basis, plus its L^N-normalized form."""
 
     spec: BubbleSpec
@@ -185,8 +182,7 @@ def bubble_field(spec: BubbleSpec, basis: ZonalBasis) -> BubbleField:
 DEFAULT_EPS_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Least-squares fit Y(eps) ~ A - C eps^2 over a grid."""
 
     n: int
@@ -226,8 +222,7 @@ def epsilon_sweep(eps_grid, n: int, q: int = 200) -> SweepReport:
     return SweepReport(n=n, eps=eps, Y=Y, A=float(A), C=float(C), residual=residual)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Two-plane upper bound at u_eps against the closed-form target."""
 
     n: int

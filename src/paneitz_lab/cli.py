@@ -13,7 +13,6 @@ start without it.
 """
 
 import argparse
-import csv
 import datetime
 import gc
 import hashlib
@@ -23,14 +22,12 @@ import sys
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA = 1
 
 
-@dataclass
 class ExperimentConfig:
     """Every key a subcommand can read, with its type and default."""
 
@@ -49,10 +46,17 @@ class ExperimentConfig:
     mu1: float = 0.0          # 0 means "use the oracle"
     out: str = "runs"         # output root; in neither the hash nor the record
 
-    def __post_init__(self):
+    def __init__(self, command: str, **values):
+        hints = ExperimentConfig.__annotations__
+        unknown = values.keys() - hints.keys()
+        if unknown:
+            raise TypeError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        self.command = command
+        for key in list(hints)[1:]:  # each key after command has its default here
+            setattr(self, key, values.get(key, getattr(ExperimentConfig, key)))
         # checked and typed here, for flags and the Python API alike: a bad
         # density reaches no runner, and S = 30 is the run and record of S = 30.0
-        if self.density not in typing.get_args(ExperimentConfig.__annotations__["density"]):
+        if self.density not in typing.get_args(hints["density"]):
             raise SystemExit(f"invalid value for density: {self.density!r}")
         self.S = None if self.S is None else float(self.S)
         if self.S is not None and not math.isfinite(self.S):
@@ -74,6 +78,9 @@ class ExperimentConfig:
         self.eps_grid = tuple(map(float, self.eps_grid))
         if not all(map(math.isfinite, self.eps_grid)):
             raise SystemExit(f"invalid value for eps_grid: {self.eps_grid!r} (entries must be finite)")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExperimentConfig and vars(self) == vars(other)
 
     def settings(self) -> dict:
         """command, n, seed where it is read, and the keys this command
@@ -114,13 +121,12 @@ _COMMON_KEYS = ("n", "seed", "out")
 SEEDED = ("minimize", "audit")
 
 
-@dataclass
-class RunRecord:
+class RunRecord(typing.NamedTuple):
     config_hash: str
     version: str
     payload: dict
     seed: int | None          # None for a command that reads no seed
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 def _jsonify(obj):
@@ -150,7 +156,7 @@ def _run_coeffs(config: ExperimentConfig):
     data = round_sphere(config.n) if config.S is None else EinsteinData(n=config.n, S=config.S)
     coeffs = derive_coefficients(data)
     report = sharp_constant_report(data)
-    sharp_constant = asdict(report)
+    sharp_constant = report._asdict()
     del sharp_constant["n"]
     payload = {
         "n": data.n,
@@ -257,7 +263,7 @@ def _run_bubble_sweep(config: ExperimentConfig):
 
     rep = epsilon_sweep(config.eps_grid, config.n, q=config.q)
     oracle = sharp_constant_oracle(config.n)
-    payload = {**asdict(rep), "oracle": oracle, "A_rel_error": rep.A / oracle - 1.0}
+    payload = {**rep._asdict(), "oracle": oracle, "A_rel_error": rep.A / oracle - 1.0}
     summary = (
         f"fit A={rep.A:.8g} (oracle {oracle:.8g}, rel err {payload['A_rel_error']:.3g}), "
         f"C={rep.C:.6g}, residual {rep.residual:.3g}"
@@ -272,7 +278,7 @@ def _run_lemma3_bound(config: ExperimentConfig):
 
     mu1 = config.mu1 if config.mu1 > 0 else sharp_constant_oracle(config.n)
     rep = lemma3_bound(config.n, mu1, config.eps_grid, q=config.q, L=config.L)
-    payload = {"mu1": mu1, **asdict(rep)}
+    payload = {"mu1": mu1, **rep._asdict()}
     summary = f"best bound {rep.best_bound:.8g} vs target {rep.rhs:.8g} (ratio {rep.ratio:.6g})"
     return payload, summary
 
@@ -312,7 +318,7 @@ def _run_audit(config: ExperimentConfig):
     }
     payload = {
         "n": config.n,
-        "reports": [asdict(r) for r in reports],
+        "reports": [r._asdict() for r in reports],
         "elementary_inequality_violations": violations,
     }
     summary = "; ".join(f"{r.name}: {r.verdict} (ratio {r.ratio:.6g})" for r in reports[:3])
@@ -337,11 +343,13 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     )
     run_dir = Path(config.out) / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"schema": SCHEMA, **asdict(record)}
+    doc = {"schema": SCHEMA, **record._asdict()}
     (run_dir / "record.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
     for header, rows in trace:  # per-state rows that no record holds
+        import csv  # only minimize writes a trace, so no other command loads csv
+
         with open(run_dir / "trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -398,7 +406,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
         rows.append(row)
     if not rows:
         print("no runs found under", root)
-        return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload={}, seed=None)
+        return RunRecord(config.config_hash, ARTIFACT_VERSION, payload={}, seed=None, config={})
     keys = sorted({k for r in rows for k in r})
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -406,7 +414,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
     (report_dir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     for r in rows:
         print("  ".join(f"{k}={r[k]}" for k in keys if k in r and r[k] is not None))
-    return RunRecord(config_hash=config.config_hash, version=ARTIFACT_VERSION, payload=doc, seed=None)
+    return RunRecord(config.config_hash, ARTIFACT_VERSION, payload=doc, seed=None, config={})
 
 
 RUNNERS = {

@@ -8,7 +8,7 @@ explicit function of the dimension n and the scalar curvature S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def sphere_volume(n: int) -> float:
@@ -27,18 +27,15 @@ def euclidean_sphere_area(n: int) -> float:
     return sphere_volume(n - 1)
 
 
-@dataclass(frozen=True)
 class EinsteinData:
     """Dimension, scalar curvature and cached volume of the model manifold."""
 
-    n: int
-    S: float
-    vol: float = field(init=False)
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 5:
-            raise ValueError(f"dimension must be an integer >= 5, got {self.n!r}")
-        object.__setattr__(self, "vol", sphere_volume(self.n))
+    def __init__(self, n: int, S: float):
+        if not isinstance(n, int) or n < 5:
+            raise ValueError(f"dimension must be an integer >= 5, got {n!r}")
+        self.n = n
+        self.S = S
+        self.vol = sphere_volume(n)
 
 
 def round_sphere(n: int) -> EinsteinData:
@@ -46,8 +43,7 @@ def round_sphere(n: int) -> EinsteinData:
     return EinsteinData(n=n, S=float(n * (n - 1)))
 
 
-@dataclass(frozen=True)
-class OperatorCoefficients:
+class OperatorCoefficients(NamedTuple):
     """Coefficients of Delta^2 + alpha*Delta + alpha_bar and derived constants.
 
     a and b are the roots of x^2 - alpha x + alpha_bar, so the operator
@@ -118,8 +114,7 @@ def sharp_constant_oracle(n: int) -> float:
     return alpha_bar_round * sphere_volume(n) ** (4.0 / n)
 
 
-@dataclass(frozen=True)
-class SharpConstantReport:
+class SharpConstantReport(NamedTuple):
     """The oracle K2^(-2) next to the two closed-form expressions as printed,
     with pairwise ratios.  Ratios are reported, never asserted equal."""
 

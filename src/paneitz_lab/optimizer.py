@@ -13,7 +13,7 @@ Math. Program. 141 (2013)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +42,26 @@ class DegenerateGapError(RuntimeError):
     """Plain eigenvalue gradient requested at a near-crossing."""
 
 
-@dataclass
 class OptimizerConfig:
-    n: int
-    k: int = 2
-    L_opt: int = 16
-    restarts: int = 1
-    max_iters: int = 60
-    seed: int = 0
-    q_nodes: int = 200
-    L_final: int = 48
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        n: int,
+        k: int = 2,
+        L_opt: int = 16,
+        restarts: int = 1,
+        max_iters: int = 60,
+        seed: int = 0,
+        q_nodes: int = 200,
+        L_final: int = 48,
+    ):
+        self.n = n
+        self.k = k
+        self.L_opt = L_opt
+        self.restarts = restarts
+        self.max_iters = max_iters
+        self.seed = seed
+        self.q_nodes = q_nodes
+        self.L_final = L_final
         if self.n < 5:
             raise ValueError("dimension must be >= 5")
         if self.k < 1:
@@ -75,23 +83,22 @@ class OptimizerConfig:
             raise ValueError(f"max_iters (--iterations) must be >= 0, got {self.max_iters}")
 
 
-@dataclass
 class RunTrace:
     """Per-state history of one restart, its start first and its returned state last."""
 
-    start_label: str
-    objectives: list[float] = field(default_factory=list)   # lambda_bar_k of each state
-    grad_norms: list[float] = field(default_factory=list)
-    gaps: list[float] = field(default_factory=list)         # lambda_{k+1} - lambda_k
-    residuals: list[float] = field(default_factory=list)    # |w|/||w||_N vs u distance
-    status: str = "running"
-    annotations: list[str] = field(default_factory=list)
-    pencil_solves: int = 0      # pencil eigensolves, the start's included
-    rejected_trials: int = 0    # line-search trials that failed Armijo or raised
+    def __init__(self, start_label: str, pencil_solves: int = 0):
+        self.start_label = start_label
+        self.objectives: list[float] = []   # lambda_bar_k of each state
+        self.grad_norms: list[float] = []
+        self.gaps: list[float] = []         # lambda_{k+1} - lambda_k
+        self.residuals: list[float] = []    # |w|/||w||_N vs u distance
+        self.status = "running"
+        self.annotations: list[str] = []
+        self.pencil_solves = pencil_solves  # pencil eigensolves, the start's included
+        self.rejected_trials = 0            # line-search trials that failed Armijo or raised
 
 
-@dataclass
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     config: OptimizerConfig
     best: ZonalField             # q of the winner, u = q^2, on the L_opt basis
     best_objective: float        # lambda_bar_k at L_opt

@@ -10,8 +10,7 @@ argument actually provides).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ RADIAL_NODES = 400  # Gauss nodes in the core of the radial grid, half as many i
 RADIAL_DOUBLING_DIM = 200
 
 
-@dataclass
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Pure data: both sides, their ratio, and a recomputable verdict."""
 
     name: str
@@ -50,7 +48,7 @@ class InequalityReport:
     rhs: float
     ratio: float
     verdict: str  # holds | violated | boundary
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _verdict(ratio: float) -> str:
@@ -155,8 +153,7 @@ def refined_inequality_ratio(
 # Euclidean side
 
 
-@dataclass(frozen=True)
-class EuclideanRadialGrid:
+class EuclideanRadialGrid(NamedTuple):
     """Radial quadrature on R^n: Gauss core on (0, R) plus an inverted tail.
 
     Weights carry the full measure omega_(n-1) r^(n-1) dr; the tail panel
@@ -228,8 +225,7 @@ def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
     )
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """A radial function with analytic first and second derivatives."""
 
     f: Callable[[np.ndarray], np.ndarray]

@@ -10,7 +10,7 @@ on sets of positive measure).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,17 +22,14 @@ class DegeneratePencilError(ValueError):
     """Raised when the pencil cannot be solved as requested."""
 
 
-@dataclass
 class ConformalDensity:
     """Nonnegative zonal density u, normally with unit L^N mass."""
 
-    basis: ZonalBasis
-    values: np.ndarray          # u at the quadrature nodes, >= 0
-    N: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.basis.rule.nodes.shape:
+    def __init__(self, basis: ZonalBasis, values: np.ndarray, N: float):
+        self.basis = basis
+        self.values = np.asarray(values, dtype=float)  # u at the quadrature nodes, >= 0
+        self.N = N
+        if self.values.shape != basis.rule.nodes.shape:
             raise ValueError("density values must live on the quadrature nodes")
         if np.any(self.values < 0):
             raise ValueError("density must be nonnegative at every node")
@@ -160,16 +157,19 @@ def restricted_mass(u: ConformalDensity, *fields: ZonalField) -> np.ndarray:
     return mass_from_values(u.basis.rule, table, u.values, u.N)
 
 
-@dataclass
 class GeneralizedSpectrum:
     """Ascending eigenvalues of the pencil with B-orthonormal eigenfields."""
 
-    eigenvalues: np.ndarray
-    eigenfields: list[ZonalField]
-    residuals: np.ndarray
-    # not a field: the trace probe ``_probe_solve`` in perfbench/spans.py
+    # a class attribute: the trace probe ``_probe_solve`` in perfbench/spans.py
     # still counts the solves with shift > 0; no solve shifts B any more
     shift = 0.0
+
+    def __init__(
+        self, eigenvalues: np.ndarray, eigenfields: list[ZonalField], residuals: np.ndarray
+    ):
+        self.eigenvalues = eigenvalues
+        self.eigenfields = eigenfields
+        self.residuals = residuals
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -336,8 +336,7 @@ def normalized_invariant(
     return float(spectrum.eigenvalues[k - 1]) * u.lN_mass() ** (4.0 / n)
 
 
-@dataclass(frozen=True)
-class SphereSetup:
+class SphereSetup(NamedTuple):
     """Bundle of the standard objects for one round-sphere discretization."""
 
     data: EinsteinData

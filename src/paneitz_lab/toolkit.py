@@ -7,7 +7,7 @@ fixed-point residual for second eigenfields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .spectral import ConformalDensity, assemble_stiffness, restricted_mass
 from .zonal import QuadratureRule, ZonalField, analyze
 
 
-@dataclass
-class PositivityResult:
+class PositivityResult(NamedTuple):
     """Positive lift f of a first eigenfield and its energy audit.
 
     ``energy`` is the quadratic-form value of the rescaled lift f_hat = k*f
@@ -60,8 +59,7 @@ def positivity_lift(
     return PositivityResult(f=f, k=k, energy=energy, gap=energy - lambda_1)
 
 
-@dataclass
-class OrthogonalPair:
+class OrthogonalPair(NamedTuple):
     """Constraint-satisfying combination w = alpha_c v + beta_c s."""
 
     alpha_c: float
@@ -106,8 +104,7 @@ def orthogonal_pair(
     )
 
 
-@dataclass
-class NodalProfile:
+class NodalProfile(NamedTuple):
     """Sign structure of a field along theta in [0, pi]."""
 
     sign_changes: int

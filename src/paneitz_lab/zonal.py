@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .einstein import EinsteinData, euclidean_sphere_area
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss rule in x = cos(theta); weights carry the full surface measure."""
 
     n: int
@@ -138,7 +137,6 @@ def gauss_rule(n: int, q: int) -> QuadratureRule:
     return QuadratureRule(n=n, nodes=x, weights=w, theta=theta)
 
 
-@dataclass(frozen=True)
 class ZonalBasis:
     """Orthonormal zonal harmonics Z_0..Z_L tabulated at the quadrature nodes.
 
@@ -146,15 +144,13 @@ class ZonalBasis:
     Laplace-Beltrami eigenvalue of Z_l.
     """
 
-    n: int
-    L: int
-    rule: QuadratureRule
-    table: np.ndarray
-    eigs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        l = np.arange(self.L + 1, dtype=float)
-        object.__setattr__(self, "eigs", l * (l + self.n - 1))
+    def __init__(self, n: int, L: int, rule: QuadratureRule, table: np.ndarray):
+        self.n = n
+        self.L = L
+        self.rule = rule
+        self.table = table
+        l = np.arange(L + 1, dtype=float)
+        self.eigs = l * (l + n - 1)
 
     @property
     def dim(self) -> int:
@@ -176,20 +172,15 @@ def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
     return ZonalBasis(n=rule.n, L=L, rule=rule, table=table)
 
 
-@dataclass
 class ZonalField:
     """A zonal function held as basis coefficients with cached node values."""
 
-    basis: ZonalBasis
-    coeffs: np.ndarray
-    _values: np.ndarray | None = field(default=None, init=False)  # node values, on first use
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.basis.dim,):
-            raise ValueError(
-                f"expected {self.basis.dim} coefficients, got {self.coeffs.shape}"
-            )
+    def __init__(self, basis: ZonalBasis, coeffs: np.ndarray):
+        self.basis = basis
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        if self.coeffs.shape != (basis.dim,):
+            raise ValueError(f"expected {basis.dim} coefficients, got {self.coeffs.shape}")
+        self._values = None  # node values, on first use
 
     @property
     def values(self) -> np.ndarray:

@@ -72,12 +72,13 @@ def test_config_file_rejects_garbage(tmp_path):
 
 
 def test_descent_defaults_have_one_value():
-    from dataclasses import fields
+    import inspect
 
     from paneitz_lab.optimizer import OptimizerConfig
 
     # two homes of the descent defaults, since cli imports no numpy-backed module
-    defaults = {f.name: f.default for f in fields(OptimizerConfig)}
+    parameters = inspect.signature(OptimizerConfig).parameters
+    defaults = {name: p.default for name, p in parameters.items()}
     config = ExperimentConfig(command="minimize")
     names = {"k": "k", "L_opt": "L_opt", "restarts": "restarts", "seed": "seed",
              "iterations": "max_iters", "q": "q_nodes", "L": "L_final"}
@@ -209,7 +210,7 @@ def test_each_subparser_takes_only_its_keys():
     parser = build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(action.choices) == list(COMMAND_KEYS) == list(RUNNERS)
-    fields = set(ExperimentConfig.__dataclass_fields__)
+    fields = set(ExperimentConfig.__annotations__)
     for name, sub in action.choices.items():
         options = {a.dest for a in sub._actions} - {"help"}
         assert options == {"n", "seed", "out", *COMMAND_KEYS[name]}, name
@@ -410,7 +411,7 @@ def test_float_keys_hash_by_value(typed, argv):
 
 
 # the payload keys of every record-writing command; a new field on a report
-# dataclass changes the records and must change this table too
+# record type changes the records and must change this table too
 PAYLOAD_KEYS = {
     "coeffs": {"n", "S", "alpha", "alpha_bar", "a", "b", "N", "K2_inv_sq", "Q", "sharp_constant"},
     "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals"},
@@ -624,6 +625,45 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
     metas = [json.loads(path.read_text()) for path in (tmp_path / "blocked").glob("*/meta.json")]
     assert len(metas) == 2 and all("numpy" not in meta and "python" in meta for meta in metas)
     assert len(outputs["blocked"]) == 2 + 1  # record.json per run, the report's summary.json
+    assert outputs["blocked"] == outputs["unblocked"]
+
+
+def test_commands_run_without_dataclasses(tmp_path):
+    # no module of the package builds a dataclass: with dataclasses blocked
+    # the seven commands of the cli-cold benchmark write the same bytes as an
+    # unblocked run, and coeffs and report load no inspect either
+    code = """
+import sys
+if sys.argv[2] == "blocked":
+    sys.modules["dataclasses"] = None
+from paneitz_lab.cli import main
+commands = (
+    ["coeffs"],
+    ["report"],
+    ["spectrum", "--k", "3", "--density", "two-bubble"],
+    ["bubble-sweep"],
+    ["lemma3-bound"],
+    ["audit"],
+    ["minimize", "--k", "2", "--restarts", "2", "--iterations", "50"],
+    ["report"],
+)
+for i, argv in enumerate(commands):
+    assert main([*argv, "--n", "12", "--seed", "0", "--out", sys.argv[1]]) == 0, argv
+    if i == 1:
+        assert "inspect" not in sys.modules
+"""
+    outputs = {}
+    for mode in ("blocked", "unblocked"):
+        out = tmp_path / mode
+        done = _fresh_python("-c", code, str(out), mode)
+        assert done.returncode == 0, done.stderr
+        outputs[mode] = {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "meta.json"
+        }
+    # a record.json per command, minimize's trace.csv, the report's summary.json
+    assert len(outputs["blocked"]) == 6 + 1 + 1
     assert outputs["blocked"] == outputs["unblocked"]
 
 

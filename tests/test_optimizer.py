@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +186,7 @@ def _trace_bits(trace):
 
 @pytest.mark.parametrize(
     "n, k, restarts, max_iters",
-    [(12, 2, 8, OptimizerConfig.max_iters), (5, 2, 8, 500), (8, 2, 3, 200), (8, 2, 3, 58),
+    [(12, 2, 8, OptimizerConfig(n=12).max_iters), (5, 2, 8, 500), (8, 2, 3, 200), (8, 2, 3, 58),
      (5, 1, 3, 120)],
     ids=["12", "5", "8", "8-short", "5-k1-converged"],
 )
@@ -243,9 +242,10 @@ def test_a_rejected_trial_shrinks_the_step(t, slope, J, rise, bad):
 def test_default_descent_stops_on_a_stalled_objective(n):
     # the default stops before the cap at the first state whose objective
     # fell by at most STALL_TOL relative over the last STALL_WINDOW states
-    (tr,) = minimize(OptimizerConfig(n=n, k=2)).traces
+    cfg = OptimizerConfig(n=n, k=2)
+    (tr,) = minimize(cfg).traces
     assert tr.status == "objective-stalled"
-    assert len(tr.objectives) <= OptimizerConfig.max_iters
+    assert len(tr.objectives) <= cfg.max_iters
     J = tr.objectives
     stalled = [J[i - STALL_WINDOW] - J[i] <= STALL_TOL * abs(J[i]) for i in range(STALL_WINDOW, len(J))]
     assert stalled[-1] and not any(stalled[:-1])
@@ -260,7 +260,8 @@ def test_a_forced_stall_ends_the_descent(stall, max_iters, monkeypatch):
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     label, start = _starts(cfg, setup)[-1]
     _, clean = _descend(label, start, cfg, setup)
-    _, before = _descend(label, start, replace(cfg, max_iters=stall), setup)
+    stopped = OptimizerConfig(n=8, k=2, seed=0, restarts=3, max_iters=stall)
+    _, before = _descend(label, start, stopped, setup)
     iteration, solved, refused = -1, 0, 0
     eig_gradient, solve = optimizer._eig_gradient, optimizer._solve_rows
 

@@ -49,18 +49,14 @@ class BubbleSpec:
 def _cutoff(theta: np.ndarray, delta: float):
     """Quintic smoothstep cutoff: 1 on [0, delta], 0 on [2*delta, pi], C^2.
 
-    Returns (eta, eta', eta'') at the given colatitudes.
+    Returns (eta, eta', eta'') at the given colatitudes.  The clip makes
+    the smoothstep exactly 0 or 1, with zero derivatives, off (delta, 2 delta).
     """
     t = np.clip((theta - delta) / delta, 0.0, 1.0)
     s = t**3 * (6 * t * t - 15 * t + 10)
     ds = 30 * t * t * (t - 1) ** 2
     d2s = 60 * t * (t - 1) * (2 * t - 1)
-    inside = theta <= delta
-    outside = theta >= 2 * delta
-    eta = np.where(inside, 1.0, np.where(outside, 0.0, 1.0 - s))
-    deta = np.where(inside | outside, 0.0, -ds / delta)
-    d2eta = np.where(inside | outside, 0.0, -d2s / delta**2)
-    return eta, deta, d2eta
+    return 1.0 - s, -ds / delta, -d2s / delta**2
 
 
 def _bubble_power(r: np.ndarray, eps2: float, n: int):

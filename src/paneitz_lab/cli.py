@@ -64,6 +64,9 @@ class ExperimentConfig:
         for key, low in (("seed", 0), ("L", 0), ("q", 2), ("k", 1)):
             if getattr(self, key) < low:
                 raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
+        # audit's two eigenvalues and lemma3-bound's plane need two basis functions
+        if self.command in ("audit", "lemma3-bound") and self.L < 1:
+            raise SystemExit(f"invalid value for L: {self.L} (must be >= 1)")
         if self.command == "spectrum" and self.k > self.L + 1:
             raise SystemExit(f"invalid value for k: {self.k} (must be <= L + 1 = {self.L + 1})")
         if self.command == "minimize" and not 2 <= self.L_opt <= self.L:
@@ -341,12 +344,12 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
         seed=settings.get("seed"),
         config=_jsonify(settings),
     )
+    doc = {"schema": SCHEMA, **record._asdict()}
+    # a NaN or Infinity is refused here, before the run directory exists
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     run_dir = Path(config.out) / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"schema": SCHEMA, **record._asdict()}
-    (run_dir / "record.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
+    (run_dir / "record.json").write_text(text)
     for header, rows in trace:  # per-state rows that no record holds
         import csv  # only minimize writes a trace, so no other command loads csv
 

@@ -28,11 +28,16 @@ def euclidean_sphere_area(n: int) -> float:
 
 
 class EinsteinData:
-    """Dimension, scalar curvature and cached volume of the model manifold."""
+    """Dimension, scalar curvature and cached volume of the model manifold.
+
+    S^2 enters alpha_bar and Q, so an S whose square overflows is refused.
+    """
 
     def __init__(self, n: int, S: float):
         if not isinstance(n, int) or n < 5:
             raise ValueError(f"dimension must be an integer >= 5, got {n!r}")
+        if not math.isfinite(S * S):
+            raise ValueError(f"scalar curvature S = {S!r} is too large at n = {n}: S^2 overflows")
         self.n = n
         self.S = S
         self.vol = sphere_volume(n)
@@ -71,8 +76,6 @@ def derive_coefficients(data: EinsteinData) -> OperatorCoefficients:
     and alpha^2/4 - alpha_bar = S^2 / (n^2 (n-1)^2) holds identically.
     """
     n, S = data.n, data.S
-    if n < 5:
-        raise ValueError("dimension must be >= 5 (critical exponent undefined below)")
     alpha = (n * n - 2 * n - 4) / (2 * n * (n - 1)) * S
     # alpha^2/4 and alpha_bar nearly cancel at large n; evaluating alpha_bar
     # as alpha^2/4 minus the exact gap keeps the identity tight to round-off

@@ -321,7 +321,9 @@ def minimax_over_plane(
             [np.dot(A_diag, cv * cw), np.dot(A_diag, cw * cw)],
         ]
     )
-    if np.linalg.det(M) <= 0 or M[0, 0] <= 0:
+    with np.errstate(over="ignore"):  # a huge plane has an infinite det, still > 0
+        det = np.linalg.det(M)
+    if det <= 0 or M[0, 0] <= 0:
         raise DegeneratePencilError("plane is degenerate for the mass form")
     # M = R R^T turns the pencil into the symmetric R^(-1) E R^(-T)
     Rinv = np.linalg.inv(np.linalg.cholesky(M))

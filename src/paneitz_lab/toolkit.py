@@ -109,8 +109,6 @@ class NodalProfile(NamedTuple):
 
     sign_changes: int
     crossings: list[float]      # theta locations, linear interpolation
-    min_value: float
-    max_value: float
     weighted_orthogonality: float  # integral of u^(N-2) v w
 
     @property
@@ -147,8 +145,6 @@ def nodal_profile(
     return NodalProfile(
         sign_changes=changes,
         crossings=crossings,
-        min_value=float(vals.min()),
-        max_value=float(vals.max()),
         weighted_orthogonality=ortho,
     )
 

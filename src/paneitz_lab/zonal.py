@@ -144,13 +144,13 @@ class ZonalBasis:
     Laplace-Beltrami eigenvalue of Z_l.
     """
 
-    def __init__(self, n: int, L: int, rule: QuadratureRule, table: np.ndarray):
-        self.n = n
+    def __init__(self, L: int, rule: QuadratureRule, table: np.ndarray):
+        self.n = rule.n
         self.L = L
         self.rule = rule
         self.table = table
         l = np.arange(L + 1, dtype=float)
-        self.eigs = l * (l + n - 1)
+        self.eigs = l * (l + self.n - 1)
 
     @property
     def dim(self) -> int:
@@ -169,7 +169,7 @@ def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
     table = np.fromiter(_rows(rule.nodes, b0, sqrt_beta), dtype=(float, q), count=L + 1)
     # rows are orthonormal for the x-weight; rescale to the full measure
     table /= math.sqrt(euclidean_sphere_area(rule.n))
-    return ZonalBasis(n=rule.n, L=L, rule=rule, table=table)
+    return ZonalBasis(L=L, rule=rule, table=table)
 
 
 class ZonalField:
@@ -191,13 +191,8 @@ class ZonalField:
     def __mul__(self, c: float) -> "ZonalField":
         return ZonalField(self.basis, self.coeffs * c)
 
-    __rmul__ = __mul__
-
     def __add__(self, other: "ZonalField") -> "ZonalField":
         return ZonalField(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ZonalField") -> "ZonalField":
-        return ZonalField(self.basis, self.coeffs - other.coeffs)
 
 
 def synthesize(field: ZonalField) -> np.ndarray:

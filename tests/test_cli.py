@@ -378,6 +378,18 @@ def test_round_is_refused(tmp_path, capsys):
             "invalid value for L_opt: 16 (must be 2 <= L_opt <= L = 10)",
         ),
         ("", ["minimize", "--n", "12", "--q", "16"], "invalid value for q: 16 (must be > L = 48)"),
+        ("", ["audit", "--n", "5", "--L", "0"], "invalid value for L: 0 (must be >= 1)"),
+        ("", ["lemma3-bound", "--n", "12", "--L", "0"], "invalid value for L: 0 (must be >= 1)"),
+        (
+            "",
+            ["coeffs", "--n", "5", "--S", "1e155"],
+            "error: scalar curvature S = 1e+155 is too large at n = 5: S^2 overflows",
+        ),
+        (
+            "",
+            ["lemma3-bound", "--n", "12", "--mu1", "1e300"],
+            "error: the two-plane bound at n=12, eps=0.05 is not finite (inf)",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -385,7 +397,15 @@ def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
     cfg_file.write_text(cfg)
     with pytest.raises(SystemExit, match=re.escape(message)):
         main(["--config", str(cfg_file), *argv])
-    assert not list(out_root.glob("*/record.json"))
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_payload_writes_no_run_directory(out_root, monkeypatch, value):
+    monkeypatch.setitem(RUNNERS, "coeffs", lambda config: ({"x": [1.0, value]}, ""))
+    with pytest.raises(SystemExit, match="error: Out of range float values are not JSON compliant"):
+        main(["coeffs", "--n", "5"])
+    assert not out_root.exists()
 
 
 def test_unknown_density_rejected(out_root):
@@ -665,6 +685,18 @@ for i, argv in enumerate(commands):
     # a record.json per command, minimize's trace.csv, the report's summary.json
     assert len(outputs["blocked"]) == 6 + 1 + 1
     assert outputs["blocked"] == outputs["unblocked"]
+
+
+def test_report_loads_no_package_module_but_cli(tmp_path):
+    code = """
+import sys
+from paneitz_lab.cli import main
+assert main(["report", "--out", sys.argv[1]]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "paneitz_lab"))
+"""
+    done = _fresh_python("-c", code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "['paneitz_lab', 'paneitz_lab.cli']"
 
 
 def test_constant_spectrum_leaves_the_optimizer_unloaded(tmp_path):

@@ -4,8 +4,8 @@ phi_eps = eta(theta) * (theta^2 + eps^2)^(-(n-4)/2) concentrates at a pole
 as eps -> 0 and drives the sharp-quotient functional Y toward the best
 Sobolev constant.  This module evaluates Y, fits the small-eps expansion
 Y ~ A - C eps^2, assembles the two-component test density u_eps behind the
-second-invariant upper bound, and spot-checks the elementary power
-inequality used alongside it.
+second-invariant upper bound, and gives and samples the sharp constant of
+the elementary power inequality used alongside it.
 """
 
 from __future__ import annotations
@@ -314,3 +314,16 @@ def elementary_inequality_check(
     lhs = (x + y) ** p
     rhs = x**p + y**p + C * (x ** (p - 1) * y + x * y ** (p - 1))
     return int(np.sum(lhs > rhs * (1 + 1e-12)))
+
+
+def elementary_inequality_constant(p: float) -> float:
+    """Least C with (x+y)^p <= x^p + y^p + C(x^(p-1)y + xy^(p-1)) for all
+    x, y > 0, the inequality ``elementary_inequality_check`` samples.  It is
+    symmetric and homogeneous, so C is the sup over s = y/x in (0, 1] of
+    Q(s) = ((1+s)^p - 1 - s^p)/(s + s^(p-1)): the larger of its maximum on
+    s = 1/1024, ..., 1 and its limit p at 0 (3 at p = 3, 7 at p = 4)."""
+    if p <= 2:
+        raise ValueError("exponent must exceed 2")
+    s = np.arange(1, 1025) / 1024  # (1+s)^p - 1 loses at most three digits
+    Q = ((1 + s) ** p - 1 - s**p) / (s + s ** (p - 1))
+    return max(float(p), float(Q.max()))

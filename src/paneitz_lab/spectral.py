@@ -217,6 +217,7 @@ def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray,
 
 
 RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, relative to ||C||
+PLANE_TOL = 1e-8  # least 1 - M01^2/(M00 M11) of a plane's mass M; below it half the digits are lost
 
 
 def _top_eigenpairs(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +239,13 @@ def _block_krylov(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None
     space breaks down or reaches half the dimension unconverged.
 
     The start block is fixed, of k + 2 columns, so a double top eigenvalue
-    is found and the result is deterministic.  The pencil residual weighs
-    the error of an eigenvector of C by sqrt(A), which is large at high
-    degree; so the converged Ritz vectors take one more product with C,
-    which damps that error by 1/sqrt(A), and a last Rayleigh-Ritz on its
-    span gives the pairs.
+    is found and the result is deterministic; it is seeded, since the first
+    k + 2 unit vectors break down on a constant density's diagonal pencil
+    and give up after 13 times as long on two-bubble k = 3 pencils (L = 400).
+    The pencil residual weighs the error of an eigenvector of C by sqrt(A),
+    which is large at high degree; so the converged Ritz vectors take one
+    more product with C, which damps that error by 1/sqrt(A), and a last
+    Rayleigh-Ritz on its span gives the pairs.
     """
     dim, p = len(C), k + 2
     cap = dim // 2  # columns the space may reach
@@ -312,8 +315,12 @@ def minimax_over_plane(
 
     The energy form is summed in coefficient space; the mass form comes
     from the node values of u, v and w (``restricted_mass``), so B(u) is
-    never assembled."""
+    never assembled.  A plane within ``PLANE_TOL`` of rank one is refused,
+    read on M scaled to a unit diagonal, where a huge plane cannot overflow."""
     M = restricted_mass(u, v, w)
+    d = np.sqrt(M.diagonal())  # >= 0: a sum of nonnegative terms
+    if not (d > 0).all() or 1.0 - (M[0, 1] / d[0] / d[1]) ** 2 <= PLANE_TOL:
+        raise DegeneratePencilError("plane is degenerate for the mass form")
     cv, cw = v.coeffs, w.coeffs
     E = np.array(
         [
@@ -321,10 +328,6 @@ def minimax_over_plane(
             [np.dot(A_diag, cv * cw), np.dot(A_diag, cw * cw)],
         ]
     )
-    with np.errstate(over="ignore"):  # a huge plane has an infinite det, still > 0
-        det = np.linalg.det(M)
-    if det <= 0 or M[0, 0] <= 0:
-        raise DegeneratePencilError("plane is degenerate for the mass form")
     # M = R R^T turns the pencil into the symmetric R^(-1) E R^(-T)
     Rinv = np.linalg.inv(np.linalg.cholesky(M))
     return float(np.linalg.eigvalsh(Rinv @ E @ Rinv.T)[-1])

@@ -13,6 +13,7 @@ from paneitz_lab.bubbles import (
     bubble_field,
     bubble_profile,
     elementary_inequality_check,
+    elementary_inequality_constant,
     epsilon_sweep,
     functional_Y,
     lemma3_bound,
@@ -168,6 +169,14 @@ def test_lemma3_bound_refuses_a_meaningless_mu1(mu1):
         lemma3_bound(12, mu1, DEFAULT_EPS_GRID)
 
 
+def test_lemma3_bound_refuses_the_rank_one_plane():
+    # at L = 0 the bubble's projection is a constant, so the plane is one
+    # line, whose 2x2 mass rounds to a positive determinant: it is refused
+    # by name, not by numpy's Cholesky
+    with pytest.raises(spectral.DegeneratePencilError, match="plane is degenerate"):
+        lemma3_bound(12, 100.0, L=0)
+
+
 def test_lemma3_bound_forms_no_full_mass(monkeypatch):
     # the bound reads three entries of B(u) per eps; it must form only the
     # plane's 2x2 mass, never the (L+1)x(L+1) one
@@ -207,6 +216,18 @@ def test_elementary_inequality_cases():
     assert elementary_inequality_check(4.0, 0.1, 10_000) > 0
     with pytest.raises(ValueError):
         elementary_inequality_check(2.0, 1.0, 10)
+    with pytest.raises(ValueError, match="exponent must exceed 2"):
+        elementary_inequality_constant(2.0)
+
+
+@pytest.mark.parametrize("p, sharp", [(3, 3.0), (4, 7.0), (5, 15.0), (2.5, 2.5)])
+def test_elementary_inequality_constant_is_sharp(p, sharp):
+    # the closed form: 2^(p-1) - 1 from p = 3 on, at x = y, and p below it,
+    # approached as y/x -> 0; the sampler finds no violation at the constant
+    # and some a tenth below it
+    assert elementary_inequality_constant(p) == pytest.approx(sharp, rel=0, abs=1e-12)
+    assert elementary_inequality_check(p, sharp, 10_000) == 0
+    assert elementary_inequality_check(p, sharp - 0.1, 10_000) > 0
 
 
 def test_profile_quotient_matches_basis_route(setup12):

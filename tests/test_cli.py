@@ -15,7 +15,6 @@ import paneitz_lab
 from paneitz_lab.cli import (
     COMMAND_KEYS,
     RUNNERS,
-    SEEDED,
     ExperimentConfig,
     build_parser,
     config_from_args,
@@ -194,8 +193,9 @@ def test_seed_is_hashed_only_where_it_is_read(out_root):
         assert main(["spectrum", "--n", "5", "--seed", seed]) == 0
     (record,) = out_root.glob("*/record.json")
     assert json.loads(record.read_text())["seed"] is None
-    for command in ("minimize", "audit"):
-        assert ExperimentConfig(command, seed=1).config_hash != ExperimentConfig(command).config_hash
+    # minimize alone reads it; audit draws no random number
+    assert ExperimentConfig("minimize", seed=1).config_hash != ExperimentConfig("minimize").config_hash
+    assert ExperimentConfig("audit", seed=1).config_hash == ExperimentConfig("audit").config_hash
 
 
 def test_out_flag_alone_sets_the_output_root(tmp_path, monkeypatch):
@@ -216,8 +216,8 @@ def test_each_subparser_takes_only_its_keys():
         assert options == {"n", "seed", "out", *COMMAND_KEYS[name]}, name
         assert options <= fields
         # --seed is taken by every command, but hashed only where it is read
-        hashed = {"command", "n", *COMMAND_KEYS[name], *(("seed",) if name in SEEDED else ())}
-        assert set(ExperimentConfig(command=name).settings()) == hashed
+        assert set(ExperimentConfig(command=name).settings()) == {"command", "n", *COMMAND_KEYS[name]}
+    assert [name for name, keys in COMMAND_KEYS.items() if "seed" in keys] == ["minimize"]
 
 
 def test_key_read_only_by_another_command_leaves_hash_unchanged(tmp_path):
@@ -390,6 +390,11 @@ def test_round_is_refused(tmp_path, capsys):
             ["lemma3-bound", "--n", "12", "--mu1", "1e300"],
             "error: the two-plane bound at n=12, eps=0.05 is not finite (inf)",
         ),
+        (
+            "",
+            ["lemma3-bound", "--n", "152"],
+            "error: the two-plane bound at n=152, eps=0.2 is not finite (inf)",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -442,7 +447,7 @@ PAYLOAD_KEYS = {
     "lemma3-bound": {
         "n", "mu1", "eps", "bounds", "best_eps", "best_bound", "rhs", "ratio", "hypothesis_ok"
     },
-    "audit": {"n", "reports", "elementary_inequality_violations"},
+    "audit": {"n", "reports", "elementary_inequality"},
 }
 
 
@@ -457,6 +462,7 @@ def test_record_payload_keys(out_root, command):
     )
     doc = json.loads((run_dir / "record.json").read_text())
     assert set(doc) == {"schema", "config_hash", "version", "payload", "seed", "config"}
+    assert doc["seed"] == (0 if command == "minimize" else None)
     assert set(doc["payload"]) == PAYLOAD_KEYS[command]
     if command == "coeffs":
         assert set(doc["payload"]["sharp_constant"]) == {
@@ -465,6 +471,9 @@ def test_record_payload_keys(out_root, command):
     if command == "audit":
         for report in doc["payload"]["reports"]:
             assert set(report) == {"name", "lhs", "rhs", "ratio", "verdict", "details"}
+        assert doc["payload"]["elementary_inequality"] == {
+            "p3": {"C": 8.0, "sharp_C": 3.0}, "p4": {"C": 16.0, "sharp_C": 7.0}
+        }
     if command == "minimize":
         for restart in doc["payload"]["restarts"]:
             assert set(restart) == {
@@ -591,21 +600,6 @@ for argv in (
     assert len(list(tmp_path.glob("*/record.json"))) == 6
 
 
-def test_cold_commands_leave_numpy_random_and_ma_unloaded(tmp_path):
-    # numpy.random is read only for a random start and numpy.ma not at all:
-    # with both blocked, bubble-sweep and the two-start minimize still run
-    code = """
-import sys
-sys.modules["numpy.random"] = sys.modules["numpy.ma"] = None
-from paneitz_lab.cli import main
-for argv in (["bubble-sweep"], ["minimize", "--k", "2", "--restarts", "2", "--iterations", "5"]):
-    assert main([*argv, "--n", "12", "--out", sys.argv[1]]) == 0, argv
-"""
-    done = _fresh_python("-c", code, str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    assert len(list(tmp_path.glob("*/record.json"))) == 2
-
-
 def test_default_minimize_leaves_bubbles_unloaded(tmp_path):
     # the default descends the constant start alone, so only a two-bubble
     # start or density imports paneitz_lab.bubbles
@@ -649,13 +643,14 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
 
 
 def test_commands_run_without_dataclasses(tmp_path):
-    # no module of the package builds a dataclass: with dataclasses blocked
-    # the seven commands of the cli-cold benchmark write the same bytes as an
-    # unblocked run, and coeffs and report load no inspect either
+    # no module of the package builds a dataclass, numpy.random is read only
+    # for a random start or a Krylov solve, and numpy.ma not at all: with the
+    # three blocked, the seven commands of the cli-cold benchmark write the
+    # same bytes as an unblocked run, and coeffs and report load no inspect
     code = """
 import sys
 if sys.argv[2] == "blocked":
-    sys.modules["dataclasses"] = None
+    sys.modules["dataclasses"] = sys.modules["numpy.random"] = sys.modules["numpy.ma"] = None
 from paneitz_lab.cli import main
 commands = (
     ["coeffs"],

@@ -263,16 +263,23 @@ def lemma3_bound(
     for e in eps:
         bf = bubble_field(BubbleSpec(eps=float(e)), setup.basis)
         Yv = functional_Y(bf.v, coeffs)
+        # numpy powers, which overflow to inf where Python's raise (a huge mu1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-            u_nodes = Yv**expo * bf.v.values + best_mu1**expo * vconst.values
-        bound = math.nan  # u_eps itself overflows (from n = 284 on at eps = 0.05)
+            a, b = np.float64(Yv) ** expo, np.float64(best_mu1) ** expo
+            u_nodes = a * bf.v.values + b * vconst.values
+        bound = math.nan  # u_eps itself overflows (n = 283 from eps = 0.075 on)
         if np.isfinite(u_nodes).all():
             # truncation ripple can dip below zero in the tail; clip, the
             # density only needs to be nonnegative
             u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
             sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
+            # the mass of u / max u, whose N-th power cannot overflow (that of
+            # u does from n = 152 on); the scale s comes back as s^(4N/n)
+            # = s^(8/(n-4))
+            scale = u.values.max()
+            mass = setup.rule.lN_mass(u.values / scale, N)
             with np.errstate(over="ignore"):  # refused just below, by name
-                bound = sup * u.lN_mass() ** (4.0 / n)
+                bound = sup * scale ** (8.0 / (n - 4)) * mass ** (4.0 / n)
         if not math.isfinite(bound):
             raise ValueError(f"the two-plane bound at n={n}, eps={e:g} is not finite ({bound})")
         bounds.append(bound)

@@ -196,12 +196,16 @@ def _run_spectrum(config: ExperimentConfig):
     u = _density_for(config, setup)
     spec = solve_density(setup, u, config.k)
     lam_bar = [normalized_invariant(spec, u, j + 1) for j in range(len(spec))]
+    # the share |v_odd|^2 / |v|^2 of each eigenvector's odd coefficients: for
+    # an even density every eigenvector is even (0) or odd (1), up to rounding
+    odd_shares = [(v.coeffs[1::2] @ v.coeffs[1::2]) / (v.coeffs @ v.coeffs) for v in spec.eigenfields]
     payload = {
         "n": config.n,
         "density": config.density,
         "eigenvalues": spec.eigenvalues,
         "normalized_invariants": lam_bar,
         "residuals": spec.residuals,
+        "odd_shares": odd_shares,
     }
     summary = "lambda_bar = " + ", ".join(f"{v:.6g}" for v in lam_bar)
     return payload, summary

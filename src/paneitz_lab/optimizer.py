@@ -177,7 +177,9 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     """q from sqrt-bubble profiles at the two poles, projected to the basis.
 
     split is the mass fraction at the north pole; split = 1 gives a single
-    bubble, eps large flattens toward the constant.
+    bubble, eps large flattens toward the constant.  An equal split is even,
+    and its odd coefficients, rounding error, are dropped, so that it
+    descends as an even start.
     """
     if not 0 <= split <= 1:
         raise ValueError("split must lie in [0, 1]")
@@ -190,6 +192,8 @@ def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> Zonal
     phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="south"), n)
     qvals = math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s)
     c = analyze(basis, qvals).coeffs
+    if split == 0.5:
+        c[1::2] = 0.0
     N = _critical_exponent(n)
     return ZonalField(basis, _renormalize(c, basis, N))
 
@@ -216,11 +220,15 @@ def _descend(
     stops early once the gradient is small, or once lambda_bar_k has fallen
     by at most STALL_TOL relative over the last STALL_WINDOW iterations.  A
     trial that raises is annotated and rejected; it counts as a pencil solve
-    only if its renormalization passed.  Returns the coefficients and the
-    trace.
+    only if its renormalization passed.  A start whose odd coefficients are
+    all zero descends in its even coefficients alone: the odd entries of its
+    gradient are rounding error, and BFGS would drift along the axial Moebius
+    dilation, a flat direction of lambda_bar_k, on them.  Returns the
+    coefficients and the trace.
     """
     basis, N, k = setup.basis, setup.coeffs.N, config.k
     kmax = min(k + 1, basis.dim)
+    even = not start.coeffs[1::2].any()
     trace = RunTrace(start_label=label, pencil_solves=1)
     c = _renormalize(start.coeffs, basis, N)
     qvals, lam, V = _solve_rows(c, setup, kmax)
@@ -229,6 +237,8 @@ def _descend(
         J = float(lam[k - 1])
         w_k = basis.table.T @ V[:, k - 1]  # the k-th eigenfield
         g = _eig_gradient(qvals, w_k, lam[k - 1], setup)
+        if even:
+            g[1::2] = 0.0
         gnorm = math.sqrt(g @ g)
         trace.objectives.append(J)
         trace.grad_norms.append(gnorm)

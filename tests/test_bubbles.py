@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import paneitz_lab.bubbles as bubbles
 import paneitz_lab.spectral as spectral
 import paneitz_lab.zonal as zonal
 
@@ -175,6 +176,33 @@ def test_lemma3_bound_refuses_the_rank_one_plane():
     # by name, not by numpy's Cholesky
     with pytest.raises(spectral.DegeneratePencilError, match="plane is degenerate"):
         lemma3_bound(12, 100.0, L=0)
+
+
+@pytest.mark.parametrize("n", [152, 200, 282])
+def test_lemma3_bound_is_finite_where_the_mass_of_u_overflows(n):
+    # the L^N mass of u_eps overflows from n = 152 on, that of u_eps / max u_eps
+    # never does; at n = 283 u_eps itself overflows (test_cli refuses it)
+    rep = lemma3_bound(n, sharp_constant_oracle(n))
+    assert np.isfinite(rep.bounds).all()
+    assert rep.ratio >= 1 - 1e-9
+
+
+def test_lemma3_bound_folds_the_mass_scale_back_exactly(monkeypatch):
+    # at n = 151, the last n where the mass of u_eps is finite, each bound
+    # is sup * (int u_eps^N)^(4/n) to 1e-12 relative
+    n = 151
+    unscaled = []
+    minimax = bubbles.minimax_over_plane
+
+    def recorded(A_diag, u, v, w):
+        sup = minimax(A_diag, u, v, w)
+        unscaled.append(sup * u.lN_mass() ** (4.0 / n))
+        return sup
+
+    monkeypatch.setattr(bubbles, "minimax_over_plane", recorded)
+    rep = lemma3_bound(n, sharp_constant_oracle(n))
+    assert np.isfinite(unscaled).all()
+    np.testing.assert_allclose(rep.bounds, unscaled, rtol=1e-12, atol=0)
 
 
 def test_lemma3_bound_forms_no_full_mass(monkeypatch):

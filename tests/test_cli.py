@@ -46,6 +46,17 @@ def test_spectrum_command(out_root):
     assert lam[1] == pytest.approx(921.4494609652465, rel=1e-8)
 
 
+@pytest.mark.parametrize("density", ["const", "two-bubble"])
+def test_spectrum_records_the_parity_of_each_eigenvector(out_root, density):
+    # both densities are even, so each eigenvector lies in the even or the
+    # odd sector: its odd share is 0 or 1 up to rounding, and lambda_2 is odd
+    record = dispatch(ExperimentConfig(command="spectrum", n=12, k=3, density=density))
+    shares = record.payload["odd_shares"]
+    assert len(shares) == 3
+    assert all(s <= 1e-20 or s >= 1 - 1e-12 for s in shares), shares
+    assert [s > 0.5 for s in shares] == [False, True, False]
+
+
 def test_config_hash_ignores_out_dir():
     a = ExperimentConfig(command="coeffs", n=5, out="runs")
     b = ExperimentConfig(command="coeffs", n=5, out="elsewhere")
@@ -364,13 +375,13 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["spectrum", "--n", "5", "--k", "60"], "invalid value for k: 60 (must be <= L + 1 = 49)"),
         (
             "",
-            ["lemma3-bound", "--n", "200"],
-            "error: the two-plane bound at n=200, eps=0.05 is not finite (inf)",
+            ["lemma3-bound", "--n", "283"],
+            "error: the two-plane bound at n=283, eps=0.075 is not finite (nan)",
         ),
         (
             "",
-            ["lemma3-bound", "--n", "210"],
-            "error: the two-plane bound at n=210, eps=0.05 is not finite (inf)",
+            ["lemma3-bound", "--n", "284"],
+            "error: the two-plane bound at n=284, eps=0.05 is not finite (nan)",
         ),
         (
             "",
@@ -387,13 +398,8 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         (
             "",
-            ["lemma3-bound", "--n", "12", "--mu1", "1e300"],
-            "error: the two-plane bound at n=12, eps=0.05 is not finite (inf)",
-        ),
-        (
-            "",
-            ["lemma3-bound", "--n", "152"],
-            "error: the two-plane bound at n=152, eps=0.2 is not finite (inf)",
+            ["lemma3-bound", "--n", "20", "--mu1", "1e300"],
+            "error: the two-plane bound at n=20, eps=0.05 is not finite (nan)",
         ),
     ],
 )
@@ -439,7 +445,7 @@ def test_float_keys_hash_by_value(typed, argv):
 # record type changes the records and must change this table too
 PAYLOAD_KEYS = {
     "coeffs": {"n", "S", "alpha", "alpha_bar", "a", "b", "N", "K2_inv_sq", "Q", "sharp_constant"},
-    "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals"},
+    "spectrum": {"n", "density", "eigenvalues", "normalized_invariants", "residuals", "odd_shares"},
     "minimize": {
         "n", "k", "best_coeffs", "best_objective", "final_objective", "diagnostics", "restarts"
     },

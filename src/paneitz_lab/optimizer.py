@@ -18,17 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .einstein import _critical_exponent, sharp_constant_oracle
-from .spectral import (
-    SphereSetup,
-    density_from_sqrt_field,
-    mass_from_values,
-    normalized_invariant,
-    pencil_eigen,
-    round_setup,
-    solve_density,
-)
+from .spectral import SphereSetup, mass_from_values, pencil_eigen, round_setup
 from .toolkit import _fixed_point_residual
-from .zonal import ZonalBasis, ZonalField, analyze
+from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # relative gradient-norm stopping rule
@@ -107,39 +99,89 @@ class MinimizeResult(NamedTuple):
     diagnostics: dict
 
 
-def _renormalize(c: np.ndarray, basis: ZonalBasis, N: float) -> np.ndarray:
+class _Space(NamedTuple):
+    """The coefficients a descent moves, the rule their node values live on,
+    and the pencil that u = q^2 solves there.
+
+    An even q (its odd coefficients zero) moves only its even coefficients,
+    c[::2], on the nonnegative half of the mirrored rule with doubled
+    weights; a node at x = 0 counts once.  Its density is even, so its mass
+    form has no even-odd block, and the pencil splits into the even and the
+    odd sector: the even and the odd rows of the basis, the odd ones padded
+    with a zero row to the even count, solved as one stack.  Any other q
+    moves every coefficient on the full rule, with one full pencil."""
+
+    step: int               # the coefficients moved are c[::step]
+    rule: QuadratureRule    # the nodes the values live on
+    table: np.ndarray       # the rows that synthesize q from those coefficients
+    tables: np.ndarray      # the pencil's rows: (sectors, d, nodes), or the full (d, nodes)
+    A_diag: np.ndarray      # its operator diagonal: (sectors, d), or the full (d,)
+    N: float
+
+
+def _space(setup: SphereSetup, even: bool) -> _Space:
+    table, A_diag, rule = setup.basis.table, setup.A_diag, setup.rule
+    if not even:
+        return _Space(1, rule, table, table, A_diag, setup.coeffs.N)
+    q, dim = len(rule.nodes), len(table)
+    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
+    weights = 2.0 * rule.weights[m:]
+    weights[: q % 2] = rule.weights[m : m + q % 2]  # x = 0 counts once
+    half = rule._replace(nodes=rule.nodes[m:], weights=weights, theta=rule.theta[m:])
+    d = (dim + 1) // 2  # even rows; the odd ones are dim // 2
+    tables = np.zeros((2, d, q - m))
+    tables[0], tables[1, : dim // 2] = table[0::2, m:], table[1::2, m:]
+    sector_A = np.ones((2, d))  # the padded entry's A: any positive value
+    sector_A[0], sector_A[1, : dim // 2] = A_diag[0::2], A_diag[1::2]
+    return _Space(2, half, tables[0], tables, sector_A, setup.coeffs.N)
+
+
+def _renormalize(c: np.ndarray, space, N: float) -> np.ndarray:
     """c scaled so that u = q^2 has unit L^N mass; the mass is taken of
-    q / max|q|, whose 2N-th power cannot overflow."""
-    qvals = basis.table.T @ c
+    q / max|q|, whose 2N-th power cannot overflow.  space is a basis or a
+    _Space: what gives the synthesis table and the rule."""
+    qvals = space.table.T @ c
     scale = np.abs(qvals).max()
     if scale <= 0 or not math.isfinite(scale):
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
-    mass = basis.rule.lN_mass(qvals / scale, 2 * N)
+    mass = space.rule.lN_mass(qvals / scale, 2 * N)
     return c * (mass ** (-1.0 / (2 * N)) / scale)
 
 
+def _eigen(qvals: np.ndarray, space: _Space, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's eigenvalues and B-normalized coefficient columns for the
+    pencil of u = q^2, from the node values of q."""
+    B = mass_from_values(space.rule, space.tables, qvals**2, space.N)
+    return pencil_eigen(space.A_diag, B, kmax)
+
+
 def _solve_rows(
-    c: np.ndarray, setup: SphereSetup, kmax: int
+    c: np.ndarray, space: _Space, kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node values q of c, then the kernel's eigenvalues and B-normalized
-    coefficient columns for the pencil of u = q^2."""
-    qvals = setup.basis.table.T @ c
-    B = mass_from_values(setup.basis.rule, setup.basis.table, qvals**2, setup.coeffs.N)
-    lams, V = pencil_eigen(setup.A_diag, B, kmax)
-    return qvals, lams, V
+    """Node values q of c, then ``_eigen`` of u = q^2: one descent solve."""
+    qvals = space.table.T @ c
+    return (qvals, *_eigen(qvals, space, kmax))
+
+
+def _node_values(v: np.ndarray, space: _Space) -> np.ndarray:
+    """Node values of an eigenfield from its coefficients, as ``_eigen``
+    returns them: one column of V, of every sector."""
+    return space.tables.reshape(-1, space.tables.shape[-1]).T @ v.ravel()
 
 
 def objective(q: ZonalField, k: int, setup: SphereSetup) -> float:
     """lambda_bar_k of the normalized density u = q^2."""
-    c = _renormalize(q.coeffs, setup.basis, setup.coeffs.N)
-    return float(_solve_rows(c, setup, k)[1][k - 1])
+    space = _space(setup, even=False)
+    c = _renormalize(q.coeffs, space, space.N)
+    return float(_solve_rows(c, space, k)[1][k - 1])
 
 
 def _eig_gradient(
-    qvals: np.ndarray, w: np.ndarray, lam: np.ndarray, setup: SphereSetup
+    qvals: np.ndarray, w: np.ndarray, lam: np.ndarray, space: _Space
 ) -> np.ndarray:
-    """Gradient of lambda_bar_j wrt the q-coefficients at unit-mass u = q^2,
-    from the node values of q and of the B-normalized eigenfield w of lam.
+    """Gradient of lambda_bar_j wrt the moved q-coefficients at unit-mass
+    u = q^2, from the node values of q and of the B-normalized eigenfield w
+    of lam.
 
     First-order pencil perturbation through delta(u^(N-2)) plus the volume
     factor; for u normalized the two prefactors coincide at N - 2, leaving
@@ -148,29 +190,28 @@ def _eig_gradient(
 
     Only w^2 enters, so the sign of the eigenvector does not matter.
     """
-    basis = setup.basis
-    N = setup.coeffs.N
+    N = space.N
     u = qvals**2
     # guard u^(N-3) at zeros of u when N < 3 (n > 12)
     if N >= 3:
         core = u ** (N - 1) - u ** (N - 3) * w**2
     else:
         core = u ** (N - 1) - np.where(u > 0, u, 1.0) ** (N - 3) * w**2 * (u > 0)
-    return 2 * lam * (N - 2) * (basis.table @ (basis.rule.weights * qvals * core))
+    return 2 * lam * (N - 2) * (space.table @ (space.rule.weights * qvals * core))
 
 
 def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
     """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
-    c = _renormalize(q.coeffs, setup.basis, setup.coeffs.N)
+    space = _space(setup, even=False)
+    c = _renormalize(q.coeffs, space, space.N)
     kmax = min(k + 1, setup.basis.dim)
-    qvals, lam, V = _solve_rows(c, setup, kmax)
+    qvals, lam, V = _solve_rows(c, space, kmax)
     tol = GAP_TOL * abs(lam[k - 1])
     if k > 1 and lam[k - 1] - lam[k - 2] < tol:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
         raise DegenerateGapError("eigenvalue crossing above k")
-    w = setup.basis.table.T @ V[:, k - 1]
-    return _eig_gradient(qvals, w, lam[k - 1], setup)
+    return _eig_gradient(qvals, _node_values(V[..., k - 1], space), lam[k - 1], space)
 
 
 def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> ZonalField:
@@ -221,36 +262,36 @@ def _descend(
     by at most STALL_TOL relative over the last STALL_WINDOW iterations.  A
     trial that raises is annotated and rejected; it counts as a pencil solve
     only if its renormalization passed.  A start whose odd coefficients are
-    all zero descends in its even coefficients alone: the odd entries of its
-    gradient are rounding error, and BFGS would drift along the axial Moebius
-    dilation, a flat direction of lambda_bar_k, on them.  Returns the
-    coefficients and the trace.
+    all zero descends in its even coefficients alone, in the two parity
+    sectors of its pencil (_Space): BFGS would drift along the axial Moebius
+    dilation, a flat direction of lambda_bar_k, on the odd ones.  Returns
+    the coefficients and the trace.
     """
-    basis, N, k = setup.basis, setup.coeffs.N, config.k
-    kmax = min(k + 1, basis.dim)
-    even = not start.coeffs[1::2].any()
+    k = config.k
+    kmax = min(k + 1, setup.basis.dim)
+    space = _space(setup, even=not start.coeffs[1::2].any())
+    N = space.N
     trace = RunTrace(start_label=label, pencil_solves=1)
-    c = _renormalize(start.coeffs, basis, N)
-    qvals, lam, V = _solve_rows(c, setup, kmax)
+    c = _renormalize(start.coeffs[:: space.step], space, N)
+    qvals, lam, V = _solve_rows(c, space, kmax)
     H = None  # inverse Hessian; None until the first update and after a reset
     for it in range(config.max_iters + 1):
         J = float(lam[k - 1])
-        w_k = basis.table.T @ V[:, k - 1]  # the k-th eigenfield
-        g = _eig_gradient(qvals, w_k, lam[k - 1], setup)
-        if even:
-            g[1::2] = 0.0
+        w_k = _node_values(V[..., k - 1], space)  # the k-th eigenfield
+        g = _eig_gradient(qvals, w_k, lam[k - 1], space)
         gnorm = math.sqrt(g @ g)
         trace.objectives.append(J)
         trace.grad_norms.append(gnorm)
         trace.gaps.append(float(lam[k] - lam[k - 1]) if kmax > k else math.nan)
-        trace.residuals.append(_fixed_point_residual(basis.rule, w_k, qvals**2, N))
+        trace.residuals.append(_fixed_point_residual(space.rule, w_k, qvals**2, N))
         if gnorm <= GRAD_TOL * max(abs(J), 1.0):
             trace.status = "gradient-converged"
-            return c, trace
+            break
         if it >= STALL_WINDOW and trace.objectives[-STALL_WINDOW - 1] - J <= STALL_TOL * abs(J):
             trace.status = "objective-stalled"
-            return c, trace
+            break
         if it == config.max_iters:
+            trace.status = "max-iters"
             break
         if it:
             # BFGS update from the last accepted step, H <- E H E^T + rho s s^T
@@ -260,9 +301,9 @@ def _descend(
             sy = s @ y
             if sy > 0:
                 if H is None:
-                    H = sy / (y @ y) * np.eye(basis.dim)
+                    H = sy / (y @ y) * np.eye(len(c))
                 rho = 1.0 / sy
-                E = np.eye(basis.dim) - rho * s[:, None] * y
+                E = np.eye(len(c)) - rho * s[:, None] * y
                 H = E @ H @ E.T + rho * s[:, None] * s
         c_old, g_old = c, g
         # d = -H g from t = 1; without H, or where d does not descend, H is
@@ -280,9 +321,9 @@ def _descend(
         for _ in range(40):
             solved = False
             try:
-                c_try = _renormalize(c + t * d, basis, N)
+                c_try = _renormalize(c + t * d, space, N)
                 solved = True
-                q_try, lam_try, V_try = _solve_rows(c_try, setup, kmax)
+                q_try, lam_try, V_try = _solve_rows(c_try, space, kmax)
                 J_try = float(lam_try[k - 1])
             except (ValueError, ArithmeticError) as exc:
                 trace.annotations.append(f"iter {it}: step rejected ({exc})")
@@ -295,9 +336,10 @@ def _descend(
             t = _backtrack(t, slope, J, J_try)
         else:
             trace.status = "line-search-stalled"
-            return c, trace
-    trace.status = "max-iters"
-    return c, trace
+            break
+    coeffs = np.zeros(setup.basis.dim)
+    coeffs[:: space.step] = c
+    return coeffs, trace
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
@@ -328,18 +370,21 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
     restart whose trace ends lowest; it is re-evaluated on the finer L_final
     basis (a variational improvement, never an increase).
     """
+    # the final setup first: the descent's is its leading rows
+    fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)
     setup = round_setup(config.n, q=config.q_nodes, L=config.L_opt)
-    N = setup.coeffs.N
     runs = [_descend(label, start, config, setup) for label, start in _starts(config, setup)]
     traces = [trace for _, trace in runs]
     values = [trace.objectives[-1] for trace in traces]
     best = ZonalField(setup.basis, runs[values.index(min(values))][0])
 
-    # final evaluation on the finer basis over the same (memoized) rule: q is
-    # exact at the nodes, only the eigenproblem subspace grows
-    fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)
-    u_fine = density_from_sqrt_field(analyze(fine.basis, best.values), N)
-    final = normalized_invariant(solve_density(fine, u_fine, config.k), u_fine, config.k)
+    # final evaluation on the finer basis: q, of degree L_opt, is the same
+    # field with zero coefficients above L_opt; only the pencil grows
+    c = np.zeros(fine.basis.dim)
+    c[: setup.basis.dim] = best.coeffs
+    space = _space(fine, even=not c[1::2].any())
+    c = _renormalize(c[:: space.step], space, space.N)
+    final = float(_eigen(space.table.T @ c, space, config.k)[0][config.k - 1])
 
     K2_inv_sq = sharp_constant_oracle(config.n)
     round_pair_bound = 2.0 ** (4.0 / config.n) * K2_inv_sq

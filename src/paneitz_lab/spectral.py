@@ -9,7 +9,6 @@ on sets of positive measure).
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -97,11 +96,13 @@ def mass_from_values(
     multiply-adds, and gives an exactly symmetric form.  That branch needs a
     basis table on a mirrored rule: row l must be Z_l, of parity (-1)^l, on
     nodes and weights that are exactly symmetric about x = 0, as
-    ``build_quadrature`` and ``build_basis`` make them."""
+    ``build_quadrature`` and ``build_basis`` make them.  A stack of tables,
+    such as the parity sectors of a basis on the nonnegative half of the
+    rule, gives the stack of their forms, each by the general product."""
     wdens = rule.weights * values ** (N - 2)
-    if len(table) >= KRYLOV_MIN_DIM:
+    if table.ndim == 2 and len(table) >= KRYLOV_MIN_DIM:
         return _mirror_mass(table, wdens)
-    return (table * wdens) @ table.T
+    return (table * wdens) @ table.mT
 
 
 def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
@@ -188,19 +189,26 @@ def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray,
 
     Returns (eigenvalues, V): the ascending eigenvalues and their
     B-normalized coefficient vectors as the columns of V, with no sign
-    convention.
+    convention.  A_diag and B may also be stacks, of shapes (s, d) and
+    (s, d, d): the diagonal blocks of one block-diagonal pencil, such as
+    its parity sectors, solved by one batched eigh.  The k smallest
+    eigenvalues over all blocks are returned, and V, of shape (s, d, k),
+    holds column j in its own block and zeros in the others.  A block is
+    padded to the common d by a zero row and column of B and any positive
+    entry of A: the padded eigenvalue of C below is 0, never among the
+    top k, and dim counts it.
 
     A must be positive definite (refused otherwise; that is the S <= 0
     regime).  B need only be positive semidefinite, as the mass form of a
     density with zeros is: the solve takes the largest eigenvalues of
     C = A^(-1/2) B A^(-1/2), the reciprocals of the pencil's smallest, and
     a null direction of B is an eigenvalue 0 of C, far from the top, so
-    singular and regular B take one path.  A pencil of dimension
+    singular and regular B take one path.  A single pencil of dimension
     ``KRYLOV_MIN_DIM`` or more is solved for its k pairs alone
     (``_block_krylov``), or by the full eigh when that solve gives up; a
-    smaller one by the full eigh.
+    smaller one, and a stack, by the full eigh.
     """
-    dim = len(A_diag)
+    dim = A_diag.size
     if not 1 <= k <= dim:
         raise DegeneratePencilError(f"requested {k} eigenvalues from a {dim}-dim pencil")
     if (A_diag <= 0).any():
@@ -208,12 +216,11 @@ def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray,
             "operator form is not positive definite (nonpositive scalar curvature regime)"
         )
     s = 1.0 / np.sqrt(A_diag)
-    C = np.asarray_chkfinite((B * s).T * s)
+    C = np.asarray_chkfinite((B * s[..., None, :]).mT * s[..., None, :])
     mass, top = _top_eigenpairs(C, k)
     if (mass <= 0).any():
         raise DegeneratePencilError("mass form vanishes on the requested eigenspace")
-    V = (top * s / np.sqrt(mass)[:, None]).T
-    return 1.0 / mass, V
+    return 1.0 / mass, top * s[..., None] / np.sqrt(mass)
 
 
 RITZ_TOL = 1e-14  # Ritz residual ||C y - theta y|| that ends the Krylov solve, relative to ||C||
@@ -221,14 +228,22 @@ PLANE_TOL = 1e-8  # least 1 - M01^2/(M00 M11) of a plane's mass M; below it half
 
 
 def _top_eigenpairs(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues of the symmetric C, descending, and their
-    unit eigenvectors as rows."""
-    if len(C) >= KRYLOV_MIN_DIM:
+    """The k largest eigenvalues of the symmetric C, or of the block-diagonal
+    matrix whose blocks C stacks, descending, and their unit eigenvectors as
+    the columns of an array of C's shape with k columns; for a stack, column
+    j is zero in every block but its own."""
+    if C.ndim == 2 and len(C) >= KRYLOV_MIN_DIM:
         pairs = _block_krylov(C, k)
         if pairs is not None:
-            return pairs
-    w, Y = np.linalg.eigh(C)  # ascending; LAPACK dsyevd on the lower triangle
-    return w[::-1][:k], Y.T[::-1][:k]
+            return pairs[0], pairs[1].T
+    w, Y = np.linalg.eigh(C)  # ascending, per block; LAPACK dsyevd on the lower triangle
+    if C.ndim == 2:
+        return w[::-1][:k], Y[:, ::-1][:, :k]
+    order = w.ravel().argsort()[: -k - 1 : -1]  # the top k over every block
+    block, col = order // w.shape[-1], order % w.shape[-1]
+    top = np.zeros(C.shape[:-1] + (k,))
+    top[block, :, np.arange(k)] = Y[block, :, col]
+    return w.ravel()[order], top
 
 
 def _block_krylov(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -351,17 +366,34 @@ class SphereSetup(NamedTuple):
     A_diag: np.ndarray
 
 
+_held: dict[int, SphereSetup] = {}  # the setups of the last (n, q), by L
+
+
 def round_setup(n: int, q: int = 200, L: int = 48) -> SphereSetup:
     """Quadrature, basis and operator form for the round unit n-sphere.
 
-    The last setup built is held and returned again for the same (n, q, L),
-    so a caller's setup and the one ``lemma3_bound`` asks for share one
-    basis table; its arrays are read-only, as the Gauss rule's are."""
-    return _round_setup(n, q, L)
+    One setup is held: that of the last (n, q), at the largest L asked for.
+    A smaller L gets its leading L + 1 rows as views, since the recurrence
+    rows do not depend on L; so a caller's setup and the one
+    ``lemma3_bound`` asks for share one basis table, and ``minimize``,
+    which asks for its final L first, builds no second one.  The held
+    setup is dropped before the next is built, so that build does not run
+    beside a second table.  Its arrays are read-only, as the Gauss rule's
+    are."""
+    top = max(_held, default=None)
+    if top is None or (_held[top].basis.n, len(_held[top].rule.nodes)) != (n, q) or top < L:
+        _held.clear()
+        top = L
+        _held[L] = _build_setup(n, q, L)
+    if L not in _held:
+        full = _held[top]
+        basis = ZonalBasis(L, full.rule, full.basis.table[: L + 1])
+        basis.eigs.flags.writeable = False
+        _held[L] = full._replace(basis=basis, A_diag=full.A_diag[: L + 1])
+    return _held[L]
 
 
-@functools.lru_cache(maxsize=1)
-def _round_setup(n: int, q: int, L: int) -> SphereSetup:
+def _build_setup(n: int, q: int, L: int) -> SphereSetup:
     from .einstein import derive_coefficients, round_sphere
     from .zonal import build_basis, build_quadrature
 

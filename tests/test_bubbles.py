@@ -234,7 +234,11 @@ def test_lemma3_bound_reuses_the_callers_basis(monkeypatch):
     monkeypatch.setattr(zonal, "build_basis", counted)
     lemma3_bound(12, sharp_constant_oracle(12), DEFAULT_EPS_GRID, q=400, L=96)
     assert builds == []
-    spectral.round_setup(12, q=400, L=48)  # the counter sees a build that does happen
+    # a smaller L is the held table's leading rows, those of a fresh build
+    view = spectral.round_setup(12, q=400, L=48)
+    assert builds == []
+    assert view.basis.table.tobytes() == build(view.rule, 48).table.tobytes()
+    spectral.round_setup(12, q=401, L=48)  # the counter sees a build that does happen
     assert len(builds) == 1
 
 

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
+    INIT_EPS,
     STALL_TOL,
     STALL_WINDOW,
     OptimizerConfig,
     _backtrack,
     _descend,
+    _node_values,
     _renormalize,
+    _solve_rows,
+    _space,
     _starts,
     gradient,
     minimize,
@@ -171,6 +175,46 @@ def test_the_even_descent_costs_no_more_than_the_full_one(n, solves, excess):
     assert not res.best.coeffs[1::2].any()
 
 
+def _even_densities(setup):
+    """The even q of the constant and of the two-bubble start on a setup."""
+    constant = np.zeros(setup.basis.dim)
+    constant[0] = 1.0
+    return {"constant": constant, "two-bubble": two_bubble_initializer(INIT_EPS, 0.5, setup.basis).coeffs}
+
+
+@pytest.mark.parametrize("q", [200, 201])
+@pytest.mark.parametrize("L", [16, 48])
+@pytest.mark.parametrize("n", [5, 12, 20])
+def test_the_parity_sectors_solve_the_full_pencil(n, L, q):
+    # an even q solved in its two sectors on the half rule gives the full
+    # pencil's lowest eigenvalues, and its eigenfields' values at the
+    # nonnegative nodes up to sign; with q odd, x = 0 is a node of the half
+    setup = round_setup(n, q=q, L=L)
+    even, full = _space(setup, even=True), _space(setup, even=False)
+    m = q // 2
+    assert even.rule.nodes[0] == (0.0 if q % 2 else setup.rule.nodes[m])
+    assert even.rule.weights.sum() == pytest.approx(setup.rule.weights.sum(), rel=1e-13)
+    kmax = 4
+    for label, c in _even_densities(setup).items():
+        c = _renormalize(c, full, full.N)
+        qvals, lam, V = _solve_rows(c[::2], even, kmax)
+        qfull, lam_full, V_full = _solve_rows(c, full, kmax)
+        np.testing.assert_allclose(qvals, qfull[m:], rtol=0, atol=1e-13 * np.abs(qfull).max())
+        np.testing.assert_allclose(lam, lam_full, rtol=1e-12, atol=0, err_msg=label)
+        for j in range(kmax):
+            w, w_full = _node_values(V[..., j], even), _node_values(V_full[:, j], full)[m:]
+            w_full = w_full * np.sign(w @ w_full)
+            assert np.abs(w - w_full).max() <= 1e-10 * np.abs(w_full).max(), (label, j)
+
+
+def test_an_odd_node_count_descends_even():
+    # q = 201 puts a node at x = 0, which the half rule counts once
+    res = minimize(OptimizerConfig(n=12, q_nodes=201))
+    assert not res.best.coeffs[1::2].any()
+    assert [tr.status for tr in res.traces] == ["gradient-converged"]
+    assert res.diagnostics["attainment_product"] - 1 <= 1.6e-3
+
+
 @pytest.mark.parametrize("n, excess", [(7, 2.5987e-2), (12, 4.6212e-3), (20, 1.8556e-3)])
 def test_default_product_is_no_worse_than_steepest_descent(n, excess, request):
     # product - 1 at seed 0 of the steepest descent this descent replaced
@@ -258,17 +302,21 @@ def test_a_rejected_trial_shrinks_the_step(t, slope, J, rise, bad):
     assert _backtrack(t, slope, J, bad) == 0.5 * t
 
 
-@pytest.mark.parametrize("n", [5, 20, 50])
-def test_default_descent_stops_on_a_stalled_objective(n):
+@pytest.mark.parametrize(
+    "n, status", [(5, "objective-stalled"), (20, "gradient-converged"), (50, "objective-stalled")],
+    ids=["5", "20", "50"],
+)
+def test_default_descent_stops_on_a_stalled_objective(n, status):
     # the default stops before the cap at the first state whose objective
-    # fell by at most STALL_TOL relative over the last STALL_WINDOW states
+    # fell by at most STALL_TOL relative over the last STALL_WINDOW states;
+    # at n = 20 the gradient test stops it first, before any state stalled
     cfg = OptimizerConfig(n=n, k=2)
     (tr,) = minimize(cfg).traces
-    assert tr.status == "objective-stalled"
+    assert tr.status == status
     assert len(tr.objectives) <= cfg.max_iters
     J = tr.objectives
     stalled = [J[i - STALL_WINDOW] - J[i] <= STALL_TOL * abs(J[i]) for i in range(STALL_WINDOW, len(J))]
-    assert stalled[-1] and not any(stalled[:-1])
+    assert stalled[-1] == (status == "objective-stalled") and not any(stalled[:-1])
 
 
 @pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh
 
 import paneitz_lab.spectral as spectral
+import paneitz_lab.zonal as zonal
 from conftest import random_density
 from paneitz_lab.einstein import sharp_constant_oracle, sphere_volume
 from paneitz_lab.spectral import (
@@ -206,6 +208,77 @@ def test_kernel_refusals(setup5):
         pencil_eigen(setup5.A_diag, np.full((dim, dim), np.nan), 1)
 
 
+def _stack(dims, rng):
+    """A stack of SPD mass blocks of the given dimensions, each padded to the
+    largest with a zero row and column, and its operator diagonals, padded
+    with 1; with the block-diagonal pencil it stands for."""
+    d = max(dims)
+    A, B = np.ones((len(dims), d)), np.zeros((len(dims), d, d))
+    for i, di in enumerate(dims):
+        M = rng.standard_normal((di, di))
+        B[i, :di, :di] = M @ M.T / di + 0.1 * np.eye(di)
+        A[i, :di] = rng.uniform(1.0, 100.0, di)
+    full = np.zeros((sum(dims), sum(dims)))
+    at = np.cumsum([0, *dims])
+    for i, di in enumerate(dims):
+        full[at[i] : at[i + 1], at[i] : at[i + 1]] = B[i, :di, :di]
+    return A, B, np.concatenate([A[i, :di] for i, di in enumerate(dims)]), full
+
+
+@pytest.mark.parametrize("dims", [(9, 8), (25, 24), (5, 5), (17,)])
+def test_a_stack_solves_its_block_diagonal_pencil(dims):
+    # one batched solve of the blocks gives the k lowest pairs of the whole
+    # pencil; each column lives in its own block, zero in the others
+    rng = np.random.default_rng(sum(dims))
+    A, B, A_full, B_full = _stack(dims, rng)
+    k = 5
+    lams, V = pencil_eigen(A, B, k)
+    lams_ref, V_ref = pencil_eigen(A_full, B_full, k)
+    np.testing.assert_allclose(lams, lams_ref, rtol=1e-12, atol=0)
+    assert V.shape == (len(dims), max(dims), k)
+    at = np.cumsum([0, *dims])
+    for j in range(k):
+        v = np.concatenate([V[i, :di, j] for i, di in enumerate(dims)])
+        assert np.count_nonzero(np.abs(V[:, :, j]).max(axis=1)) == 1  # one block
+        assert (V[:, :, j][np.arange(max(dims)) >= np.array(dims)[:, None]] == 0).all()  # no padding
+        v_ref = V_ref[:, j] * np.sign(v @ V_ref[:, j])
+        assert np.abs(v - v_ref).max() <= 1e-10 * np.abs(v_ref).max()
+        assert v @ B_full @ v == pytest.approx(1.0, rel=1e-12)
+    assert at[-1] == len(A_full)
+
+
+def test_stack_refusals():
+    # a stack is refused as a single pencil is, with the same messages
+    A, B, _, _ = _stack((9, 8), np.random.default_rng(0))
+    with pytest.raises(DegeneratePencilError, match="requested 19 eigenvalues from a 18-dim pencil"):
+        pencil_eigen(A, B, 19)
+    with pytest.raises(DegeneratePencilError, match="eigenvalues from"):
+        pencil_eigen(A, B, 0)
+    with pytest.raises(DegeneratePencilError, match="not positive definite"):
+        pencil_eigen(np.where(np.arange(9) == 3, -1.0, A), B, 1)
+    with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
+        pencil_eigen(A, np.zeros_like(B), 1)
+    with pytest.raises(DegeneratePencilError, match="mass form vanishes"):
+        pencil_eigen(A, B, 18)  # the padded row's eigenvalue of C is 0
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil_eigen(A, np.where(B > 0, np.inf, B), 1)
+
+
+def test_a_stack_of_tables_gives_the_stack_of_forms(setup12):
+    # mass_from_values takes a stack of tables row by row, with the general
+    # product: the parity sectors on the half rule, and tables of the
+    # mirror sum's size on a rule that is not mirrored
+    rule, table = setup12.rule, setup12.basis.table
+    values = random_density(setup12.basis, setup12.coeffs.N, np.random.default_rng(4)).values
+    stack = np.stack([table[0::2], table[1::2, :][np.r_[0:24, 0]]])
+    B = mass_from_values(rule, stack, values, setup12.coeffs.N)
+    for i in range(2):
+        assert B[i].tobytes() == mass_from_values(rule, stack[i], values, setup12.coeffs.N).tobytes()
+    big = np.repeat(table[None, :, :], 4, axis=1)[:, : spectral.KRYLOV_MIN_DIM]
+    B = mass_from_values(rule, big, values, setup12.coeffs.N)
+    np.testing.assert_array_equal(B[0], _general_mass(rule, big[0], values, setup12.coeffs.N))
+
+
 def _general_mass(rule, table, values, N):
     """The mass form as the general product over every node, the reference
     for the mirror sum of large tables."""
@@ -310,6 +383,64 @@ def test_round_setup_is_held_and_read_only():
     other = round_setup(5, q=200, L=16)  # a different discretization replaces it
     assert round_setup(5, q=200, L=16) is other
     assert round_setup(12, q=200, L=16) is not setup
+
+
+def test_a_smaller_degree_is_served_by_the_held_table(monkeypatch):
+    # the held setup of an (n, q) serves every smaller L with its leading
+    # rows, bit for bit those of a fresh build, and a larger L rebuilds it
+    full = round_setup(7, q=203, L=48)
+    builds = []
+    build = zonal.build_basis
+
+    def counted(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(zonal, "build_basis", counted)
+    for L in (0, 16, 47):
+        view = round_setup(7, q=203, L=L)
+        assert round_setup(7, q=203, L=L) is view
+        assert view.basis.table.base is full.basis.table and view.rule is full.rule
+        assert view.basis.table.tobytes() == build(full.rule, L).table.tobytes()
+        assert view.A_diag.tobytes() == assemble_stiffness(full.coeffs, view.basis).tobytes()
+        assert view.basis.eigs.tobytes() == full.basis.eigs[: L + 1].tobytes()
+        for a in (view.basis.table, view.basis.eigs, view.A_diag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    assert builds == []
+    assert round_setup(7, q=203, L=64).basis.L == 64
+    assert builds == [64]
+
+
+def test_the_held_table_is_dropped_before_the_next_build(monkeypatch):
+    # two basis tables never coexist: the held one, and its views, are gone
+    # when the next (n, q) builds its own
+    held = weakref.ref(round_setup(8, q=205, L=48).basis.table)
+    view = weakref.ref(round_setup(8, q=205, L=16).basis.table)
+    alive = []
+    build = zonal.build_basis
+
+    def probed(*args):
+        alive.append((held() is not None, view() is not None))
+        return build(*args)
+
+    monkeypatch.setattr(zonal, "build_basis", probed)
+    round_setup(9, q=205, L=48)
+    assert alive == [(False, False)]
+
+
+def test_a_second_minimize_builds_no_basis(monkeypatch):
+    # minimize asks for its final setup first, so the descent's is a view,
+    # and a second run at the same n builds nothing
+    from paneitz_lab.optimizer import OptimizerConfig, minimize
+
+    first = minimize(OptimizerConfig(n=12))
+    builds = []
+    build = zonal.build_basis
+    monkeypatch.setattr(zonal, "build_basis", lambda *args: builds.append(args) or build(*args))
+    second = minimize(OptimizerConfig(n=12))
+    assert builds == []
+    assert second.final_objective == first.final_objective
 
 
 @pytest.mark.parametrize("dim", [17, 49, 401])

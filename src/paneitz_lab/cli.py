@@ -245,6 +245,7 @@ def _run_minimize(config: ExperimentConfig):
                 "status": tr.status,
                 "iterations": len(tr.objectives) - 1,  # steps taken
                 "terminal_lambda_bar": tr.objectives[-1],
+                "stationarity": tr.stationarity,
                 "pencil_solves": tr.pencil_solves,
                 "rejected_trials": tr.rejected_trials,
             }

@@ -129,7 +129,9 @@ def test_minimize_record_ends_on_its_trace(out_root, iterations):
 
 def test_report_consolidation(out_root, capsys):
     dispatch(ExperimentConfig(command="coeffs", n=5))
-    dispatch(ExperimentConfig(command="bubble-sweep", n=12))
+    sweep = dispatch(ExperimentConfig(command="bubble-sweep", n=12))
+    descent = dispatch(ExperimentConfig(command="minimize", n=12, iterations=5))
+    bound = dispatch(ExperimentConfig(command="lemma3-bound", n=12))
     # corrupted record must be skipped with a warning, not fail the report
     bad_dir = out_root / "deadbeef"
     bad_dir.mkdir()
@@ -138,8 +140,17 @@ def test_report_consolidation(out_root, capsys):
     captured = capsys.readouterr()
     assert "skipping corrupted record" in captured.err
     summary = json.loads((out_root / "report" / "summary.json").read_text())
-    assert len(summary["rows"]) == 2
+    assert len(summary["rows"]) == 4
     assert [p.name for p in (out_root / "report").iterdir()] == ["summary.json"]
+    # each command's row carries its headline numbers, as its record holds them
+    rows = {row["hash"]: row for row in summary["rows"]}
+    assert rows[descent.config_hash]["mu_estimate"] == descent.payload["final_objective"]
+    assert (
+        rows[descent.config_hash]["attainment_product"]
+        == descent.payload["diagnostics"]["attainment_product"]
+    )
+    assert rows[bound.config_hash]["bound_ratio"] == bound.payload["ratio"]
+    assert rows[sweep.config_hash]["A_rel_error"] == sweep.payload["A_rel_error"]
 
 
 @pytest.mark.parametrize(
@@ -343,16 +354,8 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         ("", ["audit", "--n", "335"], "error: Gauss weights underflow to zero at n=335, q=200"),
         ("", ["audit", "--n", "342"], "error: Gauss weights underflow to zero at n=342, q=200"),
-        (
-            "",
-            ["minimize", "--n", "12", "--k", "18"],
-            "error: k = 18 exceeds the dimension 17 of the descent basis (L_opt = 16)",
-        ),
-        (
-            "",
-            ["minimize", "--n", "5", "--k", "5", "--L-opt", "3", "--L", "3"],
-            "error: k = 5 exceeds the dimension 4 of the descent basis (L_opt = 3)",
-        ),
+        ("", ["minimize", "--n", "12", "--k", "3"], "error: k must be 1 or 2, got 3"),
+        ("", ["minimize", "--n", "5", "--k", "5"], "error: k must be 1 or 2, got 5"),
         ("", ["audit", "--n", "5", "--seed", "-1"], "invalid value for seed: -1 (must be >= 0)"),
         ("", ["minimize", "--n", "5", "--seed", "-1"], "invalid value for seed: -1 (must be >= 0)"),
         ("seed = -1\n", ["coeffs", "--n", "5"], "invalid value for seed: -1 (must be >= 0)"),
@@ -483,7 +486,7 @@ def test_record_payload_keys(out_root, command):
     if command == "minimize":
         for restart in doc["payload"]["restarts"]:
             assert set(restart) == {
-                "label", "status", "iterations", "terminal_lambda_bar",
+                "label", "status", "iterations", "terminal_lambda_bar", "stationarity",
                 "pencil_solves", "rejected_trials",
             }
             assert (restart["pencil_solves"], restart["rejected_trials"]) == (1, 0)

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 import paneitz_lab.optimizer as optimizer
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
+    GRAD_TOL,
     INIT_EPS,
-    STALL_TOL,
-    STALL_WINDOW,
     OptimizerConfig,
     _backtrack,
     _descend,
@@ -159,18 +158,20 @@ def test_default_descent_is_cheap_and_monotone(monkeypatch):
         assert tr.pencil_solves <= len(tr.objectives) + tr.rejected_trials
 
 
-@pytest.mark.parametrize(
-    "n, solves, excess",
-    [(5, 46, 0.15124129123537822), (7, 61, 0.017165376127207033), (12, 71, 0.0015948538569052761),
-     (20, 62, 0.00032357857554776714), (30, 66, 0.00012236060262083015), (50, 73, 4.5873007773922225e-05),
-     (150, 97, 1.0282365373814883e-05)],
-)
-def test_the_even_descent_costs_no_more_than_the_full_one(n, solves, excess):
-    # the pencil solves and product - 1 of the default run when it descended
-    # in every coefficient: the even descent makes no more solves, reads
-    # product - 1 within 0.1 % of that, and returns an even q
-    res = minimize(OptimizerConfig(n=n, k=2))
-    assert res.traces[0].pencil_solves <= solves
+@pytest.mark.parametrize("n", [5, 7, 12, 20, 30, 50, 150])
+def test_the_even_descent_costs_no_more_than_the_full_one(n, monkeypatch):
+    # the default run descends the even constant start in its even
+    # coefficients; against the same start descended in every coefficient
+    # under the same stop, it makes no more solves (66 against 72 at n = 5,
+    # 53 against 121 at n = 150), reads product - 1 within 0.1 % and
+    # returns an even q
+    cfg = OptimizerConfig(n=n, k=2)
+    res = minimize(cfg)
+    space = optimizer._space
+    monkeypatch.setattr(optimizer, "_space", lambda setup, even: space(setup, even=False))
+    full = minimize(cfg)
+    assert res.traces[0].pencil_solves <= full.traces[0].pencil_solves
+    excess = full.diagnostics["attainment_product"] - 1
     assert res.diagnostics["attainment_product"] - 1 <= 1.001 * excess
     assert not res.best.coeffs[1::2].any()
 
@@ -222,9 +223,7 @@ def test_default_product_is_no_worse_than_steepest_descent(n, excess, request):
     assert res.diagnostics["attainment_product"] - 1 <= excess
 
 
-@pytest.mark.parametrize(
-    "n, k", [(5, 2), (12, 2), (20, 2), (12, 1), (12, 3)], ids=["5", "12", "20", "12-k1", "12-k3"]
-)
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 2), (20, 2), (12, 1)], ids=["5", "12", "20", "12-k1"])
 def test_default_starts_return_the_eight_start_winner(n, k, request):
     # the two-bubble and six seeded random starts never win: the default
     # descends the constant start alone and returns the same bits
@@ -302,21 +301,18 @@ def test_a_rejected_trial_shrinks_the_step(t, slope, J, rise, bad):
     assert _backtrack(t, slope, J, bad) == 0.5 * t
 
 
-@pytest.mark.parametrize(
-    "n, status", [(5, "objective-stalled"), (20, "gradient-converged"), (50, "objective-stalled")],
-    ids=["5", "20", "50"],
-)
-def test_default_descent_stops_on_a_stalled_objective(n, status):
-    # the default stops before the cap at the first state whose objective
-    # fell by at most STALL_TOL relative over the last STALL_WINDOW states;
-    # at n = 20 the gradient test stops it first, before any state stalled
-    cfg = OptimizerConfig(n=n, k=2)
-    (tr,) = minimize(cfg).traces
-    assert tr.status == status
-    assert len(tr.objectives) <= cfg.max_iters
-    J = tr.objectives
-    stalled = [J[i - STALL_WINDOW] - J[i] <= STALL_TOL * abs(J[i]) for i in range(STALL_WINDOW, len(J))]
-    assert stalled[-1] == (status == "objective-stalled") and not any(stalled[:-1])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 12, 20, 30, 50, 150, 258, 334])
+def test_default_descent_stops_on_its_stationarity(n):
+    # the default stops at the first state whose |g| |c| / lambda_bar_k is
+    # at most GRAD_TOL, a test that reads the same in every dimension, and
+    # the trace reports that measure of the state it returns; at n = 6 the
+    # descent needs 69 steps and ends on the cap of 60
+    res = minimize(OptimizerConfig(n=n, k=2))
+    (tr,) = res.traces
+    assert tr.status == ("max-iters" if n == 6 else "gradient-converged")
+    assert (tr.stationarity <= GRAD_TOL) == (tr.status == "gradient-converged")
+    cnorm = np.linalg.norm(res.best.coeffs)
+    assert tr.stationarity == pytest.approx(tr.grad_norms[-1] * cnorm / tr.objectives[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("stall, max_iters", [(10, 30), (29, 30)], ids=["mid-descent", "at-cap"])
@@ -447,6 +443,8 @@ def test_restarts_are_run_exactly():
         OptimizerConfig(n=12, restarts=0)
     with pytest.raises(ValueError, match=r"max_iters \(--iterations\) must be >= 0, got -3"):
         OptimizerConfig(n=12, max_iters=-3)
+    with pytest.raises(ValueError, match="k must be 1 or 2, got 3"):
+        OptimizerConfig(n=12, k=3)
 
 
 def test_too_few_quadrature_nodes_are_refused_before_the_descent(monkeypatch):

@@ -574,6 +574,27 @@ def test_flat_spectrum_takes_the_dense_fallback(monkeypatch):
     assert served == [False, False]
 
 
+def test_a_rank_two_mass_breaks_the_krylov_space_down(monkeypatch):
+    # a density nonzero at two nodes has a mass form of rank 2: the first
+    # product with C already spans its range, so the second block loses
+    # rank and the Krylov solve gives up there, on its second QR; the dense
+    # eigh serves the pairs, with its own bits
+    setup = round_setup(12, q=400, L=160)
+    values = np.zeros(len(setup.rule.nodes))
+    values[[100, 250]] = 1.0
+    B = mass_from_values(setup.rule, setup.basis.table, values, setup.coeffs.N)
+    assert np.linalg.matrix_rank(B) == 2
+    served, qrs = _krylov_served(monkeypatch), []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda X: qrs.append(X.shape) or qr(X))
+    lams, V = pencil_eigen(setup.A_diag, B, 2)
+    lams_ref, V_ref = _dense_pencil_eigen(setup.A_diag, B, 2)
+    assert lams.tobytes() == lams_ref.tobytes()
+    assert np.ascontiguousarray(V).tobytes() == np.ascontiguousarray(V_ref).tobytes()
+    assert served == [False]
+    assert qrs == [(161, 4)] * 2
+
+
 def test_minimax_over_plane_matches_scipy(setup5):
     rng = np.random.default_rng(8)
     u = random_density(setup5.basis, setup5.coeffs.N, rng)

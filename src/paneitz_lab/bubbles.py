@@ -248,10 +248,12 @@ def lemma3_bound(
     2x2 mass, from the node values of u_eps, v_eps and the constant, so
     no (L+1)x(L+1) mass form is assembled.  mu1 must be positive and
     finite: it is a first eigenvalue invariant, and the bound means
-    nothing otherwise.  A non-finite bound is refused.
+    nothing otherwise.  A non-finite bound or an empty eps grid is refused.
     """
     if not 0.0 < best_mu1 < math.inf:
         raise ValueError(f"mu1 must be positive and finite, got {best_mu1}")
+    if len(eps_grid) == 0:
+        raise ValueError("eps_grid is empty: the bound needs at least one eps")
     setup = round_setup(n, q=q, L=L)
     coeffs = setup.coeffs
     N = coeffs.N

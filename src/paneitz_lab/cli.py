@@ -4,11 +4,12 @@ Each invocation resolves to one ExperimentConfig (flat key=value file plus
 command-line overrides), runs one subcommand, and persists a RunRecord as
 runs/<config-hash>/record.json; minimize adds its per-state descent trace as
 trace.csv.  COMMAND_KEYS names the keys each subcommand reads besides n;
-with n they alone make its config hash and the config in its record.
-record.json is a pure function of the config — timestamps and wall-clock
-data go to a sibling meta.json so identical configs produce byte-identical
-records.  numpy is imported by the runners that compute with arrays, never
-here, so `coeffs` and `report` start without it.
+with n they alone make its config hash and the config in its record, and
+no command reads --seed.  record.json is a pure function of the config —
+timestamps and wall-clock data go to a sibling meta.json so identical
+configs produce byte-identical records.  numpy is imported by the runners
+that compute with arrays, never here, so `coeffs` and `report` start
+without it.
 """
 
 import argparse
@@ -39,7 +40,7 @@ class ExperimentConfig:
     L_opt: int = 16
     restarts: int = 1
     iterations: int = 60
-    seed: int = 0
+    seed: int = 0             # read by nothing, see _COMMON_KEYS
     eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)  # bubbles.DEFAULT_EPS_GRID
     density: typing.Literal["const", "two-bubble"] = "const"
     mu1: float = 0.0          # 0 means "use the oracle"
@@ -106,17 +107,17 @@ class ExperimentConfig:
 
 
 # keys each subcommand reads besides n; every subcommand also takes --n,
-# --seed and --out, so a seed passed to every command is checked everywhere,
-# and only minimize reads (and hashes) it
+# --seed and --out, and none of them reads (or hashes) the seed
 COMMAND_KEYS = {
     "coeffs": ("S",),
     "spectrum": ("q", "L", "k", "density"),
-    "minimize": ("q", "L", "k", "L_opt", "restarts", "iterations", "seed"),
+    "minimize": ("q", "L", "k", "L_opt", "restarts", "iterations"),
     "bubble-sweep": ("q", "eps_grid"),
     "lemma3-bound": ("q", "L", "eps_grid", "mu1"),
     "audit": ("q", "L"),
     "report": (),
 }
+# seed is read by nothing: kept, checked >= 0, as perfbench/workloads.py passes it
 _COMMON_KEYS = ("n", "seed", "out")
 
 
@@ -124,7 +125,6 @@ class RunRecord(typing.NamedTuple):
     config_hash: str
     version: str
     payload: dict
-    seed: int | None          # None for a command that reads no seed
     config: dict
 
 
@@ -182,10 +182,9 @@ def _density_for(config: ExperimentConfig, setup):
 
     if config.density == "const":
         return constant_density(setup.basis, setup.coeffs.N)
-    from .optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
+    from .optimizer import two_bubble_initializer
 
-    q = two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis)
-    return density_from_sqrt_field(q, setup.coeffs.N)
+    return density_from_sqrt_field(two_bubble_initializer(setup.basis), setup.coeffs.N)
 
 
 def _run_spectrum(config: ExperimentConfig):
@@ -222,7 +221,6 @@ def _run_minimize(config: ExperimentConfig):
             L_opt=config.L_opt,
             restarts=config.restarts,
             max_iters=config.iterations,
-            seed=config.seed,
             q_nodes=config.q,
             L_final=config.L,
         )
@@ -324,13 +322,11 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
     t0 = time.perf_counter()
     payload, summary, *trace = runner(config)  # only minimize returns a trace table
     t1 = time.perf_counter()
-    settings = config.settings()
     record = RunRecord(
         config_hash=config.config_hash,
         version=ARTIFACT_VERSION,
         payload=_jsonify(payload),
-        seed=settings.get("seed"),
-        config=_jsonify(settings),
+        config=_jsonify(config.settings()),
     )
     doc = {"schema": SCHEMA, **record._asdict()}
     # a NaN or Infinity is refused here, before the run directory exists
@@ -397,7 +393,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
         rows.append(row)
     if not rows:
         print("no runs found under", root)
-        return RunRecord(config.config_hash, ARTIFACT_VERSION, payload={}, seed=None, config={})
+        return RunRecord(config.config_hash, ARTIFACT_VERSION, payload={}, config={})
     keys = sorted({k for r in rows for k in r})
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -405,7 +401,7 @@ def _run_report(config: ExperimentConfig) -> RunRecord:
     (report_dir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     for r in rows:
         print("  ".join(f"{k}={r[k]}" for k in keys if k in r and r[k] is not None))
-    return RunRecord(config.config_hash, ARTIFACT_VERSION, payload=doc, seed=None, config={})
+    return RunRecord(config.config_hash, ARTIFACT_VERSION, payload=doc, config={})
 
 
 RUNNERS = {
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in COMMAND_KEYS.items():
         p = sub.add_parser(name, help=RUNNERS[name].__doc__)
-        for key in dict.fromkeys((*_COMMON_KEYS, *keys)):  # --seed once for minimize
+        for key in (*_COMMON_KEYS, *keys):
             p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 

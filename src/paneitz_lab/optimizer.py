@@ -25,7 +25,6 @@ from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # stationarity |g| |c| / lambda_bar_k at which a descent stops
 INIT_EPS = 0.1      # bubble scale of the two-bubble start
-INIT_SPLIT = 0.5    # its north-pole mass fraction
 
 
 class DegenerateGapError(RuntimeError):
@@ -40,7 +39,7 @@ class OptimizerConfig:
         L_opt: int = 16,
         restarts: int = 1,
         max_iters: int = 60,
-        seed: int = 0,
+        seed: int = 0,  # read by nothing; kept only because perfbench/workloads.py passes it
         q_nodes: int = 200,
         L_final: int = 48,
     ):
@@ -49,7 +48,6 @@ class OptimizerConfig:
         self.L_opt = L_opt
         self.restarts = restarts
         self.max_iters = max_iters
-        self.seed = seed
         self.q_nodes = q_nodes
         self.L_final = L_final
         if self.n < 5:
@@ -63,8 +61,8 @@ class OptimizerConfig:
             raise ValueError(
                 f"need q_nodes > L_final (aliasing), got q_nodes = {self.q_nodes}, L_final = {self.L_final}"
             )
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.restarts not in (1, 2):
+            raise ValueError(f"restarts must be 1 or 2, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters (--iterations) must be >= 0, got {self.max_iters}")
 
@@ -209,29 +207,21 @@ def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
     return _eig_gradient(qvals, _node_values(V[..., k - 1], space), lam[k - 1], space)
 
 
-def two_bubble_initializer(eps: float, split: float, basis: ZonalBasis) -> ZonalField:
-    """q from sqrt-bubble profiles at the two poles, projected to the basis.
-
-    split is the mass fraction at the north pole; split = 1 gives a single
-    bubble, eps large flattens toward the constant.  An equal split is even,
-    and its odd coefficients, rounding error, are dropped, so that it
-    descends as an even start.
-    """
-    if not 0 <= split <= 1:
-        raise ValueError("split must lie in [0, 1]")
+def two_bubble_initializer(basis: ZonalBasis) -> ZonalField:
+    """q from sqrt-bubble profiles of scale INIT_EPS at the two poles, with
+    equal mass at each, projected to the basis.  It is even, and its odd
+    coefficients, rounding error, are dropped, so that it descends as an
+    even start."""
     from .bubbles import BubbleSpec, bubble_profile  # only this start needs it
 
-    n = basis.n
-    theta = basis.rule.theta
+    n, theta = basis.n, basis.rule.theta
     # sqrt of the bubble density profile: exponent (n-4)/4 in q-space
-    phi_n, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="north"), n)
-    phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="south"), n)
-    qvals = math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s)
-    c = analyze(basis, qvals).coeffs
-    if split == 0.5:
-        c[1::2] = 0.0
-    N = _critical_exponent(n)
-    return ZonalField(basis, _renormalize(c, basis, N))
+    phi_n, _, _ = bubble_profile(theta, BubbleSpec(eps=INIT_EPS, center="north"), n)
+    phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=INIT_EPS, center="south"), n)
+    h = math.sqrt(0.5)
+    c = analyze(basis, h * np.sqrt(phi_n) + h * np.sqrt(phi_s)).coeffs
+    c[1::2] = 0.0
+    return ZonalField(basis, _renormalize(c, basis, _critical_exponent(n)))
 
 
 def _backtrack(t: float, slope: float, J: float, J_try: float) -> float:
@@ -338,28 +328,19 @@ def _descend(
 
 
 def _starts(config: OptimizerConfig, setup: SphereSetup) -> list[tuple[str, ZonalField]]:
-    """The first config.restarts of: the constant, the antipodal two-bubble
-    configuration, then seeded random coefficient draws; the descent
-    normalizes them.  The two-bubble start is built only when it is
-    descended, and the seed is read only when a random start is drawn."""
-    basis = setup.basis
-    constant = np.zeros(basis.dim)
+    """The constant and, with config.restarts = 2, the antipodal two-bubble
+    configuration, which is built only then; both are even, and the descent
+    normalizes them."""
+    constant = np.zeros(setup.basis.dim)
     constant[0] = 1.0
-    starts = [("constant", ZonalField(basis, constant))]
-    if config.restarts >= 2:
-        starts.append(("two-bubble", two_bubble_initializer(INIT_EPS, INIT_SPLIT, basis)))
-    if config.restarts > len(starts):
-        rng = np.random.default_rng(config.seed)  # imports numpy.random
-        decay = 0.5 ** np.arange(basis.dim)
-        for i in range(config.restarts - len(starts)):
-            c = rng.standard_normal(basis.dim) * decay
-            c[0] += 1.0  # bias away from heavily degenerate densities
-            starts.append((f"random-{i}", ZonalField(basis, c)))
+    starts = [("constant", ZonalField(setup.basis, constant))]
+    if config.restarts == 2:
+        starts.append(("two-bubble", two_bubble_initializer(setup.basis)))
     return starts
 
 
 def minimize(config: OptimizerConfig) -> MinimizeResult:
-    """Multi-start descent; returns the best density with full traces.
+    """Descent from each start; returns the best density with full traces.
 
     Each start (see _starts) descends on its own.  The winner is the
     restart whose trace ends lowest; it is re-evaluated on the finer L_final

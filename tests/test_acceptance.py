@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, two_bubble_field
 from paneitz_lab.einstein import (
     EinsteinData,
     derive_coefficients,
@@ -221,12 +221,11 @@ def test_criterion_10_nodal_diagnostics(minimize12):
     profile = nodal_profile(w_t, u_t, v_t)
     assert profile.sign_changes >= 1
     assert abs(profile.weighted_orthogonality) <= 1e-8
-    u_0, _, w_0 = second_pair(two_bubble_initializer(0.1, 0.5, setup.basis))
+    u_0, _, w_0 = second_pair(two_bubble_initializer(setup.basis))
     assert fixed_point_residual(w_t, u_t) < fixed_point_residual(w_0, u_0)
 
 
 def test_criterion_11_refined_inequality_audit():
-    from paneitz_lab.optimizer import two_bubble_initializer
     from paneitz_lab.sobolev import refined_inequality_ratio
     from paneitz_lab.spectral import density_from_sqrt_field
     from paneitz_lab.zonal import constant_field
@@ -241,7 +240,7 @@ def test_criterion_11_refined_inequality_audit():
     for n in (5, 12):
         setup = round_setup(n, q=200, L=16)
         for eps in (0.1, 0.15, 0.2):
-            p = two_bubble_initializer(eps, 0.5, setup.basis)
+            p = two_bubble_field(setup.basis, eps, 0.5)
             u = density_from_sqrt_field(p, setup.coeffs.N)
             report = refined_inequality_ratio(u, constant_field(setup.basis), setup.coeffs)
             assert report.details["lam2_form_ratio"] >= 1.0
@@ -259,7 +258,7 @@ def test_criterion_13_record_determinism(tmp_path):
     from paneitz_lab.cli import ExperimentConfig, dispatch
 
     config = ExperimentConfig(
-        command="minimize", n=12, k=2, restarts=2, iterations=20, seed=3, out=str(tmp_path)
+        command="minimize", n=12, k=2, restarts=2, iterations=20, out=str(tmp_path)
     )
     dispatch(config)
     record = tmp_path / config.config_hash / "record.json"

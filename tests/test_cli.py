@@ -90,7 +90,7 @@ def test_descent_defaults_have_one_value():
     parameters = inspect.signature(OptimizerConfig).parameters
     defaults = {name: p.default for name, p in parameters.items()}
     config = ExperimentConfig(command="minimize")
-    names = {"k": "k", "L_opt": "L_opt", "restarts": "restarts", "seed": "seed",
+    names = {"k": "k", "L_opt": "L_opt", "restarts": "restarts",
              "iterations": "max_iters", "q": "q_nodes", "L": "L_final"}
     assert {key: getattr(config, key) for key in names} == {
         key: defaults[name] for key, name in names.items()
@@ -115,7 +115,7 @@ def test_minimize_record_ends_on_its_trace(out_root, iterations):
     # terminal value is its last row, iterations counts the steps between
     # its rows, and the winner's terminal value is best_objective
     record = dispatch(
-        ExperimentConfig(command="minimize", n=12, restarts=8, iterations=iterations)
+        ExperimentConfig(command="minimize", n=12, restarts=2, iterations=iterations)
     )
     with open(out_root / record.config_hash / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -210,14 +210,29 @@ def test_negative_seed_is_refused_by_the_api(typed):
 
 
 def test_seed_is_hashed_only_where_it_is_read(out_root):
-    # spectrum reads no seed: two seeds are one run with one record
-    for seed in ("0", "1"):
-        assert main(["spectrum", "--n", "5", "--seed", seed]) == 0
-    (record,) = out_root.glob("*/record.json")
-    assert json.loads(record.read_text())["seed"] is None
-    # minimize alone reads it; audit draws no random number
-    assert ExperimentConfig("minimize", seed=1).config_hash != ExperimentConfig("minimize").config_hash
-    assert ExperimentConfig("audit", seed=1).config_hash == ExperimentConfig("audit").config_hash
+    # no command reads the seed: two seeds are one run with one record, which
+    # holds no seed
+    for argv in (["spectrum", "--n", "5"], ["minimize", "--n", "5", "--iterations", "0"]):
+        for seed in ("0", "1"):
+            assert main([*argv, "--seed", seed]) == 0
+    records = sorted(out_root.glob("*/record.json"))
+    assert len(records) == 2
+    for record in records:
+        doc = json.loads(record.read_text())
+        assert "seed" not in doc and "seed" not in doc["config"]
+
+
+def test_the_readme_cli_examples_run(tmp_path):
+    # each line of the README's CLI example runs as written, so an example
+    # that the guards refuse fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [argv for argv in (line.split("#", 1)[0].split() for line in block.splitlines()) if argv]
+    assert {argv[0] for argv in lines} == {"paneitz-lab"}
+    assert {argv[1] for argv in lines} == set(RUNNERS)
+    for argv in lines:
+        assert main([*argv[1:], "--out", str(tmp_path)]) == 0, argv
 
 
 def test_out_flag_alone_sets_the_output_root(tmp_path, monkeypatch):
@@ -237,9 +252,9 @@ def test_each_subparser_takes_only_its_keys():
         options = {a.dest for a in sub._actions} - {"help"}
         assert options == {"n", "seed", "out", *COMMAND_KEYS[name]}, name
         assert options <= fields
-        # --seed is taken by every command, but hashed only where it is read
+        # --seed is taken by every command, but read and hashed by none
         assert set(ExperimentConfig(command=name).settings()) == {"command", "n", *COMMAND_KEYS[name]}
-    assert [name for name, keys in COMMAND_KEYS.items() if "seed" in keys] == ["minimize"]
+    assert [name for name, keys in COMMAND_KEYS.items() if "seed" in keys] == []
 
 
 def test_key_read_only_by_another_command_leaves_hash_unchanged(tmp_path):
@@ -260,7 +275,6 @@ def test_coeffs_off_the_round_sphere(out_root):
     assert doc["payload"]["alpha"] == pytest.approx(8.25)
     assert doc["payload"]["S"] == 30.0
     assert doc["config"] == {"command": "coeffs", "n": 5, "S": 30.0}
-    assert doc["seed"] is None
 
 
 def test_round_is_refused(tmp_path, capsys):
@@ -283,7 +297,7 @@ def test_round_is_refused(tmp_path, capsys):
         ("", ["coeffs", "--n", "343"], "error: dimension n = 343 is too large"),
         ("command = coeffs\n", ["coeffs"], "unknown key 'command'"),
         ("", ["spectrum", "--n", "5", "--density", "fancy"], "invalid value for density: 'fancy'"),
-        ("", ["minimize", "--n", "5", "--restarts", "0"], "error: restarts must be >= 1, got 0"),
+        ("", ["minimize", "--n", "5", "--restarts", "0"], "error: restarts must be 1 or 2, got 0"),
         (
             "",
             ["minimize", "--n", "5", "--iterations", "-3"],
@@ -404,6 +418,8 @@ def test_round_is_refused(tmp_path, capsys):
             ["lemma3-bound", "--n", "20", "--mu1", "1e300"],
             "error: the two-plane bound at n=20, eps=0.05 is not finite (nan)",
         ),
+        ("", ["minimize", "--n", "5", "--restarts", "3"], "error: restarts must be 1 or 2, got 3"),
+        ("restarts = 8\n", ["minimize", "--n", "5"], "error: restarts must be 1 or 2, got 8"),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -411,6 +427,15 @@ def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
     cfg_file.write_text(cfg)
     with pytest.raises(SystemExit, match=re.escape(message)):
         main(["--config", str(cfg_file), *argv])
+    assert not out_root.exists()
+
+
+def test_an_empty_eps_grid_is_refused_by_name(out_root):
+    # the API takes eps_grid=(), which lemma3-bound refuses by name, not in
+    # numpy's argmin, before the run directory exists
+    message = "eps_grid is empty: the bound needs at least one eps"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dispatch(ExperimentConfig(command="lemma3-bound", n=12, eps_grid=()))
     assert not out_root.exists()
 
 
@@ -470,8 +495,7 @@ def test_record_payload_keys(out_root, command):
         {"trace.csv"} if command == "minimize" else set()
     )
     doc = json.loads((run_dir / "record.json").read_text())
-    assert set(doc) == {"schema", "config_hash", "version", "payload", "seed", "config"}
-    assert doc["seed"] == (0 if command == "minimize" else None)
+    assert set(doc) == {"schema", "config_hash", "version", "payload", "config"}
     assert set(doc["payload"]) == PAYLOAD_KEYS[command]
     if command == "coeffs":
         assert set(doc["payload"]["sharp_constant"]) == {
@@ -653,7 +677,7 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
 
 def test_commands_run_without_dataclasses(tmp_path):
     # no module of the package builds a dataclass, numpy.random is read only
-    # for a random start or a Krylov solve, and numpy.ma not at all: with the
+    # for a Krylov solve, and numpy.ma not at all: with the
     # three blocked, the seven commands of the cli-cold benchmark write the
     # same bytes as an unblocked run, and coeffs and report load no inspect
     code = """

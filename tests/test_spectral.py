@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 
 import paneitz_lab.spectral as spectral
 import paneitz_lab.zonal as zonal
-from conftest import random_density
+from conftest import random_density, two_bubble_field
 from paneitz_lab.einstein import sharp_constant_oracle, sphere_volume
 from paneitz_lab.spectral import (
     ConformalDensity,
@@ -104,9 +104,9 @@ def test_singular_density_matches_the_dense_solve(setup5):
     # the two-bubble density of `spectrum --density two-bubble` at n = 5 has
     # a B whose smallest eigenvalues are round-off; its eigenvalues are those
     # of the dense solve of that same B, with no regularization added to it
-    from paneitz_lab.optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
+    from paneitz_lab.optimizer import two_bubble_initializer
 
-    q = two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup5.basis)
+    q = two_bubble_initializer(setup5.basis)
     u = density_from_sqrt_field(q, setup5.coeffs.N)
     B = assemble_mass(u, setup5.basis)
     assert np.linalg.eigvalsh(B)[0] <= 1e-15 * np.trace(B)
@@ -291,7 +291,7 @@ def test_large_mass_is_the_symmetric_product(n):
     # above the gate the form is exactly symmetric, and within 16 ulp of
     # max|B| of the general product (measured: <= 8 ulp for the constant
     # density, 10 for the random one and 11 for the two-bubble one)
-    from paneitz_lab.optimizer import INIT_EPS, INIT_SPLIT, two_bubble_initializer
+    from paneitz_lab.optimizer import two_bubble_initializer
 
     setup = round_setup(n, q=1600, L=400)
     assert setup.basis.dim >= spectral.KRYLOV_MIN_DIM
@@ -299,9 +299,7 @@ def test_large_mass_is_the_symmetric_product(n):
     densities = {
         "constant": constant_density(setup.basis, N),
         "random": random_density(setup.basis, N, np.random.default_rng(n)),
-        "two-bubble": density_from_sqrt_field(
-            two_bubble_initializer(INIT_EPS, INIT_SPLIT, setup.basis), N
-        ),
+        "two-bubble": density_from_sqrt_field(two_bubble_initializer(setup.basis), N),
     }
     for name, u in densities.items():
         B = mass_from_values(setup.rule, setup.basis.table, u.values, u.N)
@@ -316,7 +314,7 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
     # product over all of them: the asymmetric two-bubble density has a
     # large even-odd block, and the odd q puts a node at x = 0 (measured:
     # <= 27 ulp of max|B|, at n = 5 for the random density)
-    from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
+    from paneitz_lab.optimizer import INIT_EPS
 
     setup = round_setup(n, q=q, L=L)
     assert setup.basis.dim >= spectral.KRYLOV_MIN_DIM
@@ -324,7 +322,7 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
     densities = {
         "constant": constant_density(setup.basis, N),
         "random": random_density(setup.basis, N, np.random.default_rng(n)),
-        "two-bubble": density_from_sqrt_field(two_bubble_initializer(INIT_EPS, 0.3, setup.basis), N),
+        "two-bubble": density_from_sqrt_field(two_bubble_field(setup.basis, INIT_EPS, 0.3), N),
     }
     for name, u in densities.items():
         B = mass_from_values(setup.rule, setup.basis.table, u.values, N)
@@ -509,7 +507,7 @@ def test_top_k_kernel_matches_the_dense_solve(n, monkeypatch):
     # large pencils take the top-k path; the dense eigh of the same C is the
     # reference, on densities with distinct, near-degenerate (the two-bubble
     # lambda_2, lambda_3) and singular-B spectra
-    from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
+    from paneitz_lab.optimizer import two_bubble_initializer
 
     served, expected = _krylov_served(monkeypatch), []
     rng = np.random.default_rng(30 + n)
@@ -520,7 +518,7 @@ def test_top_k_kernel_matches_the_dense_solve(n, monkeypatch):
         densities = {
             "constant": constant_density(setup.basis, N),
             "random": random_density(setup.basis, N, rng),
-            "two-bubble": density_from_sqrt_field(two_bubble_initializer(INIT_EPS, 0.5, setup.basis), N),
+            "two-bubble": density_from_sqrt_field(two_bubble_initializer(setup.basis), N),
             "singular": ConformalDensity(setup.basis, half, N).normalize(),
         }
         for name, u in densities.items():

@@ -37,13 +37,11 @@ class ExperimentConfig:
     L: int = 48
     q: int = 200
     k: int = 2
-    L_opt: int = 16
     restarts: int = 1
     iterations: int = 60
     seed: int = 0             # read by nothing, see _COMMON_KEYS
     eps_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.15, 0.2)  # bubbles.DEFAULT_EPS_GRID
     density: typing.Literal["const", "two-bubble"] = "const"
-    mu1: float = 0.0          # 0 means "use the oracle"
     out: str = "runs"         # output root; in neither the hash nor the record
 
     def __init__(self, command: str, **values):
@@ -64,20 +62,15 @@ class ExperimentConfig:
         for key, low in (("seed", 0), ("L", 0), ("q", 2), ("k", 1)):
             if getattr(self, key) < low:
                 raise SystemExit(f"invalid value for {key}: {getattr(self, key)!r} (must be >= {low})")
-        # audit's two eigenvalues and lemma3-bound's plane need two basis functions
-        if self.command in ("audit", "lemma3-bound") and self.L < 1:
-            raise SystemExit(f"invalid value for L: {self.L} (must be >= 1)")
+        # audit's two eigenvalues and lemma3-bound's plane need two basis
+        # functions, and minimize's k = 2 descent reads three eigenvalues
+        least_L = {"audit": 1, "lemma3-bound": 1, "minimize": 2}.get(self.command, 0)
+        if self.L < least_L:
+            raise SystemExit(f"invalid value for L: {self.L} (must be >= {least_L})")
         if self.command == "spectrum" and self.k > self.L + 1:
             raise SystemExit(f"invalid value for k: {self.k} (must be <= L + 1 = {self.L + 1})")
-        if self.command == "minimize" and not 2 <= self.L_opt <= self.L:
-            raise SystemExit(f"invalid value for L_opt: {self.L_opt} (must be 2 <= L_opt <= L = {self.L})")
         if {"q", "L"} <= set(COMMAND_KEYS[self.command]) and self.q <= self.L:
             raise SystemExit(f"invalid value for q: {self.q} (must be > L = {self.L})")
-        self.mu1 = float(self.mu1)
-        if not 0 <= self.mu1 < math.inf:
-            raise SystemExit(
-                f"invalid value for mu1: {self.mu1!r} (must be finite and >= 0; 0 means the oracle)"
-            )
         self.eps_grid = tuple(map(float, self.eps_grid))
         if not all(map(math.isfinite, self.eps_grid)):
             raise SystemExit(f"invalid value for eps_grid: {self.eps_grid!r} (entries must be finite)")
@@ -111,9 +104,9 @@ class ExperimentConfig:
 COMMAND_KEYS = {
     "coeffs": ("S",),
     "spectrum": ("q", "L", "k", "density"),
-    "minimize": ("q", "L", "k", "L_opt", "restarts", "iterations"),
+    "minimize": ("q", "L", "k", "restarts", "iterations"),
     "bubble-sweep": ("q", "eps_grid"),
-    "lemma3-bound": ("q", "L", "eps_grid", "mu1"),
+    "lemma3-bound": ("q", "L", "eps_grid"),
     "audit": ("q", "L"),
     "report": (),
 }
@@ -218,7 +211,6 @@ def _run_minimize(config: ExperimentConfig):
         OptimizerConfig(
             n=config.n,
             k=config.k,
-            L_opt=config.L_opt,
             restarts=config.restarts,
             max_iters=config.iterations,
             q_nodes=config.q,
@@ -278,7 +270,7 @@ def _run_lemma3_bound(config: ExperimentConfig):
     from .bubbles import lemma3_bound
     from .einstein import sharp_constant_oracle
 
-    mu1 = config.mu1 if config.mu1 > 0 else sharp_constant_oracle(config.n)
+    mu1 = sharp_constant_oracle(config.n)  # the round sphere's first invariant
     rep = lemma3_bound(config.n, mu1, config.eps_grid, q=config.q, L=config.L)
     payload = {"mu1": mu1, **rep._asdict()}
     summary = f"best bound {rep.best_bound:.8g} vs target {rep.rhs:.8g} (ratio {rep.ratio:.6g})"

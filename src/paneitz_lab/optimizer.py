@@ -24,6 +24,7 @@ from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # stationarity |g| |c| / lambda_bar_k at which a descent stops
+L_OPT = 16          # degree of the descended q, capped at L_final
 INIT_EPS = 0.1      # bubble scale of the two-bubble start
 
 
@@ -32,11 +33,13 @@ class DegenerateGapError(RuntimeError):
 
 
 class OptimizerConfig:
+    """The settings of one descent.  q descends at the derived degree
+    L_opt = min(L_OPT, L_final) and is re-evaluated at L_final."""
+
     def __init__(
         self,
         n: int,
         k: int = 2,
-        L_opt: int = 16,
         restarts: int = 1,
         max_iters: int = 60,
         seed: int = 0,  # read by nothing; kept only because perfbench/workloads.py passes it
@@ -45,18 +48,18 @@ class OptimizerConfig:
     ):
         self.n = n
         self.k = k
-        self.L_opt = L_opt
         self.restarts = restarts
         self.max_iters = max_iters
         self.q_nodes = q_nodes
         self.L_final = L_final
+        self.L_opt = min(L_OPT, L_final)
         if self.n < 5:
             raise ValueError("dimension must be >= 5")
         # a k >= 3 descent ends on line-search details, not near a stationary point
         if self.k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {self.k}")
-        if self.L_opt < 2 or self.L_opt > self.L_final:
-            raise ValueError(f"need 2 <= L_opt <= L_final, got L_opt = {self.L_opt}, L_final = {self.L_final}")
+        if self.L_final < 2:
+            raise ValueError(f"need L_final >= 2, got L_final = {self.L_final}")
         if self.q_nodes <= self.L_final:
             raise ValueError(
                 f"need q_nodes > L_final (aliasing), got q_nodes = {self.q_nodes}, L_final = {self.L_final}"

@@ -68,13 +68,13 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 
 
 # A pencil of at least this dimension is large: it is solved by
-# ``_block_krylov``, a smaller one by a full eigh, and its mass form is
-# summed over the mirror half of the rule (``_mirror_mass``).  Measured
-# crossovers (one pinned CPU, one BLAS thread):
+# ``_block_krylov``, a smaller one by a full eigh, and ``assemble_mass`` sums
+# its mass form over the mirror half of the rule (``_mirror_mass``).
+# Measured crossovers (one pinned CPU, one BLAS thread):
 # - solve (n = 12, a smooth random density, k = 2): eigh 1.8 ms against
 #   2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
 #   against 2.4 ms at 193 and 20 against 5.6 ms at 401;
-# - mass form, the whole ``mass_from_values`` at n = 12: the mirror sum takes
+# - mass form, the whole ``assemble_mass`` at n = 12: the mirror sum takes
 #   4.6 ms against 12.4 ms for the general product (gemm) and 7.3 ms for the
 #   symmetric product X X^T over every node (syrk) on a 401x1600 table, 1.2
 #   against 2.6 ms on 151x1600, 52-60 against 53-55 us on 49x200, and 22-31
@@ -86,23 +86,11 @@ KRYLOV_MIN_DIM = 150
 def mass_from_values(
     rule: QuadratureRule, table: np.ndarray, values: np.ndarray, N: float
 ) -> np.ndarray:
-    """M_ab = Sum_j w_j u^(N-2)(x_j) f_a(x_j) f_b(x_j) from the node values
-    of u and of the functions f_a, the rows of table, unvalidated; the one
-    home of the mass formula.  The basis table gives the full form B(u),
-    the node values of a few fields the form restricted to their span.
-
-    A table of ``KRYLOV_MIN_DIM`` rows or more is summed over the nonnegative
-    nodes alone (``_mirror_mass``), a quarter of the general product's
-    multiply-adds, and gives an exactly symmetric form.  That branch needs a
-    basis table on a mirrored rule: row l must be Z_l, of parity (-1)^l, on
-    nodes and weights that are exactly symmetric about x = 0, as
-    ``build_quadrature`` and ``build_basis`` make them.  A stack of tables,
-    such as the parity sectors of a basis on the nonnegative half of the
-    rule, gives the stack of their forms, each by the general product."""
-    wdens = rule.weights * values ** (N - 2)
-    if table.ndim == 2 and len(table) >= KRYLOV_MIN_DIM:
-        return _mirror_mass(table, wdens)
-    return (table * wdens) @ table.mT
+    """M_ab = Sum_j w_j u^(N-2)(x_j) f_a(x_j) f_b(x_j), unvalidated, from the
+    node values of u and of the rows f_a of table: of the basis, the full
+    form B(u); of a few fields, its restriction to their span; of a stack
+    of tables, such as the parity sectors, the stack of their forms."""
+    return (table * (rule.weights * values ** (N - 2))) @ table.mT
 
 
 def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
@@ -134,13 +122,21 @@ def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
 
 
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
-    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD."""
+    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD.
+
+    From ``KRYLOV_MIN_DIM`` basis functions on, the sum runs over the
+    nonnegative nodes alone (``_mirror_mass``), a quarter of the general
+    product's multiply-adds, and is exactly symmetric; it needs the mirrored
+    rule and rows of ``build_quadrature`` and ``build_basis``, which the node
+    values of arbitrary fields lack."""
     if u.basis is not basis and u.basis.n != basis.n:
         raise ValueError("density and basis dimensions disagree")
     if u.values.shape != basis.rule.nodes.shape:
         raise ValueError(
             f"density lives on {len(u.values)} nodes, basis on {len(basis.rule.nodes)}"
         )
+    if basis.dim >= KRYLOV_MIN_DIM:
+        return _mirror_mass(basis.table, basis.rule.weights * u.values ** (u.N - 2))
     return mass_from_values(basis.rule, basis.table, u.values, u.N)
 
 

@@ -163,11 +163,16 @@ def test_lemma3_target_is_the_round_pair_value(n):
     assert rhs == pytest.approx(((3.0 * K) ** (n / 4) + K ** (n / 4)) ** (4 / n), rel=1e-13)
 
 
-@pytest.mark.parametrize("mu1", [-1.0, 0.0, math.nan, math.inf])
-def test_lemma3_bound_refuses_a_meaningless_mu1(mu1):
-    # mu1 = -1 and 0 once gave ratios 1149 and 1072 at n = 12, without an error
-    with pytest.raises(ValueError, match="mu1"):
-        lemma3_bound(12, mu1, DEFAULT_EPS_GRID)
+@pytest.mark.parametrize(
+    "n, mu1, message",
+    [pytest.param(12, mu1, "mu1", id=str(mu1)) for mu1 in (-1.0, 0.0, math.nan, math.inf)]
+    + [pytest.param(20, 1e300, "the two-plane bound at n=20, eps=0.05 is not finite (nan)", id="1e+300")],
+)
+def test_lemma3_bound_refuses_a_meaningless_mu1(n, mu1, message):
+    # mu1 = -1 and 0 once gave ratios 1149 and 1072 at n = 12, without an
+    # error; a finite mu1 whose power 1/(N-2) overflows gives no bound
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lemma3_bound(n, mu1, DEFAULT_EPS_GRID)
 
 
 def test_lemma3_bound_refuses_the_rank_one_plane():

@@ -84,17 +84,47 @@ def test_config_file_rejects_garbage(tmp_path):
 def test_descent_defaults_have_one_value():
     import inspect
 
+    from paneitz_lab import optimizer
     from paneitz_lab.optimizer import OptimizerConfig
 
     # two homes of the descent defaults, since cli imports no numpy-backed module
     parameters = inspect.signature(OptimizerConfig).parameters
     defaults = {name: p.default for name, p in parameters.items()}
     config = ExperimentConfig(command="minimize")
-    names = {"k": "k", "L_opt": "L_opt", "restarts": "restarts",
-             "iterations": "max_iters", "q": "q_nodes", "L": "L_final"}
+    names = {"k": "k", "restarts": "restarts", "iterations": "max_iters", "q": "q_nodes", "L": "L_final"}
     assert {key: getattr(config, key) for key in names} == {
         key: defaults[name] for key, name in names.items()
     }
+    # the descent's degree is derived, not set
+    assert "L_opt" not in parameters
+    assert OptimizerConfig(n=12).L_opt == optimizer.L_OPT == 16
+
+
+def test_minimize_below_the_descent_degree_descends_at_L(out_root):
+    # L = 10 < L_OPT: q descends at degree 10 on the final basis itself, so
+    # the final evaluation repeats the engine's value
+    record = dispatch(ExperimentConfig(command="minimize", n=12, L=10))
+    assert len(record.payload["best_coeffs"]) == 11
+    final, best = record.payload["final_objective"], record.payload["best_objective"]
+    assert final == pytest.approx(best, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "argv", [["minimize", "--n", "12", "--L-opt", "16"], ["lemma3-bound", "--n", "12", "--mu1", "5"]]
+)
+def test_retired_flags_are_unrecognized(out_root, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+def test_retired_keys_are_unknown_to_the_api():
+    with pytest.raises(TypeError, match="unknown config keys: mu1"):
+        ExperimentConfig(command="lemma3-bound", mu1=0)
+    with pytest.raises(TypeError, match="unknown config keys: L_opt"):
+        ExperimentConfig(command="minimize", L_opt=16)
 
 
 def test_record_json_schema(out_root):
@@ -303,12 +333,12 @@ def test_round_is_refused(tmp_path, capsys):
             ["minimize", "--n", "5", "--iterations", "-3"],
             "error: max_iters (--iterations) must be >= 0, got -3",
         ),
-        ("", ["lemma3-bound", "--n", "12", "--mu1", "-1"], "invalid value for mu1: -1.0"),
-        ("mu1 = nan\n", ["lemma3-bound", "--n", "12"], "invalid value for mu1: nan"),
+        ("mu1 = 5\n", ["lemma3-bound", "--n", "12"], "unknown key 'mu1'"),
+        ("L_opt = 16\n", ["minimize", "--n", "12"], "unknown key 'L_opt'"),
         ("", ["coeffs", "--n", "5", "--S", "nan"], "invalid value for S: nan"),
         ("", ["coeffs", "--n", "5", "--S", "inf"], "invalid value for S: inf"),
         ("S = -inf\n", ["coeffs", "--n", "5"], "invalid value for S: -inf"),
-        ("", ["lemma3-bound", "--n", "12", "--mu1", "inf"], "invalid value for mu1: inf"),
+        ("", ["minimize", "--n", "12", "--L", "0"], "invalid value for L: 0 (must be >= 2)"),
         (
             "",
             ["lemma3-bound", "--n", "12", "--eps-grid", "inf,0.1"],
@@ -400,11 +430,7 @@ def test_round_is_refused(tmp_path, capsys):
             ["lemma3-bound", "--n", "284"],
             "error: the two-plane bound at n=284, eps=0.05 is not finite (nan)",
         ),
-        (
-            "",
-            ["minimize", "--n", "12", "--L", "10"],
-            "invalid value for L_opt: 16 (must be 2 <= L_opt <= L = 10)",
-        ),
+        ("", ["minimize", "--n", "12", "--L", "1"], "invalid value for L: 1 (must be >= 2)"),
         ("", ["minimize", "--n", "12", "--q", "16"], "invalid value for q: 16 (must be > L = 48)"),
         ("", ["audit", "--n", "5", "--L", "0"], "invalid value for L: 0 (must be >= 1)"),
         ("", ["lemma3-bound", "--n", "12", "--L", "0"], "invalid value for L: 0 (must be >= 1)"),
@@ -415,8 +441,8 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         (
             "",
-            ["lemma3-bound", "--n", "20", "--mu1", "1e300"],
-            "error: the two-plane bound at n=20, eps=0.05 is not finite (nan)",
+            ["lemma3-bound", "--n", "20", "--q", "100", "--L", "100"],
+            "invalid value for q: 100 (must be > L = 100)",
         ),
         ("", ["minimize", "--n", "5", "--restarts", "3"], "error: restarts must be 1 or 2, got 3"),
         ("restarts = 8\n", ["minimize", "--n", "5"], "error: restarts must be 1 or 2, got 8"),
@@ -457,8 +483,14 @@ def test_unknown_density_rejected(out_root):
     [
         (dict(command="coeffs", n=5, S=30), ["coeffs", "--n", "5", "--S", "30"]),
         (dict(command="coeffs", n=5, S=30.0), ["coeffs", "--n", "5", "--S", "30.0"]),
-        (dict(command="lemma3-bound", n=12, mu1=0), ["lemma3-bound", "--n", "12", "--mu1", "0"]),
-        (dict(command="lemma3-bound", n=12), ["lemma3-bound", "--n", "12", "--mu1", "0.0"]),
+        (
+            dict(command="lemma3-bound", n=12, eps_grid=(1, 0.1)),
+            ["lemma3-bound", "--n", "12", "--eps-grid", "1,0.1"],
+        ),
+        (
+            dict(command="bubble-sweep", n=12, eps_grid=(0.1, 0.2, 1)),
+            ["bubble-sweep", "--n", "12", "--eps-grid", "0.1,0.2,1.0"],
+        ),
     ],
 )
 def test_float_keys_hash_by_value(typed, argv):
@@ -507,6 +539,11 @@ def test_record_payload_keys(out_root, command):
         assert doc["payload"]["elementary_inequality"] == {
             "p3": {"C": 8.0, "sharp_C": 3.0}, "p4": {"C": 16.0, "sharp_C": 7.0}
         }
+    if command == "lemma3-bound":
+        from paneitz_lab.einstein import sharp_constant_oracle
+
+        # the round sphere's first invariant, the one mu1 the command takes
+        assert doc["payload"]["mu1"] == sharp_constant_oracle(12)
     if command == "minimize":
         for restart in doc["payload"]["restarts"]:
             assert set(restart) == {

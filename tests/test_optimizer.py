@@ -450,6 +450,9 @@ def test_restarts_are_run_exactly():
         OptimizerConfig(n=12, max_iters=-3)
     with pytest.raises(ValueError, match="k must be 1 or 2, got 3"):
         OptimizerConfig(n=12, k=3)
+    # k = 2 reads three eigenvalues, so L_final = 1 is refused by name
+    with pytest.raises(ValueError, match="need L_final >= 2, got L_final = 1"):
+        OptimizerConfig(n=12, L_final=1)
 
 
 def test_too_few_quadrature_nodes_are_refused_before_the_descent(monkeypatch):

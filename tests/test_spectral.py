@@ -302,7 +302,7 @@ def test_large_mass_is_the_symmetric_product(n):
         "two-bubble": density_from_sqrt_field(two_bubble_initializer(setup.basis), N),
     }
     for name, u in densities.items():
-        B = mass_from_values(setup.rule, setup.basis.table, u.values, u.N)
+        B = assemble_mass(u, setup.basis)
         ref = _general_mass(setup.rule, setup.basis.table, u.values, u.N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), name
@@ -325,10 +325,21 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
         "two-bubble": density_from_sqrt_field(two_bubble_field(setup.basis, INIT_EPS, 0.3), N),
     }
     for name, u in densities.items():
-        B = mass_from_values(setup.rule, setup.basis.table, u.values, N)
+        B = assemble_mass(u, setup.basis)
         ref = _general_mass(setup.rule, setup.basis.table, u.values, N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref))), name
+
+
+def test_restricted_mass_of_many_fields_is_the_direct_sum(setup12):
+    # the node values of KRYLOV_MIN_DIM fields are no mirrored basis table:
+    # their restricted form is the general product, not the mirror sum
+    rng = np.random.default_rng(0)
+    u = constant_density(setup12.basis, setup12.coeffs.N)
+    fields = [ZonalField(setup12.basis, rng.standard_normal(setup12.basis.dim)) for _ in range(150)]
+    M = restricted_mass(u, *fields)
+    ref = _general_mass(setup12.rule, np.array([f.values for f in fields]), u.values, u.N)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _mobius_density(setup, eps):
@@ -365,9 +376,9 @@ def test_small_mass_keeps_the_general_product(setup12):
     setup = round_setup(12, q=200, L=16)
     rng = np.random.default_rng(8)
     for s in (setup, setup12):
-        values = random_density(s.basis, s.coeffs.N, rng).values
-        B = mass_from_values(s.rule, s.basis.table, values, s.coeffs.N)
-        ref = _general_mass(s.rule, s.basis.table, values, s.coeffs.N)
+        u = random_density(s.basis, s.coeffs.N, rng)
+        B = assemble_mass(u, s.basis)
+        ref = _general_mass(s.rule, s.basis.table, u.values, s.coeffs.N)
         assert B.shape[-1] < spectral.KRYLOV_MIN_DIM
         assert B.tobytes() == ref.tobytes()
 

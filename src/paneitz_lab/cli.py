@@ -280,8 +280,7 @@ def _run_lemma3_bound(config: ExperimentConfig):
 def _run_audit(config: ExperimentConfig):
     """Audit the Sobolev-type inequalities and the elementary one's constant."""
     from .bubbles import elementary_inequality_constant
-    from .sobolev import bubble_radius, build_radial_grid, euclidean_corollary_check
-    from .sobolev import lemma1_audit, refined_inequality_ratio, standard_bubble
+    from .sobolev import euclidean_corollary_check, lemma1_audit, refined_inequality_ratio
     from .spectral import constant_density, round_setup
     from .zonal import constant_field
 
@@ -291,9 +290,7 @@ def _run_audit(config: ExperimentConfig):
     reports = [refined_inequality_ratio(u, v, setup.coeffs)]
     # the constant field attains the least A of Lemma 1 in every measured case
     reports += lemma1_audit(0.1, 2.0, [v], config.n)
-    grid = build_radial_grid(config.n, R=bubble_radius(config.n))
-    bubble = standard_bubble(config.n)
-    reports.append(euclidean_corollary_check(grid, bubble, bubble))
+    reports.append(euclidean_corollary_check(config.n))
     payload = {
         "n": config.n,
         "reports": [r._asdict() for r in reports],

@@ -347,7 +347,10 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
 
     Each start (see _starts) descends on its own.  The winner is the
     restart whose trace ends lowest; it is re-evaluated on the finer L_final
-    basis (a variational improvement, never an increase).
+    basis, which contains the descent's, so in exact arithmetic the
+    re-evaluation is no larger.  Where the winner's k-th eigenfield lies
+    within the descent's degree both solves agree exactly, and rounding can
+    put the re-evaluation a few ulps above best_objective.
     """
     # the final setup first: the descent's is its leading rows
     fine = round_setup(config.n, q=config.q_nodes, L=config.L_final)

@@ -10,7 +10,7 @@ argument actually provides).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,11 +157,10 @@ class EuclideanRadialGrid(NamedTuple):
     """Radial quadrature on R^n: Gauss core on (0, R) plus an inverted tail.
 
     Weights carry the full measure omega_(n-1) r^(n-1) dr; the tail panel
-    substitutes r = R/s so algebraically decaying profiles are integrated
+    substitutes r = R/s so the algebraically decaying bubble is integrated
     over all of (R, infinity) without truncation bias.
     """
 
-    n: int
     R: float
     r: np.ndarray
     weights: np.ndarray
@@ -171,12 +170,9 @@ class EuclideanRadialGrid(NamedTuple):
         return float(np.dot(self.weights, values))
 
     def tail_fraction(self, values: np.ndarray) -> float:
-        """Mass fraction carried by nodes beyond R."""
-        total = self.integrate(np.abs(values))
-        if total == 0:
-            return 0.0
-        tail = float(np.dot(self.weights[self.core_count:], np.abs(values[self.core_count:])))
-        return tail / total
+        """Fraction of the integral of nonnegative values carried by nodes beyond R."""
+        tail = float(np.dot(self.weights[self.core_count:], values[self.core_count:]))
+        return tail / self.integrate(values)
 
 
 def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,20 +183,30 @@ def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights / euclidean_sphere_area(2)
 
 
-def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
-    """RADIAL_NODES-node core on (0, R), twice as many from
+def bubble_radius(n: int) -> float:
+    """Core radius for the standard bubble on R^n: at least 50, and far enough
+    that u^N = (1 + r^2)^(-n) keeps at most 1e-9 of its mass beyond it.
+
+    The tail int_R^inf r^(n-1) (1 + r^2)^(-n) dr is below R^(-n)/n and the
+    total is B(n/2, n/2)/2.  Only n = 5 needs more than 50 (R = 88.5).
+    """
+    log_beta = 2 * math.lgamma(n / 2) - math.lgamma(n)
+    return max(50.0, math.exp((math.log(2 / n) - log_beta - math.log(1e-9)) / n))
+
+
+def build_radial_grid(n: int) -> EuclideanRadialGrid:
+    """RADIAL_NODES-node core on (0, bubble_radius(n)), twice as many from
     n = RADIAL_DOUBLING_DIM on, and a tail panel of half as many nodes as
     the core, less the nodes where the measure r^(n-1) overflows double
     precision.
 
     That happens at the outermost tail nodes (r near 1e6) from n = 52 on, and
-    inside the core from n = 183 on.  The profiles the grid is for decay at
-    least like r^(-n-1), so at those nodes they have underflowed to 0 and
-    their products with the weight lie far below any sum's last bit, while
-    inf * 0 would turn every sum into NaN.  No node is dropped for n <= 51.
+    inside the core from n = 183 on.  The bubble's u^N decays like r^(-2n),
+    so at those nodes it has underflowed to 0 and its product with the
+    weight lies far below any sum's last bit, while inf * 0 would turn every
+    sum into NaN.  No node is dropped for n <= 51.
     """
-    if R <= 0:
-        raise ValueError("need R > 0")
+    R = bubble_radius(n)
     q = RADIAL_NODES if n < RADIAL_DOUBLING_DIM else 2 * RADIAL_NODES
     area = euclidean_sphere_area(n)
     x, w = _legendre(q)
@@ -217,46 +223,11 @@ def build_radial_grid(n: int, R: float = 50.0) -> EuclideanRadialGrid:
     weights = np.concatenate([w_core, w_tail[order]])
     finite = np.isfinite(weights)
     return EuclideanRadialGrid(
-        n=n,
         R=R,
         r=r[finite],
         weights=weights[finite],
         core_count=int(finite[:q].sum()),
     )
-
-
-class RadialProfile(NamedTuple):
-    """A radial function with analytic first and second derivatives."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
-
-
-def standard_bubble(n: int) -> RadialProfile:
-    """(1 + r^2)^(-(n-4)/2): the extremal of the flat Sobolev embedding."""
-
-    def derivative(order):
-        return lambda r: _bubble_power(r, 1.0, n)[order]
-
-    return RadialProfile(f=derivative(0), df=derivative(1), d2f=derivative(2))
-
-
-def bubble_radius(n: int) -> float:
-    """Core radius for the standard bubble on R^n: at least 50, and far enough
-    that u^N = (1 + r^2)^(-n) keeps at most 1e-9 of its mass beyond it, a
-    decade under the tail fraction euclidean_corollary_check refuses.
-
-    The tail int_R^inf r^(n-1) (1 + r^2)^(-n) dr is below R^(-n)/n and the
-    total is B(n/2, n/2)/2.  Only n = 5 needs more than 50 (R = 88.5).
-    """
-    log_beta = 2 * math.lgamma(n / 2) - math.lgamma(n)
-    return max(50.0, math.exp((math.log(2 / n) - log_beta - math.log(1e-9)) / n))
-
-
-def flat_laplacian(profile: RadialProfile, r: np.ndarray, n: int) -> np.ndarray:
-    """-v'' - (n-1) v'/r for a radial profile on R^n."""
-    return -(profile.d2f(r) + (n - 1) / r * profile.df(r))
 
 
 def _normal_power(
@@ -276,49 +247,32 @@ def _normal_power(
     return amplitude, np.abs(amplitude * values) ** N
 
 
-def euclidean_corollary_check(
-    grid: EuclideanRadialGrid, u: RadialProfile, v: RadialProfile
-) -> InequalityReport:
-    """int u^(N-2) v^2 dx <= 2^(-4/n) K2^2 int (Lap v)^2 dx (int u^N dx)^(2/N).
+def euclidean_corollary_check(n: int) -> InequalityReport:
+    """int u^(N-2) v^2 dx <= 2^(-4/n) K2^2 int (Lap v)^2 dx (int u^N dx)^(2/N)
+    for u = v = the standard bubble (1 + r^2)^(-(n-4)/2) on R^n, the
+    extremal of the flat Sobolev embedding.
 
     The stated volume exponent 2/N is not scale-consistent in u; the
     inequality is applied in the unit-mass regime, so u is rescaled to
     int u^N = 1 before evaluation (both exponent readings then coincide).
     Both sides are homogeneous of degree 2 in v, so v is evaluated at the
     amplitude of ``_normal_power``: 1, unless its L^N mass is subnormal.
-    Profiles must essentially decay inside the core radius: the tail-panel
-    mass fraction of the u^N integrand must stay below 1e-8.
     """
-    n = grid.n
+    grid = build_radial_grid(n)
     N = _critical_exponent(n)
-    u_values = u.f(grid.r)
-    amplitude, uN = _normal_power(grid, u_values, N)
-    frac = grid.tail_fraction(uN)
-    if frac > 1e-8:
-        raise ValueError(
-            f"profile tail mass fraction {frac:.2e} beyond R={grid.R}; increase R"
-        )
-    mass = grid.integrate(uN)
-    if not mass >= np.finfo(float).tiny:
-        raise ValueError(
-            f"euclidean-corollary: the L^N mass of u, {mass:.3g}, is below the "
-            f"normal double range at n = {n}"
-        )
+    bubble, d_bubble, d2_bubble = _bubble_power(grid.r, 1.0, n)
+    amplitude, power = _normal_power(grid, bubble, N)
+    mass = grid.integrate(power)
     u_scale = amplitude * mass ** (-1.0 / N)
-    v_values = v.f(grid.r)
-    v_amplitude, vN = _normal_power(grid, v_values, N)
-    v_values = v_amplitude * v_values
-    lap = v_amplitude * flat_laplacian(v, grid.r, n)
-    lhs = grid.integrate((u_scale * u_values) ** (N - 2) * v_values**2)
+    lap = amplitude * -(d2_bubble + (n - 1) / grid.r * d_bubble)  # -v'' - (n-1) v'/r
+    lap_sq = grid.integrate(lap**2)
+    lhs = grid.integrate((u_scale * bubble) ** (N - 2) * (amplitude * bubble) ** 2)
     K2_sq = 1.0 / sharp_constant_oracle(n)
-    rhs = 2.0 ** (-4.0 / n) * K2_sq * grid.integrate(lap**2)
-    sharp_quotient = grid.integrate(lap**2) / grid.integrate(vN) ** (2.0 / N)
     return make_report(
         "euclidean-corollary",
         lhs,
-        rhs,
+        2.0 ** (-4.0 / n) * K2_sq * lap_sq,
         uN_mass=1.0,  # u_scale gives u unit L^N mass
-        v_sharp_quotient=sharp_quotient,
-        tail_fraction=frac,
+        v_sharp_quotient=lap_sq / mass ** (2.0 / N),
+        tail_fraction=grid.tail_fraction(power),
     )
-

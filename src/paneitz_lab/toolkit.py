@@ -111,10 +111,6 @@ class NodalProfile(NamedTuple):
     crossings: list[float]      # theta locations, linear interpolation
     weighted_orthogonality: float  # integral of u^(N-2) v w
 
-    @property
-    def is_nodal(self) -> bool:
-        return self.sign_changes >= 1
-
 
 DEAD_BAND = 1e-9  # relative; distinguishes ripple from genuine sign changes
 

@@ -191,9 +191,6 @@ class ZonalField:
     def __mul__(self, c: float) -> "ZonalField":
         return ZonalField(self.basis, self.coeffs * c)
 
-    def __add__(self, other: "ZonalField") -> "ZonalField":
-        return ZonalField(self.basis, self.coeffs + other.coeffs)
-
 
 def synthesize(field: ZonalField) -> np.ndarray:
     """Node values Sum_l c_l Z_l(x_j)."""

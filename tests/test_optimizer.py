@@ -244,6 +244,21 @@ def test_default_starts_return_the_two_start_winner(n, k, request):
     assert res.final_objective == two.final_objective
 
 
+@pytest.mark.parametrize(
+    "config",
+    [OptimizerConfig(n=12, k=1, L_final=2, restarts=2), OptimizerConfig(n=6, k=1)]
+    + [OptimizerConfig(n=n, k=k) for n in (5, 12, 20) for k in (1, 2)],
+    ids=["12-k1-L2", "6-k1", "5-k1", "5-k2", "12-k1", "12-k2", "20-k1", "20-k2"],
+)
+def test_final_objective_exceeds_the_descent_by_rounding_at_most(config):
+    # the L_final basis contains the descent's; where both solves agree in
+    # exact arithmetic (the first two cases), the re-evaluation lands a few
+    # ulps above best_objective: 1914.4360194261028 -> ...033 and
+    # 247.28444736615984 -> ...6052
+    res = minimize(config)
+    assert res.final_objective <= res.best_objective * (1 + 1e-14)
+
+
 def _trace_bits(trace):
     """Everything a trace records but its wall times, as comparable bits."""
     lists = (trace.objectives, trace.grad_norms, trace.gaps, trace.residuals)

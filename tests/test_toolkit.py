@@ -93,7 +93,6 @@ def test_nodal_profile_z1(setup5_opt):
     v = constant_field(basis)
     profile = nodal_profile(w, u, v)
     assert profile.sign_changes == 1
-    assert profile.is_nodal
     assert profile.crossings[0] == pytest.approx(np.pi / 2, abs=1e-2)
     # count invariant under flips and positive scaling
     assert nodal_profile(w * -1.0, u, v).sign_changes == 1
@@ -105,7 +104,6 @@ def test_nodal_profile_constant_not_nodal(setup5_opt):
     u = constant_density(basis, setup5_opt.coeffs.N)
     profile = nodal_profile(constant_field(basis), u, constant_field(basis))
     assert profile.sign_changes == 0
-    assert not profile.is_nodal
 
 
 def test_fixed_point_residual_zero_at_match(setup5_opt):
@@ -146,7 +144,7 @@ def test_toolkit_inner_products_form_no_full_mass(setup5, monkeypatch):
 
     monkeypatch.setattr(spectral, "mass_from_values", counted)
     positivity_lift(v, setup5.coeffs, u, float(spec.eigenvalues[0]))
-    pair = orthogonal_pair(v, (v + w) * np.sqrt(0.5), u)
+    pair = orthogonal_pair(v, ZonalField(v.basis, (v.coeffs + w.coeffs) * np.sqrt(0.5)), u)
     profile = nodal_profile(w, u, v)
     assert shapes == [(1, 1), (2, 2), (2, 2), (2, 2)]
     assert pair.overlap == pytest.approx(np.sqrt(0.5), rel=1e-12)

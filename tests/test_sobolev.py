@@ -73,6 +73,19 @@ def test_radial_grid_stays_finite_in_high_dimensions(n):
     assert len(grid.r) == (600 if n <= 51 else 599 if n == 52 else 598)
 
 
+@pytest.mark.parametrize("n", [250, 300, 334])
+def test_radial_grid_resolves_the_bubble_in_high_dimensions(n):
+    # the bubble's u^N peak narrows like 1/sqrt(n); the doubled core keeps
+    # the corollary at 2^(4/n) and the bubble's quotient at K_2^-2, although
+    # r^(n-1) overflows inside the core and drops its outer nodes
+    grid = build_radial_grid(n)
+    assert np.all(np.isfinite(grid.weights))
+    assert grid.core_count == len(grid.r)
+    rep = euclidean_corollary_check(n)
+    assert abs(rep.ratio / 2 ** (4 / n) - 1) <= 1e-13
+    assert abs(rep.details["v_sharp_quotient"] / sharp_constant_oracle(n) - 1) <= 1e-13
+
+
 def test_non_finite_sides_are_refused():
     with pytest.raises(ValueError, match="x: non-finite side"):
         make_report("x", math.nan, 1.0)

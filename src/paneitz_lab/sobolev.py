@@ -257,12 +257,18 @@ def euclidean_corollary_check(n: int) -> InequalityReport:
     int u^N = 1 before evaluation (both exponent readings then coincide).
     Both sides are homogeneous of degree 2 in v, so v is evaluated at the
     amplitude of ``_normal_power``: 1, unless its L^N mass is subnormal.
+    A mass that is still not normal after the lift is refused by name.
     """
     grid = build_radial_grid(n)
     N = _critical_exponent(n)
     bubble, d_bubble, d2_bubble = _bubble_power(grid.r, 1.0, n)
     amplitude, power = _normal_power(grid, bubble, N)
     mass = grid.integrate(power)
+    if not mass >= np.finfo(float).tiny:  # from n = 340 on, u^N underflows at every node
+        raise ValueError(
+            f"euclidean-corollary: the L^N mass of u, {mass:.3g}, is below the "
+            f"normal double range at n = {n}"
+        )
     u_scale = amplitude * mass ** (-1.0 / N)
     lap = amplitude * -(d2_bubble + (n - 1) / grid.r * d_bubble)  # -v'' - (n-1) v'/r
     lap_sq = grid.integrate(lap**2)

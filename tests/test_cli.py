@@ -446,6 +446,12 @@ def test_round_is_refused(tmp_path, capsys):
         ),
         ("", ["minimize", "--n", "5", "--restarts", "3"], "error: restarts must be 1 or 2, got 3"),
         ("restarts = 8\n", ["minimize", "--n", "5"], "error: restarts must be 1 or 2, got 8"),
+        (
+            "",
+            ["audit", "--n", "341", "--q", "50", "--L", "10"],
+            "error: euclidean-corollary: the L^N mass of u, 0, is below the normal double "
+            "range at n = 341",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):

@@ -29,7 +29,7 @@ from .spectral import (
     minimax_over_plane,
     round_setup,
 )
-from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze, constant_field
+from .zonal import QuadratureRule, ZonalBasis, ZonalField, constant_field
 
 CUTOFF_RADIUS = 0.5  # delta of the cutoff eta: 1 on [0, delta], 0 from 2 delta on
 
@@ -91,17 +91,21 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
     return phi, sgn * dphi, d2phi
 
 
-def _profile_mass(rule: QuadratureRule, phi: np.ndarray, N: float, spec: BubbleSpec) -> float:
-    """Integral of |phi|^N from the node values of a bubble profile; a scale
-    so large that this mass leaves the normal double range is refused, since
-    a subnormal mass has lost the digits the quotient is read from."""
-    mass = rule.lN_mass(phi, N)
+def _profile_mass(rule: QuadratureRule, phi: np.ndarray, N: float, spec: BubbleSpec):
+    """(integral of |phi/s|^N, s) from the node values of a bubble profile: s = 1, or
+    max|phi| where the mass of phi overflows (n >= 131, q = 1600); a subnormal
+    mass, which has lost the digits the quotient is read from, is refused."""
+    with np.errstate(over="ignore"):  # an infinite mass is taken again of phi / s
+        mass, scale = rule.lN_mass(phi, N), 1.0
+    if mass == math.inf:
+        scale = float(np.abs(phi).max())
+        mass = rule.lN_mass(phi / scale, N)
     if not mass >= sys.float_info.min:
         raise ValueError(
             f"eps={spec.eps} is too large at n={rule.n}: the L^N mass of phi_eps "
             f"underflows to {mass:.3g}, below the normal double range"
         )
-    return mass
+    return mass, scale
 
 
 def sphere_laplacian_values(
@@ -134,14 +138,15 @@ def profile_quotient(
 
     Bypasses the basis: the energy integrand (Lap phi)^2 + alpha phi'^2 +
     alpha_bar phi^2 is evaluated pointwise, so small-eps profiles are not
-    smoothed by truncation.
+    smoothed by truncation.  It is read from phi / s (``_profile_mass``).
     """
     n = coeffs.n
     phi, dphi, d2phi = bubble_profile(rule.theta, spec, n)
+    mass, scale = _profile_mass(rule, phi, coeffs.N, spec)
+    phi, dphi, d2phi = phi / scale, dphi / scale, d2phi / scale
     lap = sphere_laplacian_values(rule.theta, dphi, d2phi, n)
     num = rule.integrate(lap**2 + coeffs.alpha * dphi**2 + coeffs.alpha_bar * phi**2)
-    den = _profile_mass(rule, phi, coeffs.N, spec) ** (2.0 / coeffs.N)
-    return num / den
+    return num / mass ** (2.0 / coeffs.N)
 
 
 def _alias_floor(rule: QuadratureRule) -> float:
@@ -159,20 +164,28 @@ class BubbleField(NamedTuple):
     c_eps: float
 
 
-def bubble_field(spec: BubbleSpec, basis: ZonalBasis) -> BubbleField:
-    """Project phi_eps on the zonal basis and normalize to unit L^N mass."""
+def bubble_field(specs: BubbleSpec | list[BubbleSpec], basis: ZonalBasis):
+    """Project phi_eps on the zonal basis and normalize to unit L^N mass, for
+    one BubbleSpec, or for a grid of them as a list: one product with the
+    table gives every coefficient row, and one product back every v_eps's
+    node values.  The first bad spec in grid order is refused."""
+    grid = [specs] if isinstance(specs, BubbleSpec) else list(specs)
     rule = basis.rule
     floor = _alias_floor(rule)
-    if spec.eps < floor:
-        need = math.ceil(3 * math.pi / spec.eps)
-        raise ValueError(
-            f"eps={spec.eps} under the alias floor {floor:.4f}; need q >= {need} nodes"
-        )
-    phi_vals, _, _ = bubble_profile(rule.theta, spec, basis.n)
-    phi = analyze(basis, phi_vals)
     N = _critical_exponent(basis.n)
-    c_eps = _profile_mass(rule, phi_vals, N, spec) ** (-1.0 / N)
-    return BubbleField(spec=spec, phi=phi, v=phi * c_eps, c_eps=c_eps)
+    phi_vals, c_eps = np.empty((len(grid), len(rule.nodes))), []
+    for i, spec in enumerate(grid):
+        if spec.eps < floor:
+            raise ValueError(f"eps={spec.eps} under the alias floor {floor:.4f}; "
+                             f"need q >= {math.ceil(3 * math.pi / spec.eps)} nodes")
+        phi_vals[i], _, _ = bubble_profile(rule.theta, spec, basis.n)
+        mass, scale = _profile_mass(rule, phi_vals[i], N, spec)
+        c_eps.append(mass ** (-1.0 / N) / scale)
+    coeffs = (phi_vals * rule.weights) @ basis.table.T
+    v_vals = (coeffs * np.array(c_eps)[:, None]) @ basis.table
+    fields = [BubbleField(spec, ZonalField(basis, c), ZonalField(basis, c * ce, v), ce)
+              for spec, c, ce, v in zip(grid, coeffs, c_eps, v_vals)]
+    return fields[0] if isinstance(specs, BubbleSpec) else fields
 
 
 DEFAULT_EPS_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)
@@ -262,8 +275,8 @@ def lemma3_bound(
     vconst = constant_field(setup.basis, vol ** (-1.0 / N))
     eps = np.asarray(eps_grid, dtype=float)
     bounds = []
-    for e in eps:
-        bf = bubble_field(BubbleSpec(eps=float(e)), setup.basis)
+    fields = bubble_field([BubbleSpec(eps=float(e)) for e in eps], setup.basis)
+    for e, bf in zip(eps, fields):
         Yv = functional_Y(bf.v, coeffs)
         # numpy powers, which overflow to inf where Python's raise (a huge mu1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name

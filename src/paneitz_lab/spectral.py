@@ -74,12 +74,12 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 # - solve (n = 12, a smooth random density, k = 2): eigh 1.8 ms against
 #   2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
 #   against 2.4 ms at 193 and 20 against 5.6 ms at 401;
-# - mass form, the whole ``assemble_mass`` at n = 12: the mirror sum takes
-#   4.6 ms against 12.4 ms for the general product (gemm) and 7.3 ms for the
-#   symmetric product X X^T over every node (syrk) on a 401x1600 table, 1.2
-#   against 2.6 ms on 151x1600, 52-60 against 53-55 us on 49x200, and 22-31
-#   against 8 us for the descent's one density on a 17x200 table, so the
-#   descent and the default L = 48 runs stay on gemm.
+# - mass form, the whole ``assemble_mass`` at n = 12: the mirror sum takes 3.1
+#   ms (1.9 ms for an even density) against 8.1 ms for the general product
+#   (gemm) and 4.8 ms for the symmetric product X X^T over every node (syrk) on
+#   a 401x1600 table, 0.8 (0.5) against 1.7 ms on 151x1600, 52-60 against 53-55
+#   us on 49x200, and 22-31 against 8 us for the descent's one density on a
+#   17x200 table, so the descent and the default L = 48 runs stay on gemm.
 KRYLOV_MIN_DIM = 150
 
 
@@ -101,7 +101,8 @@ def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
     Z_a(x) Z_b(x) (wdens(x) + (-1)^(a+b) wdens(-x)): the even-even and
     odd-odd blocks are symmetric products (BLAS syrk) weighted by the sum,
     the even-odd block one general product weighted by the difference, and
-    its transpose is the odd-even block.  A node x = 0, its own mirror,
+    its transpose is the odd-even block (exactly zero, and not formed, for an
+    even density: b = 0 at every node).  A node x = 0, its own mirror,
     counts once, and only in the even block: every odd row vanishes there.
     """
     q = table.shape[-1]
@@ -116,7 +117,7 @@ def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
     B = np.empty((len(table), len(table)))
     B[0::2, 0::2] = X @ X.T
     B[1::2, 1::2] = Y @ Y.T
-    B[0::2, 1::2] = (even * b) @ odd.T
+    B[0::2, 1::2] = (even * b) @ odd.T if b.any() else 0.0  # 0: an even density
     B[1::2, 0::2] = B[0::2, 1::2].T
     return B
 
@@ -124,11 +125,11 @@ def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
     """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD.
 
-    From ``KRYLOV_MIN_DIM`` basis functions on, the sum runs over the
-    nonnegative nodes alone (``_mirror_mass``), a quarter of the general
-    product's multiply-adds, and is exactly symmetric; it needs the mirrored
-    rule and rows of ``build_quadrature`` and ``build_basis``, which the node
-    values of arbitrary fields lack."""
+    From ``KRYLOV_MIN_DIM`` basis functions on, the sum runs over the nonnegative
+    nodes alone (``_mirror_mass``), a quarter of the general product's multiply-
+    adds (an eighth for an even density), and is exactly symmetric; it needs the
+    mirrored rule and rows of ``build_quadrature`` and ``build_basis``, which the
+    node values of arbitrary fields lack."""
     if u.basis is not basis and u.basis.n != basis.n:
         raise ValueError("density and basis dimensions disagree")
     if u.values.shape != basis.rule.nodes.shape:

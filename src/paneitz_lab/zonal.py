@@ -175,12 +175,12 @@ def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
 class ZonalField:
     """A zonal function held as basis coefficients with cached node values."""
 
-    def __init__(self, basis: ZonalBasis, coeffs: np.ndarray):
+    def __init__(self, basis: ZonalBasis, coeffs: np.ndarray, values: np.ndarray | None = None):
         self.basis = basis
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (basis.dim,):
             raise ValueError(f"expected {basis.dim} coefficients, got {self.coeffs.shape}")
-        self._values = None  # node values, on first use
+        self._values = values  # node values: the caller's, or synthesized on first use
 
     @property
     def values(self) -> np.ndarray:

@@ -84,6 +84,54 @@ def test_alias_guard(setup12):
         bubble_field(BubbleSpec(eps=0.01), setup12.basis)
 
 
+@pytest.mark.parametrize("q, L", [(200, 48), (1600, 400)])
+@pytest.mark.parametrize("n", [5, 12, 50])
+def test_grid_projection_is_the_per_spec_projection(n, q, L):
+    # one product over the eps grid each way against a quadrature projection
+    # and a synthesis per spec: equal to rounding, in grid order
+    setup = spectral.round_setup(n, q=q, L=L)
+    N = setup.coeffs.N
+    fields = bubble_field([BubbleSpec(eps=e) for e in DEFAULT_EPS_GRID], setup.basis)
+    assert [bf.spec.eps for bf in fields] == list(DEFAULT_EPS_GRID)
+    for bf in fields:
+        phi_vals, _, _ = bubble_profile(setup.rule.theta, bf.spec, n)
+        ref = zonal.analyze(setup.basis, phi_vals).coeffs
+        c_eps = setup.rule.lN_mass(phi_vals, N) ** (-1.0 / N)
+        assert np.max(np.abs(bf.phi.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert bf.c_eps == pytest.approx(c_eps, rel=1e-13)
+        assert np.max(np.abs(bf.v.coeffs - c_eps * ref)) <= 1e-13 * c_eps * np.max(np.abs(ref))
+        values = zonal.synthesize(bf.v)
+        assert np.max(np.abs(bf.v.values - values)) <= 1e-13 * np.max(np.abs(values))
+
+
+def test_grid_is_refused_at_its_point_under_the_alias_floor(setup12):
+    # the last point is the one under the floor, and the message names it
+    message = "eps=0.01 under the alias floor 0.0471; need q >= 943 nodes"
+    grid = [BubbleSpec(eps=e) for e in (*DEFAULT_EPS_GRID, 0.01)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bubble_field(grid, setup12.basis)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lemma3_bound(12, sharp_constant_oracle(12), (*DEFAULT_EPS_GRID, 0.01))
+
+
+@pytest.mark.parametrize("n", [131, 151])
+def test_an_overflowing_bubble_mass_is_taken_at_unit_scale(n):
+    # |phi_eps|^N overflows at eps = 0.05 from n = 131 on at q = 1600: the
+    # mass is taken of phi / max|phi| and the scale folded back, so v_eps
+    # has unit mass and the quotient is finite (4.5e-3 below K2^(-2) at
+    # n = 151, the rule's known sub-sharp defect at the narrowest eps)
+    setup = spectral.round_setup(n, q=1600, L=16)
+    N = setup.coeffs.N
+    spec = BubbleSpec(eps=0.05)
+    phi_vals, _, _ = bubble_profile(setup.rule.theta, spec, n)
+    with np.errstate(over="ignore"):
+        assert setup.rule.lN_mass(phi_vals, N) == math.inf
+    bf = bubble_field(spec, setup.basis)
+    assert setup.rule.lN_mass(bf.c_eps * phi_vals, N) == pytest.approx(1.0, rel=1e-13)
+    Y = profile_quotient(spec, setup.coeffs, setup.rule)
+    assert math.isfinite(Y) and abs(Y / sharp_constant_oracle(n) - 1) < 1e-2
+
+
 def test_c_eps_scaling_law(setup12):
     # log c_eps against log eps has slope ~ (n-4)/2 for small eps
     logs = [

@@ -608,6 +608,25 @@ def test_overflowing_two_plane_density_is_refused_quietly(out_root, n):
     assert not list(out_root.glob("*/record.json"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [140, 151])
+def test_overflowing_bubble_mass_gives_finite_records(out_root, n):
+    # |phi_eps|^N overflows at eps = 0.05 and q = 1600 from n = 131 on; the
+    # sweep once wrote NaN and the bound refused a zero field (c_eps = 0)
+    assert main(["lemma3-bound", "--n", str(n), "--q", "1600", "--L", "400"]) == 0
+    assert main(["bubble-sweep", "--n", str(n), "--q", "1600"]) == 0
+    payloads = {}
+    for record in out_root.glob("*/record.json"):
+        doc = json.loads(record.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in record"))
+        payloads[doc["config"]["command"]] = doc["payload"]
+    bound, sweep = payloads["lemma3-bound"], payloads["bubble-sweep"]
+    assert all(math.isfinite(b) for b in bound["bounds"])
+    assert 1 <= bound["ratio"] < 1.001
+    assert all(math.isfinite(y) for y in sweep["Y"])
+    # the well-resolved samples sit at or above the sharp constant
+    assert min(sweep["Y"][1:]) >= sweep["oracle"] * (1 - 1e-9)
+
+
 def _fresh_python(*args):
     """Run a new interpreter with args that imports this checkout's package."""
     src = str(Path(paneitz_lab.__file__).resolve().parents[1])

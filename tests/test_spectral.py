@@ -308,13 +308,31 @@ def test_large_mass_is_the_symmetric_product(n):
         assert np.max(np.abs(B - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), name
 
 
+def _formed_mirror_mass(table, wdens):
+    """The mirror sum that forms its even-odd block by the general product
+    for every density, even ones included: the reference for the skipped
+    block of ``spectral._mirror_mass``."""
+    q = table.shape[-1]
+    m = q // 2
+    even, odd = table[0::2, m:], table[1::2, m:]
+    plus, minus = wdens[m:], wdens[q - 1 - m :: -1]
+    a, b = plus + minus, plus - minus
+    a[: q % 2] = plus[: q % 2]
+    X, Y = even * np.sqrt(a), odd * np.sqrt(a)
+    B = np.empty((len(table), len(table)))
+    B[0::2, 0::2], B[1::2, 1::2] = X @ X.T, Y @ Y.T
+    B[0::2, 1::2] = (even * b) @ odd.T
+    B[1::2, 0::2] = B[0::2, 1::2].T
+    return B
+
+
 @pytest.mark.parametrize("n, q, L", [(5, 1600, 400), (12, 1600, 400), (30, 1600, 400), (12, 401, 200)])
 def test_large_mass_is_the_mirror_sum(n, q, L):
     # the parity-split sum over the nonnegative nodes against the general
     # product over all of them: the asymmetric two-bubble density has a
     # large even-odd block, and the odd q puts a node at x = 0 (measured:
     # <= 27 ulp of max|B|, at n = 5 for the random density)
-    from paneitz_lab.optimizer import INIT_EPS
+    from paneitz_lab.optimizer import INIT_EPS, two_bubble_initializer
 
     setup = round_setup(n, q=q, L=L)
     assert setup.basis.dim >= spectral.KRYLOV_MIN_DIM
@@ -324,11 +342,26 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
         "random": random_density(setup.basis, N, np.random.default_rng(n)),
         "two-bubble": density_from_sqrt_field(two_bubble_field(setup.basis, INIT_EPS, 0.3), N),
     }
+    # exactly even, so the even-odd product is skipped: the constant, and at
+    # q = 1600 the even two-bubble start (at q = 401 its node values are
+    # even only to rounding)
+    even = {"constant"}
+    if q == 1600:
+        even.add("even two-bubble")
+        start = two_bubble_initializer(setup.basis)
+        densities["even two-bubble"] = density_from_sqrt_field(start, N)
     for name, u in densities.items():
         B = assemble_mass(u, setup.basis)
         ref = _general_mass(setup.rule, setup.basis.table, u.values, N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref))), name
+        wdens = setup.rule.weights * u.values ** (N - 2)
+        assert np.array_equal(wdens, wdens[::-1]) == (name in even), name
+        if name in even:
+            assert B.tobytes() == _formed_mirror_mass(setup.basis.table, wdens).tobytes(), name
+            assert not B[0::2, 1::2].any(), name
+        elif name == "random":
+            assert np.abs(B[0::2, 1::2]).max() > 1e-3 * np.abs(B).max(), name
 
 
 def test_restricted_mass_of_many_fields_is_the_direct_sum(setup12):

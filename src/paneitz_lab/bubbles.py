@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .einstein import (
-    OperatorCoefficients,
-    _critical_exponent,
-    derive_coefficients,
-    round_sphere,
-    sharp_constant_oracle,
-)
+from .einstein import OperatorCoefficients, _critical_exponent, sharp_constant_oracle
 from .spectral import (
     ConformalDensity,
     assemble_stiffness,
@@ -93,8 +87,14 @@ def bubble_profile(theta: np.ndarray, spec: BubbleSpec, n: int):
 
 def _profile_mass(rule: QuadratureRule, phi: np.ndarray, N: float, spec: BubbleSpec):
     """(integral of |phi/s|^N, s) from the node values of a bubble profile: s = 1, or
-    max|phi| where the mass of phi overflows (n >= 131, q = 1600); a subnormal
-    mass, which has lost the digits the quotient is read from, is refused."""
+    max|phi| where the mass of phi overflows (n >= 131, q = 1600).  Refused: a
+    bubble narrower than a few node spacings near the pole, eps < 3 pi / q,
+    which the quadrature cannot see, and a subnormal mass, which has lost the
+    digits the quotient is read from."""
+    floor = 3.0 * math.pi / len(rule.nodes)
+    if spec.eps < floor:
+        raise ValueError(f"eps={spec.eps} under the alias floor {floor:.4f}; "
+                         f"need q >= {math.ceil(3 * math.pi / spec.eps)} nodes")
     with np.errstate(over="ignore"):  # an infinite mass is taken again of phi / s
         mass, scale = rule.lN_mass(phi, N), 1.0
     if mass == math.inf:
@@ -149,43 +149,20 @@ def profile_quotient(
     return num / mass ** (2.0 / coeffs.N)
 
 
-def _alias_floor(rule: QuadratureRule) -> float:
-    # a bubble narrower than a few node spacings near the pole is invisible
-    # to the quadrature
-    return 3.0 * math.pi / len(rule.nodes)
-
-
-class BubbleField(NamedTuple):
-    """Cutoff bubble projected on the basis, plus its L^N-normalized form."""
-
-    spec: BubbleSpec
-    phi: ZonalField
-    v: ZonalField       # c_eps * phi, unit L^N mass
-    c_eps: float
-
-
-def bubble_field(specs: BubbleSpec | list[BubbleSpec], basis: ZonalBasis):
-    """Project phi_eps on the zonal basis and normalize to unit L^N mass, for
-    one BubbleSpec, or for a grid of them as a list: one product with the
-    table gives every coefficient row, and one product back every v_eps's
-    node values.  The first bad spec in grid order is refused."""
-    grid = [specs] if isinstance(specs, BubbleSpec) else list(specs)
+def bubble_field(specs: list[BubbleSpec], basis: ZonalBasis) -> list[ZonalField]:
+    """v_eps = c_eps phi_eps for each spec, with phi_eps projected on the zonal
+    basis and c_eps giving its node values unit L^N mass.  One product with
+    the table gives every coefficient row, and one product back every v_eps's
+    node values.  The first bad spec in list order is refused."""
     rule = basis.rule
-    floor = _alias_floor(rule)
     N = _critical_exponent(basis.n)
-    phi_vals, c_eps = np.empty((len(grid), len(rule.nodes))), []
-    for i, spec in enumerate(grid):
-        if spec.eps < floor:
-            raise ValueError(f"eps={spec.eps} under the alias floor {floor:.4f}; "
-                             f"need q >= {math.ceil(3 * math.pi / spec.eps)} nodes")
+    phi_vals, c_eps = np.empty((len(specs), len(rule.nodes))), np.empty(len(specs))
+    for i, spec in enumerate(specs):
         phi_vals[i], _, _ = bubble_profile(rule.theta, spec, basis.n)
         mass, scale = _profile_mass(rule, phi_vals[i], N, spec)
-        c_eps.append(mass ** (-1.0 / N) / scale)
-    coeffs = (phi_vals * rule.weights) @ basis.table.T
-    v_vals = (coeffs * np.array(c_eps)[:, None]) @ basis.table
-    fields = [BubbleField(spec, ZonalField(basis, c), ZonalField(basis, c * ce, v), ce)
-              for spec, c, ce, v in zip(grid, coeffs, c_eps, v_vals)]
-    return fields[0] if isinstance(specs, BubbleSpec) else fields
+        c_eps[i] = mass ** (-1.0 / N) / scale
+    coeffs = ((phi_vals * rule.weights) @ basis.table.T) * c_eps[:, None]
+    return [ZonalField(basis, c, v) for c, v in zip(coeffs, coeffs @ basis.table)]
 
 
 DEFAULT_EPS_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)
@@ -213,17 +190,8 @@ def epsilon_sweep(eps_grid, n: int, q: int = 200) -> SweepReport:
         raise ValueError(
             f"need at least 3 distinct grid points to fit two parameters, got {eps.tolist()}"
         )
-    data = round_sphere(n)
-    coeffs = derive_coefficients(data)
-    from .zonal import build_quadrature
-
-    rule = build_quadrature(data, q)
-    floor = _alias_floor(rule)
-    if eps[0] < floor:
-        raise ValueError(
-            f"grid point {eps[0]} under the alias floor {floor:.4f} at q={q}"
-        )
-    Y = np.array([profile_quotient(BubbleSpec(eps=e), coeffs, rule) for e in eps])
+    setup = round_setup(n, q=q, L=0)
+    Y = np.array([profile_quotient(BubbleSpec(eps=e), setup.coeffs, setup.rule) for e in eps])
     design = np.column_stack([np.ones_like(eps), -(eps**2)])
     (A, C), *_ = np.linalg.lstsq(design, Y, rcond=None)
     fit = design @ np.array([A, C])
@@ -276,18 +244,18 @@ def lemma3_bound(
     eps = np.asarray(eps_grid, dtype=float)
     bounds = []
     fields = bubble_field([BubbleSpec(eps=float(e)) for e in eps], setup.basis)
-    for e, bf in zip(eps, fields):
-        Yv = functional_Y(bf.v, coeffs)
+    for e, v in zip(eps, fields):
+        Yv = functional_Y(v, coeffs)
         # numpy powers, which overflow to inf where Python's raise (a huge mu1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
             a, b = np.float64(Yv) ** expo, np.float64(best_mu1) ** expo
-            u_nodes = a * bf.v.values + b * vconst.values
+            u_nodes = a * v.values + b * vconst.values
         bound = math.nan  # u_eps itself overflows (n = 283 from eps = 0.075 on)
         if np.isfinite(u_nodes).all():
             # truncation ripple can dip below zero in the tail; clip, the
             # density only needs to be nonnegative
             u = ConformalDensity(setup.basis, np.clip(u_nodes, 0.0, None), N)
-            sup = minimax_over_plane(setup.A_diag, u, bf.v, vconst)
+            sup = minimax_over_plane(setup.A_diag, u, v, vconst)
             # the mass of u / max u, whose N-th power cannot overflow (that of
             # u does from n = 152 on); the scale s comes back as s^(4N/n)
             # = s^(8/(n-4))

@@ -148,8 +148,6 @@ def _run_coeffs(config: ExperimentConfig):
     data = round_sphere(config.n) if config.S is None else EinsteinData(n=config.n, S=config.S)
     coeffs = derive_coefficients(data)
     report = sharp_constant_report(data)
-    sharp_constant = report._asdict()
-    del sharp_constant["n"]
     payload = {
         "n": data.n,
         "S": data.S,
@@ -160,7 +158,7 @@ def _run_coeffs(config: ExperimentConfig):
         "N": coeffs.N,
         "K2_inv_sq": coeffs.K2_inv_sq,
         "Q": q_curvature_einstein(data),
-        "sharp_constant": sharp_constant,
+        "sharp_constant": report._asdict(),
     }
     summary = (
         f"n={data.n} alpha={coeffs.alpha:.6g} alpha_bar={coeffs.alpha_bar:.6g} "

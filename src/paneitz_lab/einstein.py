@@ -121,7 +121,6 @@ class SharpConstantReport(NamedTuple):
     """The oracle K2^(-2) next to the two closed-form expressions as printed,
     with pairwise ratios.  Ratios are reported, never asserted equal."""
 
-    n: int
     oracle: float
     paper_formula: float
     sphere_volume_formula: float
@@ -149,7 +148,6 @@ def sharp_constant_report(data: EinsteinData) -> SharpConstantReport:
         "paper_over_sphere_volume": paper_formula / sphere_volume_formula,
     }
     return SharpConstantReport(
-        n=n,
         oracle=oracle,
         paper_formula=paper_formula,
         sphere_volume_formula=sphere_volume_formula,

@@ -214,15 +214,24 @@ def two_bubble_initializer(basis: ZonalBasis) -> ZonalField:
     """q from sqrt-bubble profiles of scale INIT_EPS at the two poles, with
     equal mass at each, projected to the basis.  It is even, and its odd
     coefficients, rounding error, are dropped, so that it descends as an
-    even start."""
-    from .bubbles import BubbleSpec, bubble_profile  # only this start needs it
+    even start.  The bubbles vanish from 2 CUTOFF_RADIUS off each pole, so a
+    rule with no node that close to a pole is refused by name."""
+    from .bubbles import CUTOFF_RADIUS, BubbleSpec, bubble_profile  # only this start needs it
 
     n, theta = basis.n, basis.rule.theta
     # sqrt of the bubble density profile: exponent (n-4)/4 in q-space
     phi_n, _, _ = bubble_profile(theta, BubbleSpec(eps=INIT_EPS, center="north"), n)
     phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=INIT_EPS, center="south"), n)
     h = math.sqrt(0.5)
-    c = analyze(basis, h * np.sqrt(phi_n) + h * np.sqrt(phi_s)).coeffs
+    values = h * np.sqrt(phi_n) + h * np.sqrt(phi_s)
+    if not values.any():
+        nearest = min(theta.min(), math.pi - theta.max())
+        raise ValueError(
+            f"the two-bubble start is zero at every node at n={n}, q={len(theta)}: "
+            f"the bubbles vanish from {2 * CUTOFF_RADIUS:g} rad off each pole, and "
+            f"the nearest node lies {nearest:.3f} rad off one"
+        )
+    c = analyze(basis, values).coeffs
     c[1::2] = 0.0
     return ZonalField(basis, _renormalize(c, basis, _critical_exponent(n)))
 

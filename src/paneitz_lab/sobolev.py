@@ -154,14 +154,14 @@ def refined_inequality_ratio(
 
 
 class EuclideanRadialGrid(NamedTuple):
-    """Radial quadrature on R^n: Gauss core on (0, R) plus an inverted tail.
+    """Radial quadrature on R^n: Gauss core on (0, R) plus an inverted tail,
+    with R = bubble_radius(n).
 
     Weights carry the full measure omega_(n-1) r^(n-1) dr; the tail panel
     substitutes r = R/s so the algebraically decaying bubble is integrated
     over all of (R, infinity) without truncation bias.
     """
 
-    R: float
     r: np.ndarray
     weights: np.ndarray
     core_count: int
@@ -223,7 +223,6 @@ def build_radial_grid(n: int) -> EuclideanRadialGrid:
     weights = np.concatenate([w_core, w_tail[order]])
     finite = np.isfinite(weights)
     return EuclideanRadialGrid(
-        R=R,
         r=r[finite],
         weights=weights[finite],
         core_count=int(finite[:q].sum()),

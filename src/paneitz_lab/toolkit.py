@@ -19,14 +19,12 @@ from .zonal import QuadratureRule, ZonalField, analyze
 class PositivityResult(NamedTuple):
     """Positive lift f of a first eigenfield and its energy audit.
 
-    ``energy`` is the quadratic-form value of the rescaled lift f_hat = k*f
-    (mass-normalized); ``gap`` = energy - lambda_1 is reported, not asserted
-    zero.
+    ``gap`` is the quadratic-form value of the rescaled lift f_hat = k*f
+    (mass-normalized) less lambda_1, reported, not asserted zero.
     """
 
     f: ZonalField
     k: float
-    energy: float
     gap: float
 
 
@@ -56,7 +54,7 @@ def positivity_lift(
     k = 1.0 / np.sqrt(mass)
     A_diag = assemble_stiffness(coeffs, basis)
     energy = float(np.dot(A_diag, (k * f.coeffs) ** 2))
-    return PositivityResult(f=f, k=k, energy=energy, gap=energy - lambda_1)
+    return PositivityResult(f=f, k=k, gap=energy - lambda_1)
 
 
 class OrthogonalPair(NamedTuple):
@@ -108,7 +106,6 @@ class NodalProfile(NamedTuple):
     """Sign structure of a field along theta in [0, pi]."""
 
     sign_changes: int
-    crossings: list[float]      # theta locations, linear interpolation
     weighted_orthogonality: float  # integral of u^(N-2) v w
 
 
@@ -119,7 +116,6 @@ def nodal_profile(
     w: ZonalField, u: ConformalDensity, v: ZonalField
 ) -> NodalProfile:
     """Count sign changes of w over the node sequence with a dead-band."""
-    basis = w.basis
     vals = w.values
     amax = np.max(np.abs(vals))
     if amax == 0:
@@ -129,20 +125,8 @@ def nodal_profile(
     signs[np.abs(vals) <= band] = 0
     live = signs[signs != 0]
     changes = int(np.sum(live[1:] * live[:-1] < 0))
-    # crossing locations between consecutive opposite-sign nodes
-    theta = basis.rule.theta
-    crossings = []
-    idx = np.flatnonzero(signs != 0)
-    for i, j in zip(idx[:-1], idx[1:]):
-        if signs[i] * signs[j] < 0:
-            frac = vals[i] / (vals[i] - vals[j])
-            crossings.append(float(theta[i] + frac * (theta[j] - theta[i])))
     ortho = float(restricted_mass(u, v, w)[0, 1])
-    return NodalProfile(
-        sign_changes=changes,
-        crossings=crossings,
-        weighted_orthogonality=ortho,
-    )
+    return NodalProfile(sign_changes=changes, weighted_orthogonality=ortho)
 
 
 def _fixed_point_residual(

@@ -70,18 +70,25 @@ def test_Y_z1_above_constant(setup5):
     assert functional_Y(ZonalField(setup5.basis, e1), setup5.coeffs) > sharp_constant_oracle(5)
 
 
+def _c_eps(v: ZonalField, phi_vals: np.ndarray) -> float:
+    # v_eps = c_eps times the projection of phi_eps, whose Z_0 coefficient
+    # is positive
+    return v.coeffs[0] / zonal.analyze(v.basis, phi_vals).coeffs[0]
+
+
 def test_bubble_normalization(setup12):
-    bf = bubble_field(BubbleSpec(eps=0.1), setup12.basis)
+    spec = BubbleSpec(eps=0.1)
+    (v,) = bubble_field([spec], setup12.basis)
     N = setup12.coeffs.N
     rule = setup12.rule
-    phi_vals, _, _ = bubble_profile(rule.theta, bf.spec, 12)
-    mass = rule.integrate((bf.c_eps * phi_vals) ** N)
+    phi_vals, _, _ = bubble_profile(rule.theta, spec, 12)
+    mass = rule.integrate((_c_eps(v, phi_vals) * phi_vals) ** N)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_alias_guard(setup12):
     with pytest.raises(ValueError, match="alias"):
-        bubble_field(BubbleSpec(eps=0.01), setup12.basis)
+        bubble_field([BubbleSpec(eps=0.01)], setup12.basis)
 
 
 @pytest.mark.parametrize("q, L", [(200, 48), (1600, 400)])
@@ -91,17 +98,16 @@ def test_grid_projection_is_the_per_spec_projection(n, q, L):
     # and a synthesis per spec: equal to rounding, in grid order
     setup = spectral.round_setup(n, q=q, L=L)
     N = setup.coeffs.N
-    fields = bubble_field([BubbleSpec(eps=e) for e in DEFAULT_EPS_GRID], setup.basis)
-    assert [bf.spec.eps for bf in fields] == list(DEFAULT_EPS_GRID)
-    for bf in fields:
-        phi_vals, _, _ = bubble_profile(setup.rule.theta, bf.spec, n)
+    specs = [BubbleSpec(eps=e) for e in DEFAULT_EPS_GRID]
+    fields = bubble_field(specs, setup.basis)
+    assert len(fields) == len(specs)
+    for spec, v in zip(specs, fields):
+        phi_vals, _, _ = bubble_profile(setup.rule.theta, spec, n)
         ref = zonal.analyze(setup.basis, phi_vals).coeffs
         c_eps = setup.rule.lN_mass(phi_vals, N) ** (-1.0 / N)
-        assert np.max(np.abs(bf.phi.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert bf.c_eps == pytest.approx(c_eps, rel=1e-13)
-        assert np.max(np.abs(bf.v.coeffs - c_eps * ref)) <= 1e-13 * c_eps * np.max(np.abs(ref))
-        values = zonal.synthesize(bf.v)
-        assert np.max(np.abs(bf.v.values - values)) <= 1e-13 * np.max(np.abs(values))
+        assert np.max(np.abs(v.coeffs - c_eps * ref)) <= 1e-13 * c_eps * np.max(np.abs(ref))
+        values = zonal.synthesize(v)
+        assert np.max(np.abs(v.values - values)) <= 1e-13 * np.max(np.abs(values))
 
 
 def test_grid_is_refused_at_its_point_under_the_alias_floor(setup12):
@@ -112,6 +118,17 @@ def test_grid_is_refused_at_its_point_under_the_alias_floor(setup12):
         bubble_field(grid, setup12.basis)
     with pytest.raises(ValueError, match=re.escape(message)):
         lemma3_bound(12, sharp_constant_oracle(12), (*DEFAULT_EPS_GRID, 0.01))
+
+
+def test_sweep_and_quotient_share_one_alias_floor_refusal():
+    # 3 pi / 50 = 0.1885: the sweep's narrowest point is refused by the one
+    # check that the quotient and the projection both pass through
+    message = "eps=0.05 under the alias floor 0.1885; need q >= 189 nodes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        epsilon_sweep(DEFAULT_EPS_GRID, 12, q=50)
+    setup = spectral.round_setup(12, q=50, L=16)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profile_quotient(BubbleSpec(eps=0.05), setup.coeffs, setup.rule)
 
 
 @pytest.mark.parametrize("n", [131, 151])
@@ -126,16 +143,18 @@ def test_an_overflowing_bubble_mass_is_taken_at_unit_scale(n):
     phi_vals, _, _ = bubble_profile(setup.rule.theta, spec, n)
     with np.errstate(over="ignore"):
         assert setup.rule.lN_mass(phi_vals, N) == math.inf
-    bf = bubble_field(spec, setup.basis)
-    assert setup.rule.lN_mass(bf.c_eps * phi_vals, N) == pytest.approx(1.0, rel=1e-13)
+    (v,) = bubble_field([spec], setup.basis)
+    assert setup.rule.lN_mass(_c_eps(v, phi_vals) * phi_vals, N) == pytest.approx(1.0, rel=1e-13)
     Y = profile_quotient(spec, setup.coeffs, setup.rule)
     assert math.isfinite(Y) and abs(Y / sharp_constant_oracle(n) - 1) < 1e-2
 
 
 def test_c_eps_scaling_law(setup12):
     # log c_eps against log eps has slope ~ (n-4)/2 for small eps
+    specs = [BubbleSpec(eps=e) for e in DEFAULT_EPS_GRID]
     logs = [
-        math.log(bubble_field(BubbleSpec(eps=e), setup12.basis).c_eps) for e in DEFAULT_EPS_GRID
+        math.log(_c_eps(v, bubble_profile(setup12.rule.theta, spec, 12)[0]))
+        for spec, v in zip(specs, bubble_field(specs, setup12.basis))
     ]
     slope = np.polyfit(np.log(DEFAULT_EPS_GRID), logs, 1)[0]
     assert slope == pytest.approx((12 - 4) / 2, rel=0.1)
@@ -320,7 +339,7 @@ def test_profile_quotient_matches_basis_route(setup12):
     # wide, well-resolved bubble
     spec = BubbleSpec(eps=0.2)
     analytic = profile_quotient(spec, setup12.coeffs, setup12.rule)
-    bf = bubble_field(spec, setup12.basis)
-    basis_route = functional_Y(bf.v, setup12.coeffs)
+    (v,) = bubble_field([spec], setup12.basis)
+    basis_route = functional_Y(v, setup12.coeffs)
     # L = 48 truncation of the bubble leaves a few-tenths-percent offset
     assert analytic == pytest.approx(basis_route, rel=5e-3)

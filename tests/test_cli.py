@@ -452,6 +452,11 @@ def test_round_is_refused(tmp_path, capsys):
             "error: euclidean-corollary: the L^N mass of u, 0, is below the normal double "
             "range at n = 341",
         ),
+        (
+            "",
+            ["bubble-sweep", "--n", "12", "--q", "50"],
+            "error: eps=0.05 under the alias floor 0.1885; need q >= 189 nodes",
+        ),
     ],
 )
 def test_bad_values_are_refused(tmp_path, out_root, cfg, argv, message):
@@ -625,6 +630,32 @@ def test_overflowing_bubble_mass_gives_finite_records(out_root, n):
     assert all(math.isfinite(y) for y in sweep["Y"])
     # the well-resolved samples sit at or above the sharp constant
     assert min(sweep["Y"][1:]) >= sweep["oracle"] * (1 - 1e-9)
+
+
+TWO_BUBBLE_STARTS = [["spectrum", "--density", "two-bubble"], ["minimize", "--restarts", "2"]]
+
+
+@pytest.mark.parametrize("argv", TWO_BUBBLE_STARTS)
+@pytest.mark.parametrize("n, q, nearest", [(12, 3, "1.107"), (50, 8, "1.032"), (300, 35, "1.005")])
+def test_a_two_bubble_start_with_no_node_near_a_pole_is_refused_by_name(out_root, argv, n, q, nearest):
+    # the bubbles vanish from 2 CUTOFF_RADIUS = 1 rad off each pole; with no
+    # Gauss node that close the start is zero at every node
+    message = (
+        f"error: the two-bubble start is zero at every node at n={n}, q={q}: the bubbles "
+        f"vanish from 1 rad off each pole, and the nearest node lies {nearest} rad off one"
+    )
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main([*argv, "--n", str(n), "--q", str(q), "--L", "2"])
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("argv", TWO_BUBBLE_STARTS)
+@pytest.mark.parametrize("n, q", [(12, 4), (50, 9), (300, 36)])
+def test_a_two_bubble_start_with_a_node_near_each_pole_runs(out_root, argv, n, q):
+    # one node more puts one 0.974, 0.992 and 0.997 rad off each pole
+    assert main([*argv, "--n", str(n), "--q", str(q), "--L", "2"]) == 0
+    (record,) = out_root.glob("*/record.json")
+    assert json.loads(record.read_text())["config"]["q"] == q
 
 
 def _fresh_python(*args):

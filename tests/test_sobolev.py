@@ -24,9 +24,9 @@ def test_verdict_consistency():
 
 def test_radial_grid_ball_volume():
     for n in (5, 12):
-        grid = build_radial_grid(n)
-        ball = euclidean_sphere_area(n) * grid.R**n / n
-        indicator = np.where(grid.r <= grid.R, 1.0, 0.0)
+        grid, R = build_radial_grid(n), bubble_radius(n)
+        ball = euclidean_sphere_area(n) * R**n / n
+        indicator = np.where(grid.r <= R, 1.0, 0.0)
         assert grid.integrate(indicator) == pytest.approx(ball, rel=1e-10)
         assert np.all(grid.weights > 0)
 
@@ -34,10 +34,10 @@ def test_radial_grid_ball_volume():
 def test_radial_grid_tail_panel():
     # integral of r^(-n-1) over r > R is known in closed form
     n = 5
-    grid = build_radial_grid(n)
-    vals = np.where(grid.r > grid.R, grid.r ** (-n - 1.0), 0.0)
+    grid, R = build_radial_grid(n), bubble_radius(n)
+    vals = np.where(grid.r > R, grid.r ** (-n - 1.0), 0.0)
     # with the surface measure the integrand is r^(-2), so the tail is area/R
-    expected = euclidean_sphere_area(n) / grid.R
+    expected = euclidean_sphere_area(n) / R
     assert grid.integrate(vals) == pytest.approx(expected, rel=1e-10)
 
 
@@ -61,7 +61,9 @@ def test_bubble_radius_keeps_the_tail_small(n):
     # the grid's core radius is the bubble's; only n = 5 needs more than 50
     R = bubble_radius(n)
     assert R == 50.0 if n >= 6 else R > 50.0
-    assert build_radial_grid(n).R == R
+    # the core ends below R and the tail panel starts above it
+    grid = build_radial_grid(n)
+    assert grid.r[grid.core_count - 1] < R < grid.r[grid.core_count]
 
 
 @pytest.mark.parametrize("n", [51, 52, 60])
@@ -111,7 +113,7 @@ def test_lemma1_constant_needs_l2_term(setup5):
 def test_lemma1_bubble_probe(setup12):
     from paneitz_lab.bubbles import BubbleSpec, bubble_field
 
-    fields = [bubble_field(BubbleSpec(eps=e), setup12.basis).v for e in (0.05, 0.1)]
+    fields = bubble_field([BubbleSpec(eps=e) for e in (0.05, 0.1)], setup12.basis)
     reports = lemma1_audit(0.1, 2.0, fields, 12)
     for rep in reports:
         # concentrated profiles clear the inequality with the slack epsilon

@@ -93,10 +93,25 @@ def test_nodal_profile_z1(setup5_opt):
     v = constant_field(basis)
     profile = nodal_profile(w, u, v)
     assert profile.sign_changes == 1
-    assert profile.crossings[0] == pytest.approx(np.pi / 2, abs=1e-2)
     # count invariant under flips and positive scaling
     assert nodal_profile(w * -1.0, u, v).sign_changes == 1
     assert nodal_profile(w * 7.0, u, v).sign_changes == 1
+
+
+@pytest.mark.parametrize("n, q, L", [(5, 200, 16), (12, 201, 16), (30, 1600, 400)])
+def test_nodal_profile_counts_l_sign_changes_of_z_l(n, q, L):
+    # Z_l has l simple zeros in (0, pi); at odd q an odd Z_l is exactly 0 at
+    # the x = 0 node, which the dead band skips instead of counting twice
+    setup = spectral.round_setup(n, q=q, L=L)
+    basis = setup.basis
+    u = constant_density(basis, setup.coeffs.N)
+    v = constant_field(basis)
+    if q % 2:
+        mid = int(np.flatnonzero(basis.rule.nodes == 0.0)[0])
+        assert np.all(basis.table[1:9:2, mid] == 0.0)
+    for l in range(9):
+        w = ZonalField(basis, np.eye(basis.dim)[l])
+        assert nodal_profile(w, u, v).sign_changes == l, l
 
 
 def test_nodal_profile_constant_not_nodal(setup5_opt):

@@ -151,9 +151,9 @@ def profile_quotient(
 
 def bubble_field(specs: list[BubbleSpec], basis: ZonalBasis) -> list[ZonalField]:
     """v_eps = c_eps phi_eps for each spec, with phi_eps projected on the zonal
-    basis and c_eps giving its node values unit L^N mass.  One product with
-    the table gives every coefficient row, and one product back every v_eps's
-    node values.  The first bad spec in list order is refused."""
+    basis and c_eps giving its node values unit L^N mass.  One projection
+    gives every coefficient row, and one synthesis back every v_eps's node
+    values.  The first bad spec in list order is refused."""
     rule = basis.rule
     N = _critical_exponent(basis.n)
     phi_vals, c_eps = np.empty((len(specs), len(rule.nodes))), np.empty(len(specs))
@@ -161,8 +161,8 @@ def bubble_field(specs: list[BubbleSpec], basis: ZonalBasis) -> list[ZonalField]
         phi_vals[i], _, _ = bubble_profile(rule.theta, spec, basis.n)
         mass, scale = _profile_mass(rule, phi_vals[i], N, spec)
         c_eps[i] = mass ** (-1.0 / N) / scale
-    coeffs = ((phi_vals * rule.weights) @ basis.table.T) * c_eps[:, None]
-    return [ZonalField(basis, c, v) for c, v in zip(coeffs, coeffs @ basis.table)]
+    coeffs = basis.project(phi_vals * rule.weights) * c_eps[:, None]
+    return [ZonalField(basis, c, v) for c, v in zip(coeffs, basis.values(coeffs))]
 
 
 DEFAULT_EPS_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)

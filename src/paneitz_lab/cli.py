@@ -18,6 +18,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import types
@@ -336,10 +337,13 @@ def dispatch(config: ExperimentConfig) -> RunRecord:
         "write_s": time.perf_counter() - t1,
         "python": ".".join(map(str, sys.version_info[:3])),
     }
-    # a module, not merely a key: a run may map numpy to None to keep it out
+    # a module, not merely a key: a run may map numpy to None to keep it out;
+    # large pencils sum in an order that depends on the BLAS and its threads
     numpy = sys.modules.get("numpy")
     if isinstance(numpy, types.ModuleType):
-        meta["numpy"] = numpy.__version__
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        meta.update(numpy=numpy.__version__, blas=f"{blas['name']} {blas['version']}",
+                    OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS"))
     (run_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"[{config.command}] {summary}")
     print(f"run directory: {run_dir}")

@@ -20,7 +20,7 @@ import numpy as np
 from .einstein import _critical_exponent, sharp_constant_oracle
 from .spectral import SphereSetup, mass_from_values, pencil_eigen, round_setup
 from .toolkit import _fixed_point_residual
-from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze
+from .zonal import QuadratureRule, ZonalBasis, ZonalField, analyze, fold, unfold
 
 GAP_TOL = 1e-6      # relative eigenvalue gap at which gradient() refuses
 GRAD_TOL = 1e-7     # stationarity |g| |c| / lambda_bar_k at which a descent stops
@@ -101,11 +101,11 @@ class _Space(NamedTuple):
 
     An even q (its odd coefficients zero) moves only its even coefficients,
     c[::2], on the nonnegative half of the mirrored rule with doubled
-    weights; a node at x = 0 counts once.  Its density is even, so its mass
-    form has no even-odd block, and the pencil splits into the even and the
-    odd sector: the even and the odd rows of the basis, the odd ones padded
-    with a zero row to the even count, solved as one stack.  Any other q
-    moves every coefficient on the full rule, with one full pencil."""
+    weights (``fold``).  Its density is even, so its mass form has no
+    even-odd block, and the pencil splits into the even and the odd sector,
+    the basis blocks, solved as one stack.  Any other q moves every
+    coefficient on the full rule, with one full pencil, whose rows the
+    blocks give by parity."""
 
     step: int               # the coefficients moved are c[::step]
     rule: QuadratureRule    # the nodes the values live on
@@ -114,29 +114,31 @@ class _Space(NamedTuple):
     A_diag: np.ndarray      # its operator diagonal: (sectors, d), or the full (d,)
     N: float
 
+    def values(self, c: np.ndarray) -> np.ndarray:
+        return self.table.T @ c
+
 
 def _space(setup: SphereSetup, even: bool) -> _Space:
-    table, A_diag, rule = setup.basis.table, setup.A_diag, setup.rule
+    basis, A_diag, rule = setup.basis, setup.A_diag, setup.rule
+    q, dim = len(rule.nodes), basis.dim
     if not even:
+        table = np.empty((dim, q))
+        table[0::2], table[1::2] = unfold(basis.even, 0.0, q), unfold(0.0, basis.odd, q)
         return _Space(1, rule, table, table, A_diag, setup.coeffs.N)
-    q, dim = len(rule.nodes), len(table)
-    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
-    weights = 2.0 * rule.weights[m:]
-    weights[: q % 2] = rule.weights[m : m + q % 2]  # x = 0 counts once
-    half = rule._replace(nodes=rule.nodes[m:], weights=weights, theta=rule.theta[m:])
-    d = (dim + 1) // 2  # even rows; the odd ones are dim // 2
-    tables = np.zeros((2, d, q - m))
-    tables[0], tables[1, : dim // 2] = table[0::2, m:], table[1::2, m:]
-    sector_A = np.ones((2, d))  # the padded entry's A: any positive value
+    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd, counted once
+    half = rule._replace(nodes=rule.nodes[m:], weights=fold(rule.weights)[0], theta=rule.theta[m:])
+    # the odd sector is padded to the even one's size: a zero row, and any positive A
+    tables, sector_A = np.zeros((2, *basis.even.shape)), np.ones((2, len(basis.even)))
+    tables[0], tables[1, : dim // 2] = basis.even, basis.odd
     sector_A[0], sector_A[1, : dim // 2] = A_diag[0::2], A_diag[1::2]
-    return _Space(2, half, tables[0], tables, sector_A, setup.coeffs.N)
+    return _Space(2, half, basis.even, tables, sector_A, setup.coeffs.N)
 
 
 def _renormalize(c: np.ndarray, space, N: float) -> np.ndarray:
     """c scaled so that u = q^2 has unit L^N mass; the mass is taken of
     q / max|q|, whose 2N-th power cannot overflow.  space is a basis or a
-    _Space: what gives the synthesis table and the rule."""
-    qvals = space.table.T @ c
+    _Space: what gives the node values of q and their rule."""
+    qvals = space.values(c)
     scale = np.abs(qvals).max()
     if scale <= 0 or not math.isfinite(scale):
         raise ValueError("degenerate parameterization (zero or non-finite mass)")
@@ -155,7 +157,7 @@ def _solve_rows(
     c: np.ndarray, space: _Space, kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node values q of c, then ``_eigen`` of u = q^2: one descent solve."""
-    qvals = space.table.T @ c
+    qvals = space.values(c)
     return (qvals, *_eigen(qvals, space, kmax))
 
 
@@ -165,11 +167,17 @@ def _node_values(v: np.ndarray, space: _Space) -> np.ndarray:
     return space.tables.reshape(-1, space.tables.shape[-1]).T @ v.ravel()
 
 
+def _start(coeffs: np.ndarray, setup: SphereSetup, kmax: int) -> tuple:
+    """The space of q (even where its odd coefficients are all zero), the
+    coefficients it moves at unit mass, and ``_solve_rows`` of them."""
+    space = _space(setup, even=not coeffs[1::2].any())
+    c = _renormalize(coeffs[:: space.step], space, space.N)
+    return (space, c, *_solve_rows(c, space, kmax))
+
+
 def objective(q: ZonalField, k: int, setup: SphereSetup) -> float:
     """lambda_bar_k of the normalized density u = q^2."""
-    space = _space(setup, even=False)
-    c = _renormalize(q.coeffs, space, space.N)
-    return float(_solve_rows(c, space, k)[1][k - 1])
+    return float(_start(q.coeffs, setup, k)[3][k - 1])
 
 
 def _eig_gradient(
@@ -197,17 +205,18 @@ def _eig_gradient(
 
 
 def gradient(q: ZonalField, k: int, setup: SphereSetup) -> np.ndarray:
-    """Analytic gradient of lambda_bar_k; refuses near-degenerate gaps."""
-    space = _space(setup, even=False)
-    c = _renormalize(q.coeffs, space, space.N)
+    """Analytic gradient of lambda_bar_k in every coefficient of q, as the descent
+    takes it (0 in the odd ones of an even q); refuses near-degenerate gaps."""
     kmax = min(k + 1, setup.basis.dim)
-    qvals, lam, V = _solve_rows(c, space, kmax)
+    space, _, qvals, lam, V = _start(q.coeffs, setup, kmax)
     tol = GAP_TOL * abs(lam[k - 1])
     if k > 1 and lam[k - 1] - lam[k - 2] < tol:
         raise DegenerateGapError("eigenvalue crossing below k")
     if kmax > k and lam[k] - lam[k - 1] < tol:
         raise DegenerateGapError("eigenvalue crossing above k")
-    return _eig_gradient(qvals, _node_values(V[..., k - 1], space), lam[k - 1], space)
+    g = np.zeros(setup.basis.dim)
+    g[:: space.step] = _eig_gradient(qvals, _node_values(V[..., k - 1], space), lam[k - 1], space)
+    return g
 
 
 def two_bubble_initializer(basis: ZonalBasis) -> ZonalField:
@@ -260,19 +269,15 @@ def _descend(
     coefficients scale with Vol(S^n) and the gradient with its inverse, so
     the test reads the same in every dimension.  A trial that raises is
     annotated and rejected; it counts as a pencil solve only if its
-    renormalization passed.  A start whose odd coefficients are
-    all zero descends in its even coefficients alone, in the two parity
-    sectors of its pencil (_Space): BFGS would drift along the axial Moebius
-    dilation, a flat direction of lambda_bar_k, on the odd ones.  Returns
-    the coefficients and the trace.
-    """
+    renormalization passed.  An even start descends in its even
+    coefficients alone (``_start``): BFGS would drift along the axial Moebius
+    dilation, a flat direction of lambda_bar_k, on the odd ones.  Returns the
+    coefficients and the trace."""
     k = config.k
     kmax = k + 1
-    space = _space(setup, even=not start.coeffs[1::2].any())
+    space, c, qvals, lam, V = _start(start.coeffs, setup, kmax)
     N = space.N
     trace = RunTrace(start_label=label, pencil_solves=1)
-    c = _renormalize(start.coeffs[:: space.step], space, N)
-    qvals, lam, V = _solve_rows(c, space, kmax)
     H = None  # inverse Hessian; None until the first update and after a reset
     for it in range(config.max_iters + 1):
         J = float(lam[k - 1])
@@ -375,7 +380,7 @@ def minimize(config: OptimizerConfig) -> MinimizeResult:
     c[: setup.basis.dim] = best.coeffs
     space = _space(fine, even=not c[1::2].any())
     c = _renormalize(c[:: space.step], space, space.N)
-    final = float(_eigen(space.table.T @ c, space, config.k)[0][config.k - 1])
+    final = float(_eigen(space.values(c), space, config.k)[0][config.k - 1])
 
     K2_inv_sq = sharp_constant_oracle(config.n)
     round_pair_bound = 2.0 ** (4.0 / config.n) * K2_inv_sq

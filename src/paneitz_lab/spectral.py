@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .einstein import EinsteinData, OperatorCoefficients
-from .zonal import QuadratureRule, ZonalBasis, ZonalField
+from .zonal import QuadratureRule, ZonalBasis, ZonalField, fold
 
 
 class DegeneratePencilError(ValueError):
@@ -68,18 +68,14 @@ def assemble_stiffness(coeffs: OperatorCoefficients, basis: ZonalBasis) -> np.nd
 
 
 # A pencil of at least this dimension is large: it is solved by
-# ``_block_krylov``, a smaller one by a full eigh, and ``assemble_mass`` sums
-# its mass form over the mirror half of the rule (``_mirror_mass``).
-# Measured crossovers (one pinned CPU, one BLAS thread):
-# - solve (n = 12, a smooth random density, k = 2): eigh 1.8 ms against
-#   2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
-#   against 2.4 ms at 193 and 20 against 5.6 ms at 401;
-# - mass form, the whole ``assemble_mass`` at n = 12: the mirror sum takes 3.1
-#   ms (1.9 ms for an even density) against 8.1 ms for the general product
-#   (gemm) and 4.8 ms for the symmetric product X X^T over every node (syrk) on
-#   a 401x1600 table, 0.8 (0.5) against 1.7 ms on 151x1600, 52-60 against 53-55
-#   us on 49x200, and 22-31 against 8 us for the descent's one density on a
-#   17x200 table, so the descent and the default L = 48 runs stay on gemm.
+# ``_block_krylov``, a smaller one by a full eigh.  Measured (one pinned CPU,
+# one BLAS thread, n = 12, a smooth random density, k = 2): eigh 1.8 against
+# 2.4 ms for ``_block_krylov`` at dim 129, 2.7 against 2.5 ms at 161, 3.3
+# against 2.4 ms at 193 and 20 against 5.6 ms at 401.  The mass form has no
+# gate: ``assemble_mass`` takes 1.9-2.2 ms (3.7-3.9 for the random density)
+# against 10-11 ms for the general product over a full 401x1600 table,
+# 0.46-0.65 (0.85-1.1) against 2.0-2.5 ms on 151x1600, 29-34 (43) against
+# 35-41 (38-40) us on 49x200, and 21 (25) against 9 us on 17x200.
 KRYLOV_MIN_DIM = 150
 
 
@@ -87,58 +83,36 @@ def mass_from_values(
     rule: QuadratureRule, table: np.ndarray, values: np.ndarray, N: float
 ) -> np.ndarray:
     """M_ab = Sum_j w_j u^(N-2)(x_j) f_a(x_j) f_b(x_j), unvalidated, from the
-    node values of u and of the rows f_a of table: of the basis, the full
-    form B(u); of a few fields, its restriction to their span; of a stack
-    of tables, such as the parity sectors, the stack of their forms."""
+    node values of u and of the rows f_a of table: of a few fields, the
+    restriction of B(u) to their span; of a stack of tables, such as the
+    parity sectors, the stack of their forms."""
     return (table * (rule.weights * values ** (N - 2))) @ table.mT
 
 
-def _mirror_mass(table: np.ndarray, wdens: np.ndarray) -> np.ndarray:
-    """Sum_j wdens_j Z_a(x_j) Z_b(x_j) over a rule whose node x_j has the
-    mirror -x_j, for the basis table Z and the density's node values.
-
-    Z_l(-x) = (-1)^l Z_l(x), so each pair (x, -x) adds
-    Z_a(x) Z_b(x) (wdens(x) + (-1)^(a+b) wdens(-x)): the even-even and
-    odd-odd blocks are symmetric products (BLAS syrk) weighted by the sum,
-    the even-odd block one general product weighted by the difference, and
-    its transpose is the odd-even block (exactly zero, and not formed, for an
-    even density: b = 0 at every node).  A node x = 0, its own mirror,
-    counts once, and only in the even block: every odd row vanishes there.
-    """
-    q = table.shape[-1]
-    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
-    even, odd = table[0::2, m:], table[1::2, m:]  # at the nonnegative nodes
-    plus = wdens[m:]
-    minus = wdens[q - 1 - m :: -1]  # wdens at the mirrors -x of those nodes
-    a, b = plus + minus, plus - minus
-    a[: q % 2] = plus[: q % 2]  # x = 0 counts once
-    root = np.sqrt(a)
-    X, Y = even * root, odd * root
-    B = np.empty((len(table), len(table)))
-    B[0::2, 0::2] = X @ X.T
-    B[1::2, 1::2] = Y @ Y.T
-    B[0::2, 1::2] = (even * b) @ odd.T if b.any() else 0.0  # 0: an even density
-    B[1::2, 0::2] = B[0::2, 1::2].T
-    return B
-
-
 def assemble_mass(u: ConformalDensity, basis: ZonalBasis) -> np.ndarray:
-    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD.
-
-    From ``KRYLOV_MIN_DIM`` basis functions on, the sum runs over the nonnegative
-    nodes alone (``_mirror_mass``), a quarter of the general product's multiply-
-    adds (an eighth for an even density), and is exactly symmetric; it needs the
-    mirrored rule and rows of ``build_quadrature`` and ``build_basis``, which the
-    node values of arbitrary fields lack."""
+    """B_lm = Sum_j w_j u^(N-2)(x_j) Z_l(x_j) Z_m(x_j), symmetric PSD, summed
+    over the nonnegative nodes from the basis blocks: each pair (x, -x) adds
+    Z_l(x) Z_m(x) (d(x) + (-1)^(l+m) d(-x)) for d = w u^(N-2) (``fold``).  The
+    even-even and odd-odd blocks are symmetric products (BLAS syrk) weighted
+    by the sum, so B is exactly symmetric; the even-odd block is one general
+    product weighted by the difference (exactly zero, and not formed, for an
+    even density), and its transpose the odd-even block.  That is a quarter
+    of the general product's multiply-adds, an eighth for an even density."""
     if u.basis is not basis and u.basis.n != basis.n:
         raise ValueError("density and basis dimensions disagree")
     if u.values.shape != basis.rule.nodes.shape:
         raise ValueError(
             f"density lives on {len(u.values)} nodes, basis on {len(basis.rule.nodes)}"
         )
-    if basis.dim >= KRYLOV_MIN_DIM:
-        return _mirror_mass(basis.table, basis.rule.weights * u.values ** (u.N - 2))
-    return mass_from_values(basis.rule, basis.table, u.values, u.N)
+    a, b = fold(basis.rule.weights * u.values ** (u.N - 2))
+    root = np.sqrt(a)
+    X, Y = basis.even * root, basis.odd * root
+    B = np.empty((basis.dim, basis.dim))
+    B[0::2, 0::2] = X @ X.T
+    B[1::2, 1::2] = Y @ Y.T
+    B[0::2, 1::2] = (basis.even * b) @ basis.odd.T if b.any() else 0.0  # 0: an even density
+    B[1::2, 0::2] = B[0::2, 1::2].T
+    return B
 
 
 def restricted_mass(u: ConformalDensity, *fields: ZonalField) -> np.ndarray:
@@ -182,29 +156,23 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def pencil_eigen(A_diag: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest k eigenpairs of A v = lambda B v as plain arrays.
-
-    Returns (eigenvalues, V): the ascending eigenvalues and their
-    B-normalized coefficient vectors as the columns of V, with no sign
-    convention.  A_diag and B may also be stacks, of shapes (s, d) and
-    (s, d, d): the diagonal blocks of one block-diagonal pencil, such as
-    its parity sectors, solved by one batched eigh.  The k smallest
+    """Smallest k eigenpairs of A v = lambda B v as plain arrays: the
+    ascending eigenvalues and their B-normalized coefficient vectors as the
+    columns of V, with no sign convention.  A_diag and B may also be stacks,
+    of shapes (s, d) and (s, d, d): the diagonal blocks of one pencil, such
+    as its parity sectors, solved by one batched eigh; the k smallest
     eigenvalues over all blocks are returned, and V, of shape (s, d, k),
-    holds column j in its own block and zeros in the others.  A block is
-    padded to the common d by a zero row and column of B and any positive
-    entry of A: the padded eigenvalue of C below is 0, never among the
-    top k, and dim counts it.
+    holds column j in its own block and zeros in the others.  A block padded
+    to the common d by a zero row and column of B and any positive entry of
+    A has a padded eigenvalue 0 of C below, never among the top k.
 
-    A must be positive definite (refused otherwise; that is the S <= 0
-    regime).  B need only be positive semidefinite, as the mass form of a
-    density with zeros is: the solve takes the largest eigenvalues of
-    C = A^(-1/2) B A^(-1/2), the reciprocals of the pencil's smallest, and
-    a null direction of B is an eigenvalue 0 of C, far from the top, so
-    singular and regular B take one path.  A single pencil of dimension
-    ``KRYLOV_MIN_DIM`` or more is solved for its k pairs alone
-    (``_block_krylov``), or by the full eigh when that solve gives up; a
-    smaller one, and a stack, by the full eigh.
-    """
+    A must be positive definite (refused otherwise: the S <= 0 regime).  B
+    need only be positive semidefinite, as the mass form of a density with
+    zeros is: the solve takes the largest eigenvalues of C = A^(-1/2) B
+    A^(-1/2), the reciprocals of the pencil's smallest, so a null direction
+    of B is an eigenvalue 0 of C, far from the top.  A single pencil of
+    dimension ``KRYLOV_MIN_DIM`` or more is solved for its k pairs alone
+    (``_block_krylov``), or by the full eigh when that gives up."""
     dim = A_diag.size
     if not 1 <= k <= dim:
         raise DegeneratePencilError(f"requested {k} eigenvalues from a {dim}-dim pencil")
@@ -370,13 +338,12 @@ def round_setup(n: int, q: int = 200, L: int = 48) -> SphereSetup:
     """Quadrature, basis and operator form for the round unit n-sphere.
 
     One setup is held: that of the last (n, q), at the largest L asked for.
-    A smaller L gets its leading L + 1 rows as views, since the recurrence
-    rows do not depend on L; so a caller's setup and the one
-    ``lemma3_bound`` asks for share one basis table, and ``minimize``,
-    which asks for its final L first, builds no second one.  The held
-    setup is dropped before the next is built, so that build does not run
-    beside a second table.  Its arrays are read-only, as the Gauss rule's
-    are."""
+    A smaller L gets the leading rows of its basis blocks as views, since
+    the recurrence rows do not depend on L; so a caller's setup and the one
+    ``lemma3_bound`` asks for share one basis, and ``minimize``, which asks
+    for its final L first, builds no second one.  The held setup is dropped
+    before the next is built, so that no two bases coexist.  Its arrays are
+    read-only, as the Gauss rule's are."""
     top = max(_held, default=None)
     if top is None or (_held[top].basis.n, len(_held[top].rule.nodes)) != (n, q) or top < L:
         _held.clear()
@@ -384,7 +351,7 @@ def round_setup(n: int, q: int = 200, L: int = 48) -> SphereSetup:
         _held[L] = _build_setup(n, q, L)
     if L not in _held:
         full = _held[top]
-        basis = ZonalBasis(L, full.rule, full.basis.table[: L + 1])
+        basis = ZonalBasis(L, full.rule, full.basis.even[: L // 2 + 1], full.basis.odd[: (L + 1) // 2])
         basis.eigs.flags.writeable = False
         _held[L] = full._replace(basis=basis, A_diag=full.A_diag[: L + 1])
     return _held[L]
@@ -399,7 +366,7 @@ def _build_setup(n: int, q: int, L: int) -> SphereSetup:
     rule = build_quadrature(data, q)
     basis = build_basis(rule, L)
     A_diag = assemble_stiffness(coeffs, basis)
-    for a in (basis.table, basis.eigs, A_diag):
+    for a in (basis.even, basis.odd, basis.eigs, A_diag):
         a.flags.writeable = False
     return SphereSetup(data=data, coeffs=coeffs, rule=rule, basis=basis, A_diag=A_diag)
 

@@ -45,8 +45,7 @@ def positivity_lift(
     basis = v.basis
     half = coeffs.alpha / 2.0
     r_coeffs = (basis.eigs + half) * v.coeffs
-    r_nodes = basis.table.T @ r_coeffs
-    abs_proj = analyze(basis, np.abs(r_nodes))
+    abs_proj = analyze(basis, np.abs(basis.values(r_coeffs)))
     f = ZonalField(basis, abs_proj.coeffs / (basis.eigs + half))
     mass = float(restricted_mass(u, f)[0, 0])
     if mass <= 0:

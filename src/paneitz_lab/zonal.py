@@ -55,14 +55,14 @@ def _recurrence(n: int, m: int) -> tuple[float, np.ndarray]:
 def _rows(x: np.ndarray, b0: float, sqrt_beta: np.ndarray):
     """Yield p_0(x), ..., p_m(x), m = len(sqrt_beta): the polynomials
     orthonormal for the x-weight, by their three-term recurrence."""
-    prev = np.full_like(x, 1.0 / math.sqrt(b0))
-    yield prev
-    if len(sqrt_beta) == 0:
-        return
-    cur = x * prev / sqrt_beta[0]
+    s = [0.0, *sqrt_beta.tolist()]  # Python floats; s[0] multiplies p_(-1) = 0
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b0))
     yield cur
-    for j in range(1, len(sqrt_beta)):
-        prev, cur = cur, (x * cur - sqrt_beta[j - 1] * prev) / sqrt_beta[j]
+    for j in range(1, len(s)):
+        nxt = x * cur  # one new array per row, updated in place
+        nxt -= s[j - 1] * prev
+        nxt /= s[j]
+        prev, cur = cur, nxt
         yield cur
 
 
@@ -82,18 +82,16 @@ def build_quadrature(data: EinsteinData, q: int) -> QuadratureRule:
     positive nodes as its eigenvalues (Golub & Welsch 1969); no eigenvectors
     are formed.  The weights are the Christoffel numbers
     Vol(S^(n-1)) / Sum_{l<q} p_l(x_j)^2, summed in one pass of the recurrence
-    that ``build_basis`` runs.  Unlike Golub-Welsch weights (squared
-    eigenvector components, accurate only relative to the largest weight)
-    they keep their relative accuracy at the poles, where they are tiny for
-    large n.  Both are computed on the nonnegative half and mirrored, so the
-    nodes are exactly antisymmetric (x = 0 is a node when q is odd) and the
-    weights exactly symmetric.
+    that ``build_basis`` runs; unlike Golub-Welsch weights (squared
+    eigenvector components) they keep their relative accuracy at the poles,
+    where they are tiny for large n.  Both are computed on the nonnegative
+    half and mirrored (``unfold``): the nodes are exactly antisymmetric (x = 0
+    is a node when q is odd) and the weights exactly symmetric.
 
     Rules are memoized per process on (n, q) and shared, so their arrays
     are read-only.  Raises ValueError for q above ``MAX_QUADRATURE_NODES``,
     before anything is allocated, and when a weight underflows to zero, as
-    at (n, q) = (200, 1600) or (340, 200).
-    """
+    at (n, q) = (200, 1600) or (340, 200)."""
     if q < 2:
         raise ValueError("need at least 2 quadrature nodes")
     if q > MAX_QUADRATURE_NODES:
@@ -129,8 +127,7 @@ def gauss_rule(n: int, q: int) -> QuadratureRule:
             f"Gauss weights underflow to zero at n={n}, q={q}; "
             "the dimension is too large for double precision"
         )
-    x = np.concatenate((-positive[::-1], half))
-    w = np.concatenate((w_half[::-1][:m], w_half))
+    x, w = unfold(0.0, half, q), unfold(w_half, 0.0, q)
     theta = np.arccos(x)
     for a in (x, w, theta):
         a.flags.writeable = False
@@ -138,38 +135,66 @@ def gauss_rule(n: int, q: int) -> QuadratureRule:
 
 
 class ZonalBasis:
-    """Orthonormal zonal harmonics Z_0..Z_L tabulated at the quadrature nodes.
+    """Orthonormal zonal harmonics Z_0..Z_L, held at the nonnegative nodes
+    x_j of the mirrored rule, ``rule.nodes[q // 2:]``, since Z_l(-x) =
+    (-1)^l Z_l(x): ``even[i, j] = Z_2i(x_j)``, ``odd[i, j] = Z_(2i+1)(x_j)``
+    (0 at a node x = 0, which odd q has).  ``eigs[l] = l(l+n-1)`` is the
+    exact Laplace-Beltrami eigenvalue of Z_l."""
 
-    ``table[l, j] = Z_l(x_j)``; ``eigs[l] = l(l+n-1)`` is the exact
-    Laplace-Beltrami eigenvalue of Z_l.
-    """
-
-    def __init__(self, L: int, rule: QuadratureRule, table: np.ndarray):
-        self.n = rule.n
-        self.L = L
-        self.rule = rule
-        self.table = table
+    def __init__(self, L: int, rule: QuadratureRule, even: np.ndarray, odd: np.ndarray):
+        self.n, self.L, self.dim, self.rule = rule.n, L, L + 1, rule
+        self.even, self.odd = even, odd
         l = np.arange(L + 1, dtype=float)
         self.eigs = l * (l + self.n - 1)
 
-    @property
-    def dim(self) -> int:
-        return self.L + 1
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Node values Sum_l c_l Z_l(x_j) on the whole rule, for the
+        coefficients along the last axis."""
+        e, o = coeffs[..., 0::2] @ self.even, coeffs[..., 1::2] @ self.odd
+        return unfold(e, o, len(self.rule.nodes))
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """Sum_j g(x_j) Z_l(x_j) over the whole rule, for the node values g
+        along the last axis."""
+        s, d = fold(g)
+        c = np.empty(g.shape[:-1] + (self.dim,))
+        c[..., 0::2], c[..., 1::2] = s @ self.even.T, d @ self.odd.T
+        return c
+
+
+def fold(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(x) + g(-x) and g(x) - g(-x) at the nonnegative nodes x of a mirrored
+    rule, from the node values g along the last axis; a node x = 0, its own
+    mirror, counts once: g(0) and 0."""
+    q = g.shape[-1]
+    m = q // 2  # nodes of each sign; x = 0 is node m when q is odd
+    plus, minus = g[..., m:], g[..., q - 1 - m :: -1]
+    s, d = plus + minus, plus - minus
+    s[..., : q % 2] = plus[..., : q % 2]
+    return s, d
+
+
+def unfold(e: np.ndarray, o: np.ndarray, q: int) -> np.ndarray:
+    """Values on the mirrored q-node rule of f = e + o, from an even part e
+    and an odd part o at its nonnegative nodes: f(-x) = e(x) - o(x)."""
+    return np.concatenate(((e - o)[..., ::-1][..., : q // 2], e + o), axis=-1)
 
 
 def build_basis(rule: QuadratureRule, L: int) -> ZonalBasis:
     """Orthonormal basis up to degree L; requires L < q so every Gram
-    integral (degree <= 2L) is quadrature-exact."""
+    integral (degree <= 2L) is quadrature-exact.  The recurrence runs on the
+    nonnegative nodes alone: it is exactly sign-symmetric, so the rows at -x
+    are those at x times (-1)^l, bit for bit."""
     q = len(rule.nodes)
     if L >= q:
         raise ValueError(f"basis degree L={L} must be < node count q={q} (aliasing)")
     b0, sqrt_beta = _recurrence(rule.n, L)
-    # the rows fill one (L+1, q) table, rescaled in place, so the build holds
-    # one table-sized array at a time (5 MB at q = 1600, L = 400)
-    table = np.fromiter(_rows(rule.nodes, b0, sqrt_beta), dtype=(float, q), count=L + 1)
-    # rows are orthonormal for the x-weight; rescale to the full measure
-    table /= math.sqrt(euclidean_sphere_area(rule.n))
-    return ZonalBasis(L=L, rule=rule, table=table)
+    # one buffer, the even rows first, which a dropped basis frees as one block
+    rows, d = np.empty((L + 1, q - q // 2)), L // 2 + 1
+    for l, row in enumerate(_rows(rule.nodes[q // 2 :], b0, sqrt_beta)):
+        rows[l // 2 + l % 2 * d] = row
+    rows /= math.sqrt(euclidean_sphere_area(rule.n))  # from the x-weight to the full measure
+    return ZonalBasis(L, rule, rows[:d], rows[d:])
 
 
 class ZonalField:
@@ -194,7 +219,7 @@ class ZonalField:
 
 def synthesize(field: ZonalField) -> np.ndarray:
     """Node values Sum_l c_l Z_l(x_j)."""
-    return field.basis.table.T @ field.coeffs
+    return field.basis.values(field.coeffs)
 
 
 def analyze(basis: ZonalBasis, values: np.ndarray) -> ZonalField:
@@ -206,7 +231,7 @@ def analyze(basis: ZonalBasis, values: np.ndarray) -> ZonalField:
     values = np.asarray(values, dtype=float)
     if values.shape != basis.rule.nodes.shape:
         raise ValueError("value vector length does not match the quadrature rule")
-    return ZonalField(basis, basis.table @ (basis.rule.weights * values))
+    return ZonalField(basis, basis.project(basis.rule.weights * values))
 
 
 def constant_field(basis: ZonalBasis, value: float = 1.0) -> ZonalField:

@@ -53,3 +53,15 @@ def two_bubble_field(basis, eps, split):
     phi_n, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="north"), basis.n)
     phi_s, _, _ = bubble_profile(theta, BubbleSpec(eps=eps, center="south"), basis.n)
     return analyze(basis, math.sqrt(split) * np.sqrt(phi_n) + math.sqrt(1 - split) * np.sqrt(phi_s))
+
+
+def full_table(basis):
+    """The (L+1, q) table Z_l(x_j) over the whole rule, by the recurrence at
+    every node: the reference for the basis's even and odd blocks, which hold
+    it at the nonnegative nodes alone."""
+    from paneitz_lab.einstein import euclidean_sphere_area
+    from paneitz_lab.zonal import _recurrence, _rows
+
+    b0, sqrt_beta = _recurrence(basis.n, basis.L)
+    rows = np.array(list(_rows(basis.rule.nodes, b0, sqrt_beta)))
+    return rows / math.sqrt(euclidean_sphere_area(basis.n))

@@ -294,7 +294,7 @@ def test_lemma3_bound_forms_no_full_mass(monkeypatch):
 
 
 def test_lemma3_bound_reuses_the_callers_basis(monkeypatch):
-    # the job's own setup is held, so the bound builds no second basis table
+    # the job's own setup is held, so the bound builds no second basis
     spectral.round_setup(12, q=400, L=96)
     builds = []
     build = zonal.build_basis
@@ -306,10 +306,12 @@ def test_lemma3_bound_reuses_the_callers_basis(monkeypatch):
     monkeypatch.setattr(zonal, "build_basis", counted)
     lemma3_bound(12, sharp_constant_oracle(12), DEFAULT_EPS_GRID, q=400, L=96)
     assert builds == []
-    # a smaller L is the held table's leading rows, those of a fresh build
+    # a smaller L is the held blocks' leading rows, those of a fresh build
     view = spectral.round_setup(12, q=400, L=48)
     assert builds == []
-    assert view.basis.table.tobytes() == build(view.rule, 48).table.tobytes()
+    fresh = build(view.rule, 48)
+    assert view.basis.even.tobytes() == fresh.even.tobytes()
+    assert view.basis.odd.tobytes() == fresh.odd.tobytes()
     spectral.round_setup(12, q=401, L=48)  # the counter sees a build that does happen
     assert len(builds) == 1
 

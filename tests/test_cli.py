@@ -222,9 +222,13 @@ def test_meta_records_phase_times_beside_an_unchanged_record(out_root):
     dispatch(config)
     record = (run_dir / "record.json").read_bytes()
     meta = json.loads((run_dir / "meta.json").read_text())
-    assert {"written", "run_s", "write_s", "python", "numpy"} <= set(meta)
+    assert {"written", "run_s", "write_s", "python", "numpy", "blas", "OPENBLAS_NUM_THREADS"} <= set(meta)
     assert meta["run_s"] >= 0 and meta["write_s"] >= 0
     assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
+    # the BLAS numpy was built against, and the thread count as the environment gives it
+    blas = sys.modules["numpy"].show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == f"{blas['name']} {blas['version']}"
+    assert meta["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     dispatch(config)
     assert (run_dir / "record.json").read_bytes() == record
     assert not set(meta) & set(json.loads(record))
@@ -763,7 +767,8 @@ for argv in (["coeffs"], ["coeffs", "--S", "30"], ["report"]):
         }
     # numpy maps to None there, which is a key of sys.modules but no version
     metas = [json.loads(path.read_text()) for path in (tmp_path / "blocked").glob("*/meta.json")]
-    assert len(metas) == 2 and all("numpy" not in meta and "python" in meta for meta in metas)
+    assert len(metas) == 2 and all("python" in meta for meta in metas)
+    assert not any(meta.keys() & {"numpy", "blas", "OPENBLAS_NUM_THREADS"} for meta in metas)
     assert len(outputs["blocked"]) == 2 + 1  # record.json per run, the report's summary.json
     assert outputs["blocked"] == outputs["unblocked"]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitz_lab.optimizer as optimizer
-from conftest import two_bubble_field
+from conftest import full_table, two_bubble_field
 from paneitz_lab.einstein import sharp_constant_oracle
 from paneitz_lab.optimizer import (
     GRAD_TOL,
@@ -377,13 +377,17 @@ def test_a_forced_stall_ends_the_descent(stall, max_iters, monkeypatch):
 @pytest.mark.parametrize("n", [5, 12])
 def test_descent_takes_the_checked_gradient(n):
     # each restart's first step follows gradient(), the function that the
-    # finite-difference criterion checks
+    # finite-difference criterion checks; both starts are even, and gradient()
+    # solves them in the descent's space, so the step is its even part, bit
+    # for bit, and its odd partials are exactly 0
     cfg = OptimizerConfig(n=n, k=2, restarts=2, max_iters=1)
     setup = round_setup(cfg.n, q=cfg.q_nodes, L=cfg.L_opt)
     for label, start in _starts(cfg, setup):
         _, trace = _descend(label, start, cfg, setup)
-        norm = np.linalg.norm(gradient(start, cfg.k, setup))
-        assert trace.grad_norms[0] == pytest.approx(norm, rel=1e-12)
+        g = gradient(start, cfg.k, setup)
+        assert trace.grad_norms[0] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+        moved = np.ascontiguousarray(g[::2])
+        assert trace.grad_norms[0] == math.sqrt(moved @ moved) and not g[1::2].any()
 
 
 @pytest.mark.parametrize("n, seed", [(12, 0), (20, 1)])
@@ -502,7 +506,8 @@ def test_winner_is_a_field_on_the_descent_basis():
     setup = round_setup(12, q=200, L=16)
     assert isinstance(res.best, ZonalField)
     assert res.best.basis.L == setup.basis.L and res.best.basis.rule is setup.rule
-    assert np.array_equal(res.best.basis.table, setup.basis.table)
+    assert np.array_equal(res.best.basis.even, setup.basis.even)
+    assert np.array_equal(res.best.basis.odd, setup.basis.odd)
     u = density_from_sqrt_field(res.best, setup.coeffs.N)
     value = normalized_invariant(solve_density(setup, u, 2), u, 2)
     assert value == pytest.approx(res.best_objective, rel=1e-10)
@@ -516,7 +521,7 @@ def test_renormalize_and_k1_minimum_in_every_dimension(n):
     N = setup.coeffs.N
     rng = np.random.default_rng(n)
     c = rng.standard_normal(setup.basis.dim) * 0.5 ** np.arange(setup.basis.dim)
-    qvals = setup.basis.table.T @ _renormalize(c, setup.basis, N)
+    qvals = full_table(setup.basis).T @ _renormalize(c, setup.basis, N)
     assert setup.rule.integrate((qvals**2) ** N) == pytest.approx(1.0, abs=1e-12)
     res = minimize(OptimizerConfig(n=n, k=1, restarts=2, max_iters=20))
     assert res.final_objective == pytest.approx(sharp_constant_oracle(n), rel=1e-8)

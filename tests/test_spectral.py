@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 
 import paneitz_lab.spectral as spectral
 import paneitz_lab.zonal as zonal
-from conftest import random_density, two_bubble_field
+from conftest import full_table, random_density, two_bubble_field
 from paneitz_lab.einstein import sharp_constant_oracle, sphere_volume
 from paneitz_lab.spectral import (
     ConformalDensity,
@@ -268,7 +268,7 @@ def test_a_stack_of_tables_gives_the_stack_of_forms(setup12):
     # mass_from_values takes a stack of tables row by row, with the general
     # product: the parity sectors on the half rule, and tables of the
     # mirror sum's size on a rule that is not mirrored
-    rule, table = setup12.rule, setup12.basis.table
+    rule, table = setup12.rule, full_table(setup12.basis)
     values = random_density(setup12.basis, setup12.coeffs.N, np.random.default_rng(4)).values
     stack = np.stack([table[0::2], table[1::2, :][np.r_[0:24, 0]]])
     B = mass_from_values(rule, stack, values, setup12.coeffs.N)
@@ -303,23 +303,23 @@ def test_large_mass_is_the_symmetric_product(n):
     }
     for name, u in densities.items():
         B = assemble_mass(u, setup.basis)
-        ref = _general_mass(setup.rule, setup.basis.table, u.values, u.N)
+        ref = _general_mass(setup.rule, full_table(setup.basis), u.values, u.N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), name
 
 
-def _formed_mirror_mass(table, wdens):
+def _formed_mirror_mass(basis, wdens):
     """The mirror sum that forms its even-odd block by the general product
     for every density, even ones included: the reference for the skipped
-    block of ``spectral._mirror_mass``."""
-    q = table.shape[-1]
+    block of ``spectral.assemble_mass``."""
+    q = len(wdens)
     m = q // 2
-    even, odd = table[0::2, m:], table[1::2, m:]
+    even, odd = basis.even, basis.odd
     plus, minus = wdens[m:], wdens[q - 1 - m :: -1]
     a, b = plus + minus, plus - minus
     a[: q % 2] = plus[: q % 2]
     X, Y = even * np.sqrt(a), odd * np.sqrt(a)
-    B = np.empty((len(table), len(table)))
+    B = np.empty((basis.dim, basis.dim))
     B[0::2, 0::2], B[1::2, 1::2] = X @ X.T, Y @ Y.T
     B[0::2, 1::2] = (even * b) @ odd.T
     B[1::2, 0::2] = B[0::2, 1::2].T
@@ -352,20 +352,20 @@ def test_large_mass_is_the_mirror_sum(n, q, L):
         densities["even two-bubble"] = density_from_sqrt_field(start, N)
     for name, u in densities.items():
         B = assemble_mass(u, setup.basis)
-        ref = _general_mass(setup.rule, setup.basis.table, u.values, N)
+        ref = _general_mass(setup.rule, full_table(setup.basis), u.values, N)
         assert np.array_equal(B, B.T), name
         assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref))), name
         wdens = setup.rule.weights * u.values ** (N - 2)
         assert np.array_equal(wdens, wdens[::-1]) == (name in even), name
         if name in even:
-            assert B.tobytes() == _formed_mirror_mass(setup.basis.table, wdens).tobytes(), name
+            assert B.tobytes() == _formed_mirror_mass(setup.basis, wdens).tobytes(), name
             assert not B[0::2, 1::2].any(), name
         elif name == "random":
             assert np.abs(B[0::2, 1::2]).max() > 1e-3 * np.abs(B).max(), name
 
 
 def test_restricted_mass_of_many_fields_is_the_direct_sum(setup12):
-    # the node values of KRYLOV_MIN_DIM fields are no mirrored basis table:
+    # the node values of KRYLOV_MIN_DIM fields are no mirrored basis:
     # their restricted form is the general product, not the mirror sum
     rng = np.random.default_rng(0)
     u = constant_density(setup12.basis, setup12.coeffs.N)
@@ -403,23 +403,28 @@ def test_moebius_density_has_the_round_spectrum(q, L, n, eps):
     assert normalized_invariant(spec, u, 1) / sharp_constant_oracle(n) - 1 == pytest.approx(0, abs=1e-12)
 
 
-def test_small_mass_keeps_the_general_product(setup12):
-    # below the gate, a density on the descent's 17-row table and one on the
-    # default 49-row table keep the general product's bits
-    setup = round_setup(12, q=200, L=16)
+def test_small_mass_is_the_mirror_sum():
+    # below the solve's gate too, the form is the mirror sum: a density on the
+    # descent's 17-row basis and one on the default 49-row basis, with and
+    # without a node at x = 0, exactly symmetric and within 32 ulp of max|B|
+    # of the general product
     rng = np.random.default_rng(8)
-    for s in (setup, setup12):
+    for q, L in [(200, 16), (200, 48), (201, 16), (201, 48)]:
+        s = round_setup(12, q=q, L=L)
         u = random_density(s.basis, s.coeffs.N, rng)
         B = assemble_mass(u, s.basis)
-        ref = _general_mass(s.rule, s.basis.table, u.values, s.coeffs.N)
+        ref = _general_mass(s.rule, full_table(s.basis), u.values, s.coeffs.N)
         assert B.shape[-1] < spectral.KRYLOV_MIN_DIM
-        assert B.tobytes() == ref.tobytes()
+        assert np.array_equal(B, B.T)
+        assert np.max(np.abs(B - ref)) <= 32 * np.spacing(np.max(np.abs(ref)))
+        wdens = s.rule.weights * u.values ** (s.coeffs.N - 2)
+        assert B.tobytes() == _formed_mirror_mass(s.basis, wdens).tobytes()
 
 
 def test_round_setup_is_held_and_read_only():
     setup = round_setup(12, 200, 16)
     assert round_setup(12, q=200, L=16) is setup
-    for a in (setup.basis.table, setup.basis.eigs, setup.A_diag):
+    for a in (setup.basis.even, setup.basis.odd, setup.basis.eigs, setup.A_diag):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     other = round_setup(5, q=200, L=16)  # a different discretization replaces it
@@ -442,11 +447,15 @@ def test_a_smaller_degree_is_served_by_the_held_table(monkeypatch):
     for L in (0, 16, 47):
         view = round_setup(7, q=203, L=L)
         assert round_setup(7, q=203, L=L) is view
-        assert view.basis.table.base is full.basis.table and view.rule is full.rule
-        assert view.basis.table.tobytes() == build(full.rule, L).table.tobytes()
+        fresh = build(full.rule, L)
+        assert view.basis.even.base is full.basis.even.base and view.rule is full.rule
+        assert view.basis.odd.base is full.basis.odd.base
+        assert view.basis.even.flags.c_contiguous and view.basis.odd.flags.c_contiguous
+        assert view.basis.even.tobytes() == fresh.even.tobytes()
+        assert view.basis.odd.tobytes() == fresh.odd.tobytes()
         assert view.A_diag.tobytes() == assemble_stiffness(full.coeffs, view.basis).tobytes()
         assert view.basis.eigs.tobytes() == full.basis.eigs[: L + 1].tobytes()
-        for a in (view.basis.table, view.basis.eigs, view.A_diag):
+        for a in (view.basis.even, view.basis.odd, view.basis.eigs, view.A_diag):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
     assert builds == []
@@ -455,20 +464,21 @@ def test_a_smaller_degree_is_served_by_the_held_table(monkeypatch):
 
 
 def test_the_held_table_is_dropped_before_the_next_build(monkeypatch):
-    # two basis tables never coexist: the held one, and its views, are gone
+    # two bases never coexist: the held blocks, and their views, are gone
     # when the next (n, q) builds its own
-    held = weakref.ref(round_setup(8, q=205, L=48).basis.table)
-    view = weakref.ref(round_setup(8, q=205, L=16).basis.table)
+    held, view = round_setup(8, q=205, L=48).basis, round_setup(8, q=205, L=16).basis
+    refs = [weakref.ref(a) for a in (held.even, held.odd, view.even, view.odd)]
+    del held, view
     alive = []
     build = zonal.build_basis
 
     def probed(*args):
-        alive.append((held() is not None, view() is not None))
+        alive.append([ref() is not None for ref in refs])
         return build(*args)
 
     monkeypatch.setattr(zonal, "build_basis", probed)
     round_setup(9, q=205, L=48)
-    assert alive == [(False, False)]
+    assert alive == [[False] * 4]
 
 
 def test_a_second_minimize_builds_no_basis(monkeypatch):
@@ -624,7 +634,7 @@ def test_a_rank_two_mass_breaks_the_krylov_space_down(monkeypatch):
     setup = round_setup(12, q=400, L=160)
     values = np.zeros(len(setup.rule.nodes))
     values[[100, 250]] = 1.0
-    B = mass_from_values(setup.rule, setup.basis.table, values, setup.coeffs.N)
+    B = mass_from_values(setup.rule, full_table(setup.basis), values, setup.coeffs.N)
     assert np.linalg.matrix_rank(B) == 2
     served, qrs = _krylov_served(monkeypatch), []
     qr = np.linalg.qr

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_gegenbauer
 
 import paneitz_lab.zonal as zonal
+from conftest import full_table
+from paneitz_lab.bubbles import DEFAULT_EPS_GRID, BubbleSpec, _profile_mass, bubble_field, bubble_profile
 from paneitz_lab.einstein import (
     euclidean_sphere_area,
     round_sphere,
@@ -185,27 +187,29 @@ def test_quadrature_guard():
 
 def test_basis_orthonormal(basis5):
     W = basis5.rule.weights
-    gram = (basis5.table * W) @ basis5.table.T
+    gram = basis5.project(basis5.values(np.eye(basis5.dim)) * W)
     assert np.max(np.abs(gram - np.eye(basis5.dim))) < 1e-10
 
 
 @pytest.mark.parametrize("n, q, L", [(12, 1600, 400), (5, 200, 16)])
 def test_basis_table_has_the_bits_of_the_list_and_divide_formula(n, q, L):
-    # the reference: every recurrence row in a list, stacked into one array,
-    # then divided into a second one
+    # the reference: every recurrence row over the whole rule in a list,
+    # stacked into one array, then divided into a second one; the basis
+    # blocks are its even and odd rows at the nonnegative nodes, contiguous
     rule = build_quadrature(round_sphere(n), q)
     b0, sqrt_beta = _recurrence(n, L)
     reference = np.array(list(_rows(rule.nodes, b0, sqrt_beta))) / math.sqrt(
         euclidean_sphere_area(n)
     )
-    table = build_basis(rule, L).table
-    assert table.shape == (L + 1, q) and table.flags.c_contiguous
-    assert table.tobytes() == reference.tobytes()
+    basis, m = build_basis(rule, L), q // 2
+    for block, rows in ((basis.even, reference[0::2, m:]), (basis.odd, reference[1::2, m:])):
+        assert block.shape == rows.shape and block.flags.c_contiguous
+        assert block.tobytes() == rows.tobytes()
 
 
 def test_basis_constant_mode(basis5):
     vol = basis5.rule.weights.sum()
-    assert np.allclose(basis5.table[0], vol**-0.5)
+    assert np.allclose(basis5.even[0], vol**-0.5)
     assert basis5.eigs[1] == 5 and basis5.eigs[2] == 12  # l(l+n-1) at n=5
 
 
@@ -220,6 +224,49 @@ def test_round_trip(basis5):
     f = ZonalField(basis5, c)
     back = analyze(basis5, synthesize(f))
     assert np.max(np.abs(back.coeffs - c)) < 1e-12
+
+
+@pytest.mark.parametrize("q", [200, 201, 1600, 1601])
+@pytest.mark.parametrize("n", [5, 12, 151])
+def test_blocks_mirrored_are_the_full_rule_recurrence(n, q):
+    # the recurrence is exactly sign-symmetric: the blocks at the nonnegative
+    # nodes, mirrored by parity, are the full rule's rows bit for bit, and at
+    # odd q every odd row is exactly 0 at x = 0
+    rule = build_quadrature(round_sphere(n), q)
+    basis, m = build_basis(rule, q // 4), q // 2
+    reference = full_table(basis)
+    for block, sign, rows in ((basis.even, 1.0, reference[0::2]), (basis.odd, -1.0, reference[1::2])):
+        mirrored = np.concatenate((sign * block[:, ::-1][:, :m], block), axis=1)
+        assert mirrored.tobytes() == rows.tobytes()
+    if q % 2:
+        assert rule.nodes[m] == 0.0 and not basis.odd[:, 0].any()
+
+
+@pytest.mark.parametrize("q", [200, 201])
+@pytest.mark.parametrize("n", [5, 12])
+def test_round_trip_at_even_and_odd_q(n, q):
+    basis = build_basis(build_quadrature(round_sphere(n), q), 48)
+    c = np.random.default_rng(q).standard_normal(basis.dim)
+    back = analyze(basis, synthesize(ZonalField(basis, c))).coeffs
+    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("q", [1600, 1601])
+@pytest.mark.parametrize("n", [12, 151])
+def test_bubble_field_is_the_full_table_product(n, q):
+    # the coefficients of v_eps against the projection by the full table, and
+    # its node values against the full table's synthesis of them
+    setup = round_setup(n, q=q, L=400)
+    rule, N = setup.rule, setup.coeffs.N
+    T = full_table(setup.basis)
+    specs = [BubbleSpec(eps=e) for e in DEFAULT_EPS_GRID]
+    for spec, v in zip(specs, bubble_field(specs, setup.basis)):
+        phi, _, _ = bubble_profile(rule.theta, spec, n)
+        mass, scale = _profile_mass(rule, phi, N, spec)
+        coeffs = T @ (rule.weights * phi) * (mass ** (-1.0 / N) / scale)
+        assert np.max(np.abs(v.coeffs - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+        values = v.coeffs @ T
+        assert np.max(np.abs(v.values - values)) <= 1e-13 * np.max(np.abs(values))
 
 
 def test_aliasing_is_real(basis5):
